@@ -10,6 +10,7 @@ through an exactly invertible controlled-English mapping.
 from .lambda_ir import (
     App,
     BoolLit,
+    Comb,
     FuelExhausted,
     IntLit,
     Lam,
@@ -27,8 +28,6 @@ from .lambda_ir import (
 from .ski_core import (
     ProbeConfig,
     RuleSet,
-    SkiProgram,
-    SkiTerm,
     Verdict,
     behavioral_equal,
     bracket_abstract,

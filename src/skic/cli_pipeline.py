@@ -26,7 +26,7 @@ from . import lambda_ir, mdl_opt, metrics, ski_core, type_infer
 from .explainer import explain_term
 from .lambda_ir import Program, Term
 from .mdl_opt import CompressionPlan, MdlConfig
-from .ski_core import RuleSet, SkiProgram, SkiTerm, Verdict
+from .ski_core import RuleSet, Verdict
 
 REPORT_SCHEMA_VERSION = 1
 SOURCE_EXTENSION = ".lam"
@@ -72,7 +72,7 @@ class PipelineReport:
 class PipelineResult:
     report: PipelineReport
     plan: CompressionPlan
-    encoded: SkiProgram
+    encoded: Program
     specialized: Program
     gael_text: str
     lambda_text: str
@@ -142,7 +142,7 @@ def _infer_and_specialize(prog: Program) -> tuple[Program, dict[str, dict[str, s
 
 
 def _verify_equivalence(
-    original: Program, encoded: SkiProgram, cfg: MdlConfig
+    original: Program, encoded: Program, cfg: MdlConfig
 ) -> str:
     verdicts = []
     for item in mdl_opt._items_of(original):
@@ -158,23 +158,6 @@ def _verify_equivalence(
 
 
 # --- target emission -----------------------------------------------------------
-
-
-def _term_to_ski(t: Term) -> SkiTerm:
-    match t:
-        case lambda_ir.Var(name):
-            return ski_core.FreeVar(name)
-        case lambda_ir.IntLit(v):
-            return ski_core.SInt(v)
-        case lambda_ir.BoolLit(v):
-            return ski_core.SBool(v)
-        case lambda_ir.Prim(op):
-            return ski_core.SPrim(op)
-        case lambda_ir.App(fun, arg):
-            return ski_core.SApp(_term_to_ski(fun), _term_to_ski(arg))
-        case lambda_ir.Lam():
-            raise IncompatibleTermError("lambda node cannot be emitted as GAEL")
-    raise TypeError(f"not a Term: {t!r}")
 
 
 _PSEUDO_NAMES = {
@@ -218,22 +201,20 @@ def _pseudo_procedure(name: str, t: Term) -> str:
     return f"{header}\n    return {_pseudo_expr(t)}"
 
 
-def emit_target(t: Union[Term, SkiTerm], target: str) -> str:
+def emit_target(t: Term, target: str) -> str:
     """Render a term as `gael`, `lambda`, or `pseudocode` text."""
-    is_lambda = ski_core._is_lambda_term(t)
     if target == "gael":
-        ski = _term_to_ski(t) if is_lambda else t
-        return ski_core.gael_print(ski)
+        if ski_core.contains_lambda(t):
+            raise IncompatibleTermError("lambda node cannot be emitted as GAEL")
+        return ski_core.gael_print(t)
     if target == "lambda":
-        term = t if is_lambda else ski_core.ski_decode(t)
-        return lambda_ir.pretty_print(term)
+        return lambda_ir.pretty_print(ski_core.ski_decode(t))
     if target == "pseudocode":
-        term = t if is_lambda else ski_core.ski_decode(t)
-        return _pseudo_procedure("main", term)
+        return _pseudo_procedure("main", ski_core.ski_decode(t))
     raise ValueError(f"unknown target {target!r}")
 
 
-def _emit_program(encoded: SkiProgram, target: str) -> str:
+def _emit_program(encoded: Program, target: str) -> str:
     if target == "gael":
         return ski_core.gael_print_program(encoded)
     chunks = []

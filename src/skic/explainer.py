@@ -19,8 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from . import ski_core
-from .ski_core import FreeVar, I, K, S, SApp, SBool, SInt, SkiTerm, SPrim
+from .lambda_ir import App, BoolLit, Comb, I, IntLit, K, Prim, S, Term, Var, spine
 
 Path = tuple[int, ...]
 
@@ -77,63 +76,63 @@ _PRIM_TEXT = {
     "addR": "real addition",
 }
 
-_FIXED_LEAVES = {text: cls() for cls, text in _COMBINATOR_TEXT.items()}
-_FIXED_LEAVES.update({text: SPrim(op) for op, text in _PRIM_TEXT.items()})
+_FIXED_LEAVES = {text: comb for comb, text in _COMBINATOR_TEXT.items()}
+_FIXED_LEAVES.update({text: Prim(op) for op, text in _PRIM_TEXT.items()})
 
 _INT_RE = re.compile(r"the integer (-?\d+)")
 _BOOL_RE = re.compile(r"the boolean (true|false)")
 _REF_RE = re.compile(r"the reference ([a-z][a-z0-9_]*)")
 
 
-def _leaf_text(t: SkiTerm) -> str:
+def _leaf_text(t: Term) -> str:
     match t:
-        case S() | K() | I():
-            return _COMBINATOR_TEXT[type(t)]
-        case SPrim(op):
+        case Comb():
+            return _COMBINATOR_TEXT[t]
+        case Prim(op):
             return _PRIM_TEXT[op]
-        case SInt(v):
+        case IntLit(v):
             return f"the integer {v}"
-        case SBool(v):
+        case BoolLit(v):
             return f"the boolean {'true' if v else 'false'}"
-        case FreeVar(name):
+        case Var(name):
             return f"the reference {name}"
     raise TypeError(f"not a leaf: {t!r}")
 
 
-def _parse_leaf_text(text: str) -> SkiTerm | None:
+def _parse_leaf_text(text: str) -> Term | None:
     if text in _FIXED_LEAVES:
         return _FIXED_LEAVES[text]
     if m := _INT_RE.fullmatch(text):
-        return SInt(int(m.group(1)))
+        return IntLit(int(m.group(1)))
     if m := _BOOL_RE.fullmatch(text):
-        return SBool(m.group(1) == "true")
+        return BoolLit(m.group(1) == "true")
     if m := _REF_RE.fullmatch(text):
-        return FreeVar(m.group(1))
+        return Var(m.group(1))
     return None
 
 
-def _phrase(t: SkiTerm) -> str:
-    if not isinstance(t, SApp):
+def _phrase(t: Term) -> str:
+    if not isinstance(t, App):
         return _leaf_text(t)
-    head, args = ski_core.ski_spine(t)
+    head, args = spine(t)
     parts = [_phrase(head)]
     for i, a in enumerate(args):
-        wrapped = f"({_phrase(a)})" if isinstance(a, SApp) else _phrase(a)
+        wrapped = f"({_phrase(a)})" if isinstance(a, App) else _phrase(a)
         parts.append(("applied to " if i == 0 else "and then to ") + wrapped)
     return " ".join(parts)
 
 
-def explain_term(s: SkiTerm) -> ExplanationDoc:
+def explain_term(s: Term) -> ExplanationDoc:
     """Deterministic pre-order explanation with one anchor per leaf and
     one composed sentence per application spine."""
     sentences: list[Sentence] = []
 
-    def build(t: SkiTerm, path: Path) -> None:
-        if not isinstance(t, SApp):
+    def build(t: Term, path: Path) -> None:
+        if not isinstance(t, App):
             sentences.append(Sentence(anchor=path, text=_leaf_text(t)))
             return
         sentences.append(Sentence(anchor=path, text=_phrase(t)))
-        head, args = ski_core.ski_spine(t)
+        head, args = spine(t)
         k = len(args)
         build(head, path + (0,) * k)
         for i, a in enumerate(args):
@@ -143,7 +142,7 @@ def explain_term(s: SkiTerm) -> ExplanationDoc:
     return ExplanationDoc(sentences=tuple(sentences))
 
 
-def parse_explanation(doc: ExplanationDoc) -> SkiTerm:
+def parse_explanation(doc: ExplanationDoc) -> Term:
     """Invert explain_term; raises TemplateParseError naming the first
     offending sentence index."""
     if not doc.sentences:
@@ -158,7 +157,7 @@ def parse_explanation(doc: ExplanationDoc) -> SkiTerm:
         for cut in range(len(path) + 1):
             prefixes.add(path[:cut])
 
-    def rebuild(path: Path) -> SkiTerm:
+    def rebuild(path: Path) -> Term:
         idx = by_path.get(path)
         if idx is not None:
             text = doc.sentences[idx].text
@@ -171,7 +170,7 @@ def parse_explanation(doc: ExplanationDoc) -> SkiTerm:
         if path + (0,) not in prefixes or path + (1,) not in prefixes:
             anchor_idx = idx if idx is not None else 0
             raise TemplateParseError(anchor_idx, f"missing children under anchor {path}")
-        return SApp(rebuild(path + (0,)), rebuild(path + (1,)))
+        return App(rebuild(path + (0,)), rebuild(path + (1,)))
 
     term = rebuild(())
     expected = explain_term(term)
@@ -186,14 +185,14 @@ def parse_explanation(doc: ExplanationDoc) -> SkiTerm:
     return term
 
 
-def anchor_counts(s: SkiTerm) -> tuple[int, int]:
+def anchor_counts(s: Term) -> tuple[int, int]:
     """(leaf count, application-spine count) — the doc has their sum."""
     leaves = 0
     spines = 0
 
-    def visit(t: SkiTerm, spine_top: bool) -> None:
+    def visit(t: Term, spine_top: bool) -> None:
         nonlocal leaves, spines
-        if not isinstance(t, SApp):
+        if not isinstance(t, App):
             leaves += 1
             return
         if spine_top:

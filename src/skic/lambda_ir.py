@@ -1,6 +1,7 @@
-"""Lambda-calculus IR: surface parser, normal-order evaluator, printing.
+"""The term algebra: parser, normal-order evaluator, printing.
 
-The surface language is a minimal functional calculus:
+One term type serves both the source language and GAEL.  The surface
+language is a minimal functional calculus:
 
     program := (def ";")* expr?
     def     := ident ":=" expr
@@ -9,15 +10,20 @@ The surface language is a minimal functional calculus:
     atom    := ident | integer | "true" | "false" | "#"primname
              | "(" expr ")"
 
+GAEL, the combinator form, is the lambda-free subset with the constants
+S, K and I added: its dialect has no `\\` or `.`, and `S`, `K`, `I` are
+atoms.  Combinators reduce by S x y z -> x z (y z), K x y -> x, I x -> x.
+
 Comments run from `--` to end of line.  Identifiers match
 [a-z][a-z0-9_]*; `true` and `false` are reserved literal keywords.
-Integer atoms may carry a leading minus sign.
+Integer atoms may carry a leading minus sign and must lie in the 64-bit
+signed range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 PRIM_OPS = ("add", "sub", "mul", "eq", "if", "addZ", "addR")
 
@@ -36,6 +42,7 @@ class LambdaError(Exception):
 class ParseError(LambdaError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -109,7 +116,21 @@ class Prim:
             raise ValueError(f"unknown primitive #{self.op}")
 
 
-Term = Union[Var, Lam, App, IntLit, BoolLit, Prim]
+@dataclass(frozen=True)
+class Comb:
+    """A combinator constant: "S", "K" or "I"."""
+
+    name: str
+
+
+S = Comb("S")
+K = Comb("K")
+I = Comb("I")  # noqa: E741 -- the combinator's own name
+
+# arguments a combinator's rule consumes
+_COMB_ARITY = {"I": 1, "K": 2, "S": 3}
+
+Term = Union[Var, Lam, App, IntLit, BoolLit, Prim, Comb]
 
 
 @dataclass(frozen=True)
@@ -141,15 +162,13 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Var(name):
-            return frozenset((name,))
-        case Lam(param, body):
-            return free_vars(body) - {param}
-        case App(fun, arg):
-            return free_vars(fun) | free_vars(arg)
-        case _:
-            return frozenset()
+    if isinstance(t, Var):
+        return frozenset((t.name,))
+    if isinstance(t, App):
+        return free_vars(t.fun) | free_vars(t.arg)
+    if isinstance(t, Lam):
+        return free_vars(t.body) - {t.param}
+    return frozenset()
 
 
 def leading_lambda_count(t: Term) -> int:
@@ -161,29 +180,32 @@ def leading_lambda_count(t: Term) -> int:
 
 
 def term_size(t: Term) -> int:
-    match t:
-        case Lam(_, body):
-            return 1 + term_size(body)
-        case App(fun, arg):
-            return 1 + term_size(fun) + term_size(arg)
-        case _:
-            return 1
+    if isinstance(t, App):
+        return 1 + term_size(t.fun) + term_size(t.arg)
+    if isinstance(t, Lam):
+        return 1 + term_size(t.body)
+    return 1
 
 
 # --- lexer / parser ---------------------------------------------------
 
-_PUNCT = {"\\", ".", "(", ")", ";", ":="}
+# single-character punctuation of each dialect; both also have ":="
+_PUNCT = {"source": "\\.();", "gael": "();"}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # punct | ident | int | prim | keyword
+class _Tok(NamedTuple):
+    kind: str  # punct | ident | int | prim | keyword | comb
     text: str
     line: int
     col: int
 
 
-def _lex(source: str) -> list[_Tok]:
+def _lex(source: str, dialect: str = "source") -> list[_Tok]:
+    """Tokens of `source` in the "source" or "gael" dialect."""
+    if dialect not in _PUNCT:
+        raise ValueError(f"unknown dialect {dialect!r}")
+    punct = _PUNCT[dialect]
+    combs = "SKI" if dialect == "gael" else ""
     toks: list[_Tok] = []
     i, line, col = 0, 1, 1
     n = len(source)
@@ -204,8 +226,12 @@ def _lex(source: str) -> list[_Tok]:
             toks.append(_Tok("punct", ":=", start_line, start_col))
             i, col = i + 2, col + 2
             continue
-        if c in "\\.();":
+        if c in punct:
             toks.append(_Tok("punct", c, start_line, start_col))
+            i, col = i + 1, col + 1
+            continue
+        if c in combs:
+            toks.append(_Tok("comb", c, start_line, start_col))
             i, col = i + 1, col + 1
             continue
         if c.isdigit() or (c == "-" and i + 1 < n and source[i + 1].isdigit()):
@@ -268,6 +294,15 @@ class _Parser:
         return tok is not None and tok.text == text
 
     def parse_program(self) -> Program:
+        """Parse every token; nesting deeper than the recursive descent
+        can follow is a ParseError at the last token read."""
+        try:
+            return self._program()
+        except RecursionError:
+            tok = self.toks[min(self.pos, len(self.toks)) - 1]
+            raise ParseError("expression nested too deeply", tok.line, tok.col) from None
+
+    def _program(self) -> Program:
         defs: list[tuple[str, Term]] = []
         names: set[str] = set()
         while True:
@@ -333,7 +368,12 @@ class _Parser:
             self.expect(")")
             return inner
         if tok.kind == "int":
-            return IntLit(int(tok.text))
+            value = int(tok.text)
+            if not INT64_MIN <= value <= INT64_MAX:
+                raise ParseError(f"integer literal {tok.text} exceeds 64-bit signed range", tok.line, tok.col)
+            return IntLit(value)
+        if tok.kind == "comb":
+            return Comb(tok.text)
         if tok.kind == "keyword":
             return BoolLit(tok.text == "true")
         if tok.kind == "prim":
@@ -383,21 +423,20 @@ def _fresh(base: str, avoid: frozenset[str]) -> str:
 
 def substitute(t: Term, name: str, value: Term) -> Term:
     """Capture-avoiding substitution t[name := value]."""
-    match t:
-        case Var(n):
-            return value if n == name else t
-        case App(fun, arg):
-            return App(substitute(fun, name, value), substitute(arg, name, value))
-        case Lam(param, body):
-            if param == name:
-                return t
-            if param in free_vars(value) and name in free_vars(body):
-                renamed = _fresh(param, free_vars(value) | free_vars(body))
-                body = substitute(body, param, Var(renamed))
-                param = renamed
-            return Lam(param, substitute(body, name, value))
-        case _:
+    if isinstance(t, Var):
+        return value if t.name == name else t
+    if isinstance(t, App):
+        return App(substitute(t.fun, name, value), substitute(t.arg, name, value))
+    if isinstance(t, Lam):
+        param, body = t.param, t.body
+        if param == name:
             return t
+        if param in free_vars(value) and name in free_vars(body):
+            renamed = _fresh(param, free_vars(value) | free_vars(body))
+            body = substitute(body, param, Var(renamed))
+            param = renamed
+        return Lam(param, substitute(body, name, value))
+    return t
 
 
 def inline_defs(prog: Program) -> list[tuple[str, Term]]:
@@ -483,23 +522,28 @@ def _delta(op: str, args: list[Term], fuel: Fuel) -> Optional[tuple[Term, list[T
 
 
 def _whnf(t: Term, fuel: Fuel) -> Term:
-    """Reduce to weak head normal form (leftmost-outermost)."""
+    """Reduce to weak head normal form (leftmost-outermost).
+
+    A beta step and a combinator step each spend one unit of fuel.
+    """
     head, args = spine(t)
     while True:
         if isinstance(head, Lam) and args:
             fuel.spend()
-            head = substitute(head.body, head.param, args.pop(0))
-            inner_head, inner_args = spine(head)
-            head, args = inner_head, inner_args + args
-            continue
-        if isinstance(head, Prim):
-            fired = _delta(head.op, args, fuel)
-            if fired is not None:
-                replacement, rest = fired
-                inner_head, inner_args = spine(replacement)
-                head, args = inner_head, inner_args + rest
-                continue
-        return apply_spine(head, *args)
+            replacement, rest = substitute(head.body, head.param, args[0]), args[1:]
+        elif isinstance(head, Comb) and len(args) >= _COMB_ARITY[head.name]:
+            fuel.spend()
+            if head.name == "S":
+                x, y, z = args[0], args[1], args[2]
+                replacement, rest = App(App(x, z), App(y, z)), args[3:]
+            else:  # K x y -> x, I x -> x
+                replacement, rest = args[0], args[_COMB_ARITY[head.name]:]
+        elif isinstance(head, Prim) and (fired := _delta(head.op, args, fuel)) is not None:
+            replacement, rest = fired
+        else:
+            return apply_spine(head, *args)
+        head, inner_args = spine(replacement)
+        args = inner_args + rest
 
 
 def _normalize(t: Term, fuel: Fuel) -> Term:
@@ -514,7 +558,7 @@ def _normalize(t: Term, fuel: Fuel) -> Term:
 
 
 def beta_reduce(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    """Normal-order reduction with primitive delta rules.
+    """Normal-order reduction with combinator and primitive delta rules.
 
     Returns the beta-delta normal form; raises FuelExhausted when the
     step budget runs out first.
@@ -523,47 +567,38 @@ def beta_reduce(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
 
 
 def is_normal_form(t: Term) -> bool:
-    """Scan for any remaining beta or delta redex."""
-    match t:
-        case Lam(_, body):
-            return is_normal_form(body)
-        case App():
-            head, args = spine(t)
-            if isinstance(head, Lam):
+    """Scan for any remaining beta, combinator or delta redex."""
+    if isinstance(t, Lam):
+        return is_normal_form(t.body)
+    head, args = spine(t)
+    if isinstance(head, Lam):
+        return False
+    if isinstance(head, Comb) and len(args) >= _COMB_ARITY[head.name]:
+        return False
+    if isinstance(head, Prim):
+        if head.op in ARITH_OPS or head.op == "eq":
+            if len(args) >= 2 and isinstance(args[0], IntLit) and isinstance(args[1], IntLit):
                 return False
-            if isinstance(head, Prim):
-                if head.op in ARITH_OPS or head.op == "eq":
-                    if len(args) >= 2 and isinstance(args[0], IntLit) and isinstance(args[1], IntLit):
-                        return False
-                elif head.op == "if":
-                    if len(args) >= 3 and isinstance(args[0], BoolLit):
-                        return False
-            return all(is_normal_form(a) for a in args) and is_normal_form(head)
-        case _:
-            return True
+        elif head.op == "if":
+            if len(args) >= 3 and isinstance(args[0], BoolLit):
+                return False
+    return all(is_normal_form(a) for a in args)
 
 
 # --- alpha equivalence and eta ----------------------------------------
 
 
-def _debruijn(t: Term, env: tuple[str, ...]) -> tuple:
-    match t:
-        case Var(name):
-            try:
-                return ("b", env.index(name))
-            except ValueError:
-                return ("f", name)
-        case Lam(param, body):
-            return ("lam", _debruijn(body, (param,) + env))
-        case App(fun, arg):
-            return ("app", _debruijn(fun, env), _debruijn(arg, env))
-        case IntLit(v):
-            return ("int", v)
-        case BoolLit(v):
-            return ("bool", v)
-        case Prim(op):
-            return ("prim", op)
-    raise TypeError(f"not a Term: {t!r}")
+def _debruijn(t: Term, env: tuple[str, ...]) -> object:
+    if isinstance(t, App):
+        return ("app", _debruijn(t.fun, env), _debruijn(t.arg, env))
+    if isinstance(t, Var):
+        try:
+            return ("b", env.index(t.name))
+        except ValueError:
+            return ("f", t.name)
+    if isinstance(t, Lam):
+        return ("lam", _debruijn(t.body, (t.param,) + env))
+    return t  # constants compare by value
 
 
 def alpha_equivalent(a: Term, b: Term) -> bool:
@@ -654,28 +689,29 @@ def eta_contract(t: Term) -> Term:
 
 
 def pretty_print(t: Term) -> str:
-    """Canonical text form; reparses to an alpha-equivalent term."""
-    match t:
-        case Var(name):
-            return name
-        case IntLit(v):
-            return str(v)
-        case BoolLit(v):
-            return "true" if v else "false"
-        case Prim(op):
-            return f"#{op}"
-        case Lam(param, body):
-            if isinstance(body, Lam):
-                return f"\\{param}.{pretty_print(body)}"
-            return f"\\{param}. {pretty_print(body)}"
-        case App(fun, arg):
-            fun_text = pretty_print(fun)
-            if isinstance(fun, Lam):
-                fun_text = f"({fun_text})"
-            arg_text = pretty_print(arg)
-            if isinstance(arg, (App, Lam)):
-                arg_text = f"({arg_text})"
-            return f"{fun_text} {arg_text}"
+    """Canonical text form; reparses to an alpha-equivalent term.
+
+    A lambda-free term prints as GAEL text.
+    """
+    if isinstance(t, App):
+        fun_text = pretty_print(t.fun)
+        if isinstance(t.fun, Lam):
+            fun_text = f"({fun_text})"
+        arg_text = pretty_print(t.arg)
+        if isinstance(t.arg, (App, Lam)):
+            arg_text = f"({arg_text})"
+        return f"{fun_text} {arg_text}"
+    if isinstance(t, (Var, Comb)):
+        return t.name
+    if isinstance(t, IntLit):
+        return str(t.value)
+    if isinstance(t, BoolLit):
+        return "true" if t.value else "false"
+    if isinstance(t, Prim):
+        return f"#{t.op}"
+    if isinstance(t, Lam):
+        sep = "" if isinstance(t.body, Lam) else " "
+        return f"\\{t.param}.{sep}{pretty_print(t.body)}"
     raise TypeError(f"not a Term: {t!r}")
 
 
@@ -684,13 +720,3 @@ def pretty_print_program(prog: Program) -> str:
     if prog.main is not None:
         lines.append(pretty_print(prog.main))
     return "\n".join(lines)
-
-
-def iter_subterms(t: Term) -> Iterator[Term]:
-    yield t
-    match t:
-        case Lam(_, body):
-            yield from iter_subterms(body)
-        case App(fun, arg):
-            yield from iter_subterms(fun)
-            yield from iter_subterms(arg)

@@ -18,17 +18,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from . import lambda_ir, metrics, ski_core
-from .lambda_ir import DEFAULT_FUEL, Program, Term
-from .ski_core import (
-    FreeVar,
-    ProbeConfig,
-    RuleSet,
-    SkiProgram,
-    SkiTerm,
-    gael_print,
-    gael_print_program,
-    ski_size,
-)
+from .lambda_ir import DEFAULT_FUEL, App, Program, Term, Var, term_size
+from .ski_core import ProbeConfig, RuleSet, gael_print, gael_print_program
 
 MIN_EXTRACT_NODES = 3
 
@@ -72,20 +63,20 @@ class CompressionPlan:
     default); trace pairs each decision with the objective after it.
     """
 
-    encoded: Union[SkiTerm, SkiProgram]
+    encoded: Union[Term, Program]
     objective: float
     token_length: int
     distance: float
     trace: tuple[tuple[str, float], ...]
 
-    def encoded_program(self) -> SkiProgram:
-        if isinstance(self.encoded, SkiProgram):
+    def encoded_program(self) -> Program:
+        if isinstance(self.encoded, Program):
             return self.encoded
-        return SkiProgram(defs=(), main=self.encoded)
+        return Program(defs=(), main=self.encoded)
 
 
 def semantic_distance(
-    p: Term, s: SkiTerm, probes: ProbeConfig, fuel: int = DEFAULT_FUEL
+    p: Term, s: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL
 ) -> float:
     """Fraction of probe tuples where reduced outputs differ.
 
@@ -108,7 +99,7 @@ def semantic_distance(
     return total / len(tuples)
 
 
-def mdl_objective(s: SkiTerm, p: Term, cfg: MdlConfig) -> float:
+def mdl_objective(s: Term, p: Term, cfg: MdlConfig) -> float:
     """Scalarized objective for a single encoded term.
 
     Length is measured in the configured unit (GAEL tokens by default,
@@ -154,19 +145,19 @@ def _items_of(prog: Program) -> list[_Item]:
     return items
 
 
-def _encode_program(items: list[_Item], rules: tuple[RuleSet, ...]) -> SkiProgram:
-    defs: list[tuple[str, SkiTerm]] = []
-    main: Optional[SkiTerm] = None
+def _encode_program(items: list[_Item], rules: tuple[RuleSet, ...]) -> Program:
+    defs: list[tuple[str, Term]] = []
+    main: Optional[Term] = None
     for item, rs in zip(items, rules):
         encoded = ski_core.bracket_abstract(item.source, rs, constants=item.constants)
         if item.name is None:
             main = encoded
         else:
             defs.append((item.name, encoded))
-    return SkiProgram(defs=tuple(defs), main=main)
+    return Program(defs=tuple(defs), main=main)
 
 
-def _program_length(prog: SkiProgram, cfg: MdlConfig) -> int:
+def _program_length(prog: Program, cfg: MdlConfig) -> int:
     return cfg.gael_length(gael_print_program(prog))
 
 
@@ -178,7 +169,7 @@ class _DistanceCache:
         self.cfg = cfg
         self.cache: dict[tuple[int, tuple[RuleSet, ...]], float] = {}
 
-    def item_distance(self, encoded: SkiProgram, idx: int, rules: tuple[RuleSet, ...]) -> float:
+    def item_distance(self, encoded: Program, idx: int, rules: tuple[RuleSet, ...]) -> float:
         key = (idx, rules[: idx + 1])
         if key not in self.cache:
             item = self.items[idx]
@@ -189,7 +180,7 @@ class _DistanceCache:
             )
         return self.cache[key]
 
-    def program_distance(self, encoded: SkiProgram, rules: tuple[RuleSet, ...]) -> float:
+    def program_distance(self, encoded: Program, rules: tuple[RuleSet, ...]) -> float:
         if not self.items:
             return 0.0
         return max(
@@ -197,7 +188,7 @@ class _DistanceCache:
         )
 
 
-def _inline_item(prog: SkiProgram, name: Optional[str]) -> SkiTerm:
+def _inline_item(prog: Program, name: Optional[str]) -> Term:
     resolved = dict(ski_core.inline_ski_defs(prog))
     if name is None:
         assert prog.main is not None
@@ -208,7 +199,7 @@ def _inline_item(prog: SkiProgram, name: Optional[str]) -> SkiTerm:
     return resolved[name]
 
 
-def program_distance(source: Program, encoded: SkiProgram, cfg: MdlConfig) -> float:
+def program_distance(source: Program, encoded: Program, cfg: MdlConfig) -> float:
     """Max per-item distance between a source program and its encoding."""
     items = _items_of(source)
     if not items:
@@ -233,7 +224,7 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
     def complete(rules: tuple[RuleSet, ...]) -> tuple[RuleSet, ...]:
         return rules + (baseline,) * (n - len(rules))
 
-    def score(rules: tuple[RuleSet, ...]) -> tuple[float, int, SkiProgram, float]:
+    def score(rules: tuple[RuleSet, ...]) -> tuple[float, int, Program, float]:
         full = complete(rules)
         encoded = _encode_program(items, full)
         tokens = _program_length(encoded, cfg)
@@ -270,7 +261,7 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
             for name in moves:
                 trace.append((f"extract[{name}]", objective))
 
-    result: Union[SkiTerm, SkiProgram] = encoded
+    result: Union[Term, Program] = encoded
     if not encoded.defs and encoded.main is not None and not prog.defs:
         result = encoded.main
     return CompressionPlan(
@@ -290,13 +281,13 @@ def compress_term(p: Term, cfg: MdlConfig = MdlConfig()) -> CompressionPlan:
 # --- common-subterm extraction ---------------------------------------------
 
 
-def _collect_counts(prog: SkiProgram) -> dict[SkiTerm, int]:
-    counts: dict[SkiTerm, int] = {}
+def _collect_counts(prog: Program) -> dict[Term, int]:
+    counts: dict[Term, int] = {}
 
-    def visit(t: SkiTerm) -> None:
-        if ski_size(t) >= MIN_EXTRACT_NODES:
+    def visit(t: Term) -> None:
+        if term_size(t) >= MIN_EXTRACT_NODES:
             counts[t] = counts.get(t, 0) + 1
-        if isinstance(t, ski_core.SApp):
+        if isinstance(t, App):
             visit(t.fun)
             visit(t.arg)
 
@@ -307,26 +298,26 @@ def _collect_counts(prog: SkiProgram) -> dict[SkiTerm, int]:
     return counts
 
 
-def _replace_subterm(t: SkiTerm, target: SkiTerm, name: str) -> SkiTerm:
+def _replace_subterm(t: Term, target: Term, name: str) -> Term:
     if t == target:
-        return FreeVar(name)
-    if isinstance(t, ski_core.SApp):
-        return ski_core.SApp(
+        return Var(name)
+    if isinstance(t, App):
+        return App(
             _replace_subterm(t.fun, target, name), _replace_subterm(t.arg, target, name)
         )
     return t
 
 
-def _used_names(prog: SkiProgram) -> set[str]:
+def _used_names(prog: Program) -> set[str]:
     names = {name for name, _ in prog.defs}
     for _, body in prog.defs:
-        names |= ski_core.ski_free_names(body)
+        names |= lambda_ir.free_vars(body)
     if prog.main is not None:
-        names |= ski_core.ski_free_names(prog.main)
+        names |= lambda_ir.free_vars(prog.main)
     return names
 
 
-def _fresh_def_name(prog: SkiProgram) -> str:
+def _fresh_def_name(prog: Program) -> str:
     used = _used_names(prog)
     for i in itertools.count():
         candidate = f"q{i}"
@@ -334,8 +325,8 @@ def _fresh_def_name(prog: SkiProgram) -> str:
             return candidate
 
 
-def _apply_extraction(prog: SkiProgram, target: SkiTerm, name: str) -> SkiProgram:
-    new_defs: list[tuple[str, SkiTerm]] = []
+def _apply_extraction(prog: Program, target: Term, name: str) -> Program:
+    new_defs: list[tuple[str, Term]] = []
     inserted = False
     for def_name, body in prog.defs:
         replaced = _replace_subterm(body, target, name)
@@ -351,10 +342,10 @@ def _apply_extraction(prog: SkiProgram, target: SkiTerm, name: str) -> SkiProgra
             inserted = True
     if not inserted:  # target occurs nowhere; caller guarantees otherwise
         return prog
-    return SkiProgram(defs=tuple(new_defs), main=new_main)
+    return Program(defs=tuple(new_defs), main=new_main)
 
 
-def _extract_with_trace(prog: SkiProgram, cfg: MdlConfig) -> tuple[SkiProgram, list[str]]:
+def _extract_with_trace(prog: Program, cfg: MdlConfig) -> tuple[Program, list[str]]:
     moves: list[str] = []
     while True:
         tokens_now = _program_length(prog, cfg)
@@ -362,7 +353,7 @@ def _extract_with_trace(prog: SkiProgram, cfg: MdlConfig) -> tuple[SkiProgram, l
         candidates = [
             (term, count) for term, count in counts.items() if count >= 2
         ]
-        candidates.sort(key=lambda tc: (-tc[1], -ski_size(tc[0]), gael_print(tc[0])))
+        candidates.sort(key=lambda tc: (-tc[1], -term_size(tc[0]), gael_print(tc[0])))
         applied = False
         for term, _count in candidates:
             name = _fresh_def_name(prog)
@@ -376,7 +367,7 @@ def _extract_with_trace(prog: SkiProgram, cfg: MdlConfig) -> tuple[SkiProgram, l
             return prog, moves
 
 
-def extract_common_subterms(prog: SkiProgram, cfg: MdlConfig = MdlConfig()) -> SkiProgram:
+def extract_common_subterms(prog: Program, cfg: MdlConfig = MdlConfig()) -> Program:
     """Extract repeated subterms while each move strictly shrinks tokens."""
     if not cfg.extraction_enabled:
         return prog

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from . import lambda_ir
+
 DEFAULT_BOUND_CONSTANT = 16.0
 
 
@@ -58,64 +60,24 @@ class TokenSeq:
         return " ".join(self.lexemes())
 
 
-_KEYWORDS = ("true", "false")
+_TOKEN_CLASSES = {
+    "ident": TokenClass.IDENTIFIER,
+    "int": TokenClass.INTEGER,
+    "comb": TokenClass.COMBINATOR,
+    "prim": TokenClass.PRIMITIVE,
+    "punct": TokenClass.PUNCT,
+    "keyword": TokenClass.KEYWORD,
+}
 
 
 def tokenize(source: str, dialect: str = "source") -> TokenSeq:
     """Lex `source` under the named dialect ("source" or "gael")."""
-    if dialect not in ("source", "gael"):
-        raise ValueError(f"unknown dialect {dialect!r}")
-    gael = dialect == "gael"
-    toks: list[Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith(":=", i):
-            toks.append(Token(TokenClass.PUNCT, ":="))
-            i += 2
-            continue
-        if (not gael and c in "\\.();") or (gael and c in "();"):
-            toks.append(Token(TokenClass.PUNCT, c))
-            i += 1
-            continue
-        if gael and c in "SKI":
-            toks.append(Token(TokenClass.COMBINATOR, c))
-            i += 1
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and source[i + 1].isdigit()):
-            j = i + 1
-            while j < n and source[j].isdigit():
-                j += 1
-            toks.append(Token(TokenClass.INTEGER, source[i:j]))
-            i = j
-            continue
-        if c == "#":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise LexError("expected primitive name after '#'", i)
-            toks.append(Token(TokenClass.PRIMITIVE, source[i:j]))
-            i = j
-            continue
-        if c.islower():
-            j = i + 1
-            while j < n and (source[j].islower() or source[j].isdigit() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            cls = TokenClass.KEYWORD if word in _KEYWORDS else TokenClass.IDENTIFIER
-            toks.append(Token(cls, word))
-            i = j
-            continue
-        raise LexError(f"unexpected character {c!r}", i)
-    return TokenSeq(tokens=tuple(toks))
+    try:
+        toks = lambda_ir._lex(source, dialect)
+    except lambda_ir.ParseError as exc:
+        line_start = sum(len(line) + 1 for line in source.split("\n")[: exc.line - 1])
+        raise LexError(exc.message, line_start + exc.column - 1) from None
+    return TokenSeq(tokens=tuple(Token(_TOKEN_CLASSES[tok.kind], tok.text) for tok in toks))
 
 
 def token_count(source: str, dialect: str = "source") -> int:

@@ -1,8 +1,10 @@
-"""SKI combinator terms: encoding, decoding, reduction, and equivalence.
+"""SKI combinator encoding, decoding, probing, and GAEL text.
 
-Bracket abstraction eliminates every lambda binder, producing terms
-over S, K, I, literals, primitives, and free references.  The GAEL
-textual form prints combinator terms as left-associative juxtaposition:
+Combinator terms are the lambda-free terms of `lambda_ir`, with S, K
+and I as constants.  Bracket abstraction eliminates every lambda
+binder, producing terms over S, K, I, literals, primitives, and free
+references.  The GAEL textual form prints combinator terms as
+left-associative juxtaposition:
 
     gdef  := ident ":=" gterm ";"
     gterm := gatom+
@@ -15,18 +17,26 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from . import lambda_ir
 from .lambda_ir import (
-    ARITH_OPS,
     DEFAULT_FUEL,
-    PRIM_OPS,
+    App,
+    Comb,
     Fuel,
     FuelExhausted,
+    I,
+    IntLit,
+    K,
+    Lam,
     ParseError,
+    Program,
+    S,
     Term,
+    Var,
     alpha_equivalent,
+    apply_spine,
 )
 
 
@@ -34,71 +44,6 @@ class OpenTermError(Exception):
     def __init__(self, names: frozenset[str]):
         super().__init__(f"term has free variables: {', '.join(sorted(names))}")
         self.names = names
-
-
-# --- terms ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class S:
-    pass
-
-
-@dataclass(frozen=True)
-class K:
-    pass
-
-
-@dataclass(frozen=True)
-class I:
-    pass
-
-
-@dataclass(frozen=True)
-class SApp:
-    fun: "SkiTerm"
-    arg: "SkiTerm"
-
-
-@dataclass(frozen=True)
-class SInt:
-    value: int
-
-
-@dataclass(frozen=True)
-class SBool:
-    value: bool
-
-
-@dataclass(frozen=True)
-class SPrim:
-    op: str
-
-    def __post_init__(self):
-        if self.op not in PRIM_OPS:
-            raise ValueError(f"unknown primitive #{self.op}")
-
-
-@dataclass(frozen=True)
-class FreeVar:
-    """A named reference left free (probe holes, definition names)."""
-
-    name: str
-
-
-SkiTerm = Union[S, K, I, SApp, SInt, SBool, SPrim, FreeVar]
-
-_S = S()
-_K = K()
-_I = I()
-
-
-@dataclass(frozen=True)
-class SkiProgram:
-    """Definitions of combinator terms plus an optional main term."""
-
-    defs: tuple[tuple[str, SkiTerm], ...]
-    main: Optional[SkiTerm]
 
 
 class RuleSet(Enum):
@@ -109,86 +54,48 @@ class RuleSet(Enum):
     ETA_OPTIMIZED = "eta"  # adds eta-contraction: [x](M x) = M when x not in M
 
 
-def sapp(fun: SkiTerm, *args: SkiTerm) -> SkiTerm:
-    for a in args:
-        fun = SApp(fun, a)
-    return fun
-
-
-def ski_spine(t: SkiTerm) -> tuple[SkiTerm, list[SkiTerm]]:
-    args: list[SkiTerm] = []
-    while isinstance(t, SApp):
-        args.append(t.arg)
-        t = t.fun
-    args.reverse()
-    return t, args
-
-
-def ski_size(t: SkiTerm) -> int:
-    if isinstance(t, SApp):
-        return 1 + ski_size(t.fun) + ski_size(t.arg)
-    return 1
-
-
-def ski_free_names(t: SkiTerm) -> frozenset[str]:
-    if isinstance(t, FreeVar):
-        return frozenset((t.name,))
-    if isinstance(t, SApp):
-        return ski_free_names(t.fun) | ski_free_names(t.arg)
-    return frozenset()
-
-
-def contains_lambda(t: SkiTerm) -> bool:
-    """Structural scan; SkiTerm construction already precludes Lam nodes."""
-    if isinstance(t, SApp):
+def contains_lambda(t: Term) -> bool:
+    """Structural scan for a Lam node; GAEL terms have none."""
+    if isinstance(t, App):
         return contains_lambda(t.fun) or contains_lambda(t.arg)
-    return isinstance(t, lambda_ir.Lam)
+    return isinstance(t, Lam)
 
 
 # --- encoding (bracket abstraction) -----------------------------------
 
 
-def _occurs(name: str, t: SkiTerm) -> bool:
-    if isinstance(t, FreeVar):
+def _occurs(name: str, t: Term) -> bool:
+    if isinstance(t, Var):
         return t.name == name
-    if isinstance(t, SApp):
+    if isinstance(t, App):
         return _occurs(name, t.fun) or _occurs(name, t.arg)
     return False
 
 
-def _abstract(name: str, t: SkiTerm, rules: RuleSet) -> SkiTerm:
-    """[name] t: eliminate FreeVar(name) from a lambda-free term."""
-    if rules is RuleSet.ETA_OPTIMIZED and isinstance(t, SApp):
-        if isinstance(t.arg, FreeVar) and t.arg.name == name and not _occurs(name, t.fun):
+def _abstract(name: str, t: Term, rules: RuleSet) -> Term:
+    """[name] t: eliminate Var(name) from a lambda-free term."""
+    if rules is RuleSet.ETA_OPTIMIZED and isinstance(t, App):
+        if isinstance(t.arg, Var) and t.arg.name == name and not _occurs(name, t.fun):
             return t.fun
-    if isinstance(t, FreeVar) and t.name == name:
-        return _I if rules in (RuleSet.WITH_I, RuleSet.ETA_OPTIMIZED) else sapp(_S, _K, _K)
+    if isinstance(t, Var) and t.name == name:
+        return I if rules in (RuleSet.WITH_I, RuleSet.ETA_OPTIMIZED) else apply_spine(S, K, K)
     if not _occurs(name, t):
-        return SApp(_K, t)
-    assert isinstance(t, SApp)
-    return sapp(_S, _abstract(name, t.fun, rules), _abstract(name, t.arg, rules))
+        return App(K, t)
+    assert isinstance(t, App)
+    return apply_spine(S, _abstract(name, t.fun, rules), _abstract(name, t.arg, rules))
 
 
-def _to_ski(t: Term, rules: RuleSet) -> SkiTerm:
-    match t:
-        case lambda_ir.Var(name):
-            return FreeVar(name)
-        case lambda_ir.IntLit(v):
-            return SInt(v)
-        case lambda_ir.BoolLit(v):
-            return SBool(v)
-        case lambda_ir.Prim(op):
-            return SPrim(op)
-        case lambda_ir.App(fun, arg):
-            return SApp(_to_ski(fun, rules), _to_ski(arg, rules))
-        case lambda_ir.Lam(param, body):
-            return _abstract(param, _to_ski(body, rules), rules)
-    raise TypeError(f"not a Term: {t!r}")
+def _to_ski(t: Term, rules: RuleSet) -> Term:
+    if isinstance(t, App):
+        return App(_to_ski(t.fun, rules), _to_ski(t.arg, rules))
+    if isinstance(t, Lam):
+        return _abstract(t.param, _to_ski(t.body, rules), rules)
+    return t
 
 
 def bracket_abstract(
     t: Term, rules: RuleSet = RuleSet.ETA_OPTIMIZED, constants: frozenset[str] = frozenset()
-) -> SkiTerm:
+) -> Term:
     """Encode a lambda term as a lambda-free combinator term.
 
     `constants` names stay as free references (definition names the
@@ -203,127 +110,35 @@ def bracket_abstract(
 
 # --- decoding ----------------------------------------------------------
 
-_S_LAMBDA = lambda_ir.parse_term("\\x.\\y.\\z. x z (y z)")
-_K_LAMBDA = lambda_ir.parse_term("\\x.\\y. x")
-_I_LAMBDA = lambda_ir.parse_term("\\x. x")
+_COMB_LAMBDAS = {
+    "S": lambda_ir.parse_term("\\x.\\y.\\z. x z (y z)"),
+    "K": lambda_ir.parse_term("\\x.\\y. x"),
+    "I": lambda_ir.parse_term("\\x. x"),
+}
 
 
-def ski_decode(t: SkiTerm) -> Term:
+def ski_decode(t: Term) -> Term:
     """Replace combinators by their lambda definitions, keeping structure."""
-    match t:
-        case S():
-            return _S_LAMBDA
-        case K():
-            return _K_LAMBDA
-        case I():
-            return _I_LAMBDA
-        case SApp(fun, arg):
-            return lambda_ir.App(ski_decode(fun), ski_decode(arg))
-        case SInt(v):
-            return lambda_ir.IntLit(v)
-        case SBool(v):
-            return lambda_ir.BoolLit(v)
-        case SPrim(op):
-            return lambda_ir.Prim(op)
-        case FreeVar(name):
-            return lambda_ir.Var(name)
-    raise TypeError(f"not a SkiTerm: {t!r}")
+    if isinstance(t, App):
+        return App(ski_decode(t.fun), ski_decode(t.arg))
+    if isinstance(t, Lam):
+        return Lam(t.param, ski_decode(t.body))
+    if isinstance(t, Comb):
+        return _COMB_LAMBDAS[t.name]
+    return t
 
 
 # --- reduction ----------------------------------------------------------
 
 
-def _sdelta(op: str, args: list[SkiTerm], fuel: Fuel) -> Optional[tuple[SkiTerm, list[SkiTerm]]]:
-    if op in ARITH_OPS and len(args) >= 2:
-        a = _swhnf(args[0], fuel)
-        b = _swhnf(args[1], fuel)
-        args[0], args[1] = a, b
-        if isinstance(a, SInt) and isinstance(b, SInt):
-            fuel.spend()
-            if op in ("add", "addZ", "addR"):
-                v = a.value + b.value
-            elif op == "sub":
-                v = a.value - b.value
-            else:
-                v = a.value * b.value
-            return SInt(lambda_ir._check_range(op, v)), args[2:]
-    elif op == "eq" and len(args) >= 2:
-        a = _swhnf(args[0], fuel)
-        b = _swhnf(args[1], fuel)
-        args[0], args[1] = a, b
-        if isinstance(a, SInt) and isinstance(b, SInt):
-            fuel.spend()
-            return SBool(a.value == b.value), args[2:]
-    elif op == "if" and len(args) >= 3:
-        c = _swhnf(args[0], fuel)
-        args[0] = c
-        if isinstance(c, SBool):
-            fuel.spend()
-            return (args[1] if c.value else args[2]), args[3:]
-    return None
+def ski_reduce(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
+    """Normal-order rewriting to normal form.
 
-
-def _swhnf(t: SkiTerm, fuel: Fuel) -> SkiTerm:
-    head, args = ski_spine(t)
-    while True:
-        if isinstance(head, I) and len(args) >= 1:
-            fuel.spend()
-            replacement = args[0]
-            rest = args[1:]
-        elif isinstance(head, K) and len(args) >= 2:
-            fuel.spend()
-            replacement = args[0]
-            rest = args[2:]
-        elif isinstance(head, S) and len(args) >= 3:
-            fuel.spend()
-            x, y, z = args[0], args[1], args[2]
-            replacement = SApp(SApp(x, z), SApp(y, z))
-            rest = args[3:]
-        elif isinstance(head, SPrim):
-            fired = _sdelta(head.op, args, fuel)
-            if fired is None:
-                return sapp(head, *args)
-            replacement, rest = fired
-        else:
-            return sapp(head, *args)
-        inner_head, inner_args = ski_spine(replacement)
-        head, args = inner_head, inner_args + rest
-
-
-def _snormalize(t: SkiTerm, fuel: Fuel) -> SkiTerm:
-    t = _swhnf(t, fuel)
-    head, args = ski_spine(t)
-    if not args:
-        return head
-    return sapp(head, *(_snormalize(a, fuel) for a in args))
-
-
-def ski_reduce(t: SkiTerm, fuel: int = DEFAULT_FUEL) -> SkiTerm:
-    """Normal-order combinator rewriting to normal form.
-
-    S x y z -> x z (y z); K x y -> x; I x -> x; plus the same primitive
-    delta rules as the lambda evaluator.  Raises FuelExhausted when the
-    budget runs out.
+    S x y z -> x z (y z); K x y -> x; I x -> x; plus beta and the
+    primitive delta rules.  Raises FuelExhausted when the budget runs
+    out.
     """
-    return _snormalize(t, Fuel(fuel))
-
-
-def ski_is_normal_form(t: SkiTerm) -> bool:
-    head, args = ski_spine(t)
-    if isinstance(head, I) and len(args) >= 1:
-        return False
-    if isinstance(head, K) and len(args) >= 2:
-        return False
-    if isinstance(head, S) and len(args) >= 3:
-        return False
-    if isinstance(head, SPrim):
-        if head.op in ARITH_OPS or head.op == "eq":
-            if len(args) >= 2 and isinstance(args[0], SInt) and isinstance(args[1], SInt):
-                return False
-        elif head.op == "if":
-            if len(args) >= 3 and isinstance(args[0], SBool):
-                return False
-    return all(ski_is_normal_form(a) for a in args)
+    return lambda_ir._normalize(t, Fuel(fuel))
 
 
 # --- behavioral equivalence ---------------------------------------------
@@ -348,24 +163,9 @@ class ProbeConfig:
         return list(itertools.islice(product, self.max_tuples))
 
 
-def probe_config_for(t: Union[Term, SkiTerm], **kwargs) -> ProbeConfig:
+def probe_config_for(t: Term, **kwargs) -> ProbeConfig:
     """Arity inferred from the term's leading lambda count (0 for SKI)."""
-    arity = lambda_ir.leading_lambda_count(t) if _is_lambda_term(t) else 0
-    return ProbeConfig(arity=arity, **kwargs)
-
-
-def _is_lambda_term(t: object) -> bool:
-    return isinstance(
-        t,
-        (
-            lambda_ir.Var,
-            lambda_ir.Lam,
-            lambda_ir.App,
-            lambda_ir.IntLit,
-            lambda_ir.BoolLit,
-            lambda_ir.Prim,
-        ),
-    )
+    return ProbeConfig(arity=lambda_ir.leading_lambda_count(t), **kwargs)
 
 
 class Verdict(Enum):
@@ -383,25 +183,21 @@ class EquivalenceResult:
         return self.verdict is Verdict.EQUAL
 
 
-def comparison_form(side: Union[Term, SkiTerm], args: tuple[int, ...], fuel: int) -> Term:
+def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> Term:
     """Apply integer probes, reduce, and land in a comparable lambda form.
 
-    Combinator terms are reduced in SKI space first, then decoded; both
-    representations finish in the canonical normal form (beta-delta
-    normalization closed under conditional saturation and eta
-    contraction), so results compare up to alpha.
+    The applied term is reduced with combinators as constants first,
+    then decoded; the result finishes in the canonical normal form
+    (beta-delta normalization closed under conditional saturation and
+    eta contraction), so results compare up to alpha.
     """
-    if _is_lambda_term(side):
-        applied: Term = lambda_ir.apply_spine(side, *(lambda_ir.IntLit(v) for v in args))
-        return lambda_ir.canonical_normal_form(applied, fuel)
-    sapplied = sapp(side, *(SInt(v) for v in args))
-    reduced = ski_reduce(sapplied, fuel)
-    return lambda_ir.canonical_normal_form(ski_decode(reduced), fuel)
+    applied = apply_spine(side, *(IntLit(v) for v in args))
+    return lambda_ir.canonical_normal_form(ski_decode(ski_reduce(applied, fuel)), fuel)
 
 
 def behavioral_equal(
-    a: Union[Term, SkiTerm],
-    b: Union[Term, SkiTerm],
+    a: Term,
+    b: Term,
     probes: ProbeConfig,
     fuel: int = DEFAULT_FUEL,
 ) -> EquivalenceResult:
@@ -428,185 +224,37 @@ def behavioral_equal(
 # --- GAEL text ----------------------------------------------------------
 
 
-def gael_print(t: SkiTerm) -> str:
-    match t:
-        case S():
-            return "S"
-        case K():
-            return "K"
-        case I():
-            return "I"
-        case SInt(v):
-            return str(v)
-        case SBool(v):
-            return "true" if v else "false"
-        case SPrim(op):
-            return f"#{op}"
-        case FreeVar(name):
-            return name
-        case SApp(fun, arg):
-            fun_text = gael_print(fun)
-            arg_text = gael_print(arg)
-            if isinstance(arg, SApp):
-                arg_text = f"({arg_text})"
-            return f"{fun_text} {arg_text}"
-    raise TypeError(f"not a SkiTerm: {t!r}")
+def gael_print(t: Term) -> str:
+    return lambda_ir.pretty_print(t)
 
 
-def gael_print_program(prog: SkiProgram) -> str:
-    lines = [f"{name} := {gael_print(body)};" for name, body in prog.defs]
-    if prog.main is not None:
-        lines.append(gael_print(prog.main))
-    return "\n".join(lines)
+def gael_print_program(prog: Program) -> str:
+    return lambda_ir.pretty_print_program(prog)
 
 
-def _lex_gael(source: str) -> list[tuple[str, str, int, int]]:
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith(":=", i):
-            toks.append(("punct", ":=", line, col))
-            i, col = i + 2, col + 2
-            continue
-        if c in "();":
-            toks.append(("punct", c, line, col))
-            i, col = i + 1, col + 1
-            continue
-        if c in "SKI":
-            toks.append(("comb", c, line, col))
-            i, col = i + 1, col + 1
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and source[i + 1].isdigit()):
-            j = i + 1
-            while j < n and source[j].isdigit():
-                j += 1
-            toks.append(("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c == "#":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            toks.append(("prim", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.islower():
-            j = i + 1
-            while j < n and (source[j].islower() or source[j].isdigit() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "keyword" if word in ("true", "false") else "ident"
-            toks.append((kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    return toks
+def parse_gael_program(source: str) -> Program:
+    """Parse GAEL text into a Program; every identifier is a free reference."""
+    return lambda_ir._Parser(lambda_ir._lex(source, "gael"), allow_free=True).parse_program()
 
 
-def parse_gael_program(source: str) -> SkiProgram:
-    """Parse GAEL text into an SkiProgram."""
-    toks = _lex_gael(source)
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def advance():
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", 1, 1)
-        pos += 1
-        return tok
-
-    def parse_atom() -> SkiTerm:
-        kind, text, line, col = advance()
-        if text == "(":
-            inner = parse_term()
-            kind2, text2, line2, col2 = advance()
-            if text2 != ")":
-                raise ParseError(f"expected ')', found {text2!r}", line2, col2)
-            return inner
-        if kind == "comb":
-            return {"S": _S, "K": _K, "I": _I}[text]
-        if kind == "int":
-            return SInt(int(text))
-        if kind == "keyword":
-            return SBool(text == "true")
-        if kind == "prim":
-            op = text[1:]
-            if op not in PRIM_OPS:
-                raise ParseError(f"unknown primitive {text!r}", line, col)
-            return SPrim(op)
-        if kind == "ident":
-            return FreeVar(text)
-        raise ParseError(f"unexpected token {text!r}", line, col)
-
-    def parse_term() -> SkiTerm:
-        term = parse_atom()
-        while True:
-            tok = peek()
-            if tok is None or tok[1] in (")", ";", ":="):
-                return term
-            term = SApp(term, parse_atom())
-
-    defs: list[tuple[str, SkiTerm]] = []
-    main: Optional[SkiTerm] = None
-    seen: set[str] = set()
-    while peek() is not None:
-        tok = peek()
-        if tok[0] == "ident" and pos + 1 < len(toks) and toks[pos + 1][1] == ":=":
-            name = advance()[1]
-            advance()  # :=
-            body = parse_term()
-            kind, text, line, col = advance()
-            if text != ";":
-                raise ParseError(f"expected ';', found {text!r}", line, col)
-            if name in seen:
-                raise ParseError(f"duplicate definition '{name}'", tok[2], tok[3])
-            seen.add(name)
-            defs.append((name, body))
-        else:
-            main = parse_term()
-            trailing = peek()
-            if trailing is not None:
-                raise ParseError(f"unexpected trailing input {trailing[1]!r}", trailing[2], trailing[3])
-    return SkiProgram(defs=tuple(defs), main=main)
-
-
-def parse_gael_term(source: str) -> SkiTerm:
+def parse_gael_term(source: str) -> Term:
     prog = parse_gael_program(source)
     if prog.defs or prog.main is None:
         raise ParseError("expected a single GAEL term", 1, 1)
     return prog.main
 
 
-def substitute_free(t: SkiTerm, name: str, value: SkiTerm) -> SkiTerm:
-    if isinstance(t, FreeVar) and t.name == name:
+def substitute_free(t: Term, name: str, value: Term) -> Term:
+    if isinstance(t, Var) and t.name == name:
         return value
-    if isinstance(t, SApp):
-        return SApp(substitute_free(t.fun, name, value), substitute_free(t.arg, name, value))
+    if isinstance(t, App):
+        return App(substitute_free(t.fun, name, value), substitute_free(t.arg, name, value))
     return t
 
 
-def inline_ski_defs(prog: SkiProgram) -> list[tuple[str, SkiTerm]]:
-    resolved: dict[str, SkiTerm] = {}
-    out: list[tuple[str, SkiTerm]] = []
+def inline_ski_defs(prog: Program) -> list[tuple[str, Term]]:
+    resolved: dict[str, Term] = {}
+    out: list[tuple[str, Term]] = []
     for name, body in prog.defs:
         for dep, val in resolved.items():
             body = substitute_free(body, dep, val)
@@ -615,7 +263,7 @@ def inline_ski_defs(prog: SkiProgram) -> list[tuple[str, SkiTerm]]:
     return out
 
 
-def inline_ski_main(prog: SkiProgram) -> SkiTerm:
+def inline_ski_main(prog: Program) -> Term:
     if prog.main is None:
         raise ValueError("program has no main term")
     body = prog.main

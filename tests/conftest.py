@@ -81,24 +81,24 @@ def gen_normalizing_term(rng: random.Random, max_depth: int = 6, fuel: int = 500
 # --- combinator-term generators ---------------------------------------------
 
 
-def gen_ski_term(rng: random.Random, max_depth: int = 5) -> SK.SkiTerm:
+def gen_ski_term(rng: random.Random, max_depth: int = 5) -> L.Term:
     """Random lambda-free term for structural tests (no reduction)."""
     if max_depth <= 0 or rng.random() < 0.4:
         return rng.choice(
             [
-                SK._S,
-                SK._K,
-                SK._I,
-                SK.SInt(rng.randint(-9, 9)),
-                SK.SBool(rng.random() < 0.5),
-                SK.SPrim(rng.choice(list(L.PRIM_OPS))),
-                SK.FreeVar(rng.choice(["a", "b", "q0", "ref_1"])),
+                SK.S,
+                SK.K,
+                SK.I,
+                L.IntLit(rng.randint(-9, 9)),
+                L.BoolLit(rng.random() < 0.5),
+                L.Prim(rng.choice(list(L.PRIM_OPS))),
+                L.Var(rng.choice(["a", "b", "q0", "ref_1"])),
             ]
         )
-    return SK.SApp(gen_ski_term(rng, max_depth - 1), gen_ski_term(rng, max_depth - 1))
+    return L.App(gen_ski_term(rng, max_depth - 1), gen_ski_term(rng, max_depth - 1))
 
 
-def gen_normalizing_ski(rng: random.Random, max_depth: int = 4, fuel: int = 2000) -> SK.SkiTerm:
+def gen_normalizing_ski(rng: random.Random, max_depth: int = 4, fuel: int = 2000) -> L.Term:
     """Lambda-free term with a combinator normal form within `fuel`."""
     while True:
         t = gen_ski_term(rng, max_depth)

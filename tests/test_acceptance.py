@@ -59,16 +59,16 @@ def test_c02_compression_rate_contract():
     _report("C2 compression rate", "0.783 exact; zero recompute error; eta >= naive on 20/20")
 
 
-def _law_arg(rng: random.Random) -> SK.SkiTerm:
+def _law_arg(rng: random.Random) -> L.Term:
     """Small combinator argument; rejection keeps laws checkable."""
     depth = rng.randint(0, 3)
 
-    def go(d: int) -> SK.SkiTerm:
+    def go(d: int) -> L.Term:
         if d <= 0 or rng.random() < 0.5:
             return rng.choice(
-                [SK._S, SK._K, SK._I, SK.SInt(rng.randint(-2, 3)), SK.SPrim("add")]
+                [SK.S, SK.K, SK.I, L.IntLit(rng.randint(-2, 3)), L.Prim("add")]
             )
-        return SK.SApp(go(d - 1), go(d - 1))
+        return L.App(go(d - 1), go(d - 1))
 
     return go(depth)
 
@@ -81,20 +81,20 @@ def test_c03_combinator_law_suite():
     rejected = 0
     while checked < 1000:
         x, y, z = _law_arg(rng), _law_arg(rng), _law_arg(rng)
-        s_lhs = SK.sapp(SK._S, x, y, z)
-        s_rhs = SK.SApp(SK.SApp(x, z), SK.SApp(y, z))
+        s_lhs = L.apply_spine(SK.S, x, y, z)
+        s_rhs = L.App(L.App(x, z), L.App(y, z))
         s_res = SK.behavioral_equal(s_lhs, s_rhs, probes, fuel)
         if s_res.verdict is Verdict.UNKNOWN:
             rejected += 1
             assert rejected < 200, "too many divergent triples"
             continue
         assert s_res.verdict is Verdict.EQUAL, (x, y, z)
-        k_res = SK.behavioral_equal(SK.sapp(SK._K, x, y), x, probes, fuel)
+        k_res = SK.behavioral_equal(L.apply_spine(SK.K, x, y), x, probes, fuel)
         assert k_res.verdict is Verdict.EQUAL, (x, y)
-        i_res = SK.behavioral_equal(SK.SApp(SK._I, x), x, probes, fuel)
+        i_res = SK.behavioral_equal(L.App(SK.I, x), x, probes, fuel)
         assert i_res.verdict is Verdict.EQUAL, x
         checked += 1
-    skk = SK.behavioral_equal(SK.sapp(SK._S, SK._K, SK._K), SK._I, ProbeConfig(arity=1), fuel)
+    skk = SK.behavioral_equal(L.apply_spine(SK.S, SK.K, SK.K), SK.I, ProbeConfig(arity=1), fuel)
     assert skk.verdict is Verdict.EQUAL
     _report("C3 combinator laws", f"1000 triples, 0 failures, {rejected} divergent rejections")
 

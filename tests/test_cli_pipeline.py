@@ -26,7 +26,7 @@ def test_add2_fixture_end_to_end():
     res = CP.run_pipeline("add2 := \\x. #add x 2;\nadd2 5")
     assert res.report.equivalence == "equal"
     main = SK.inline_ski_main(res.encoded)
-    assert SK.ski_reduce(main) == SK.SInt(7)
+    assert SK.ski_reduce(main) == L.IntLit(7)
     # the decoded lambda rendering reduces to 7 as well
     decoded = L.parse_program(res.lambda_text)
     assert L.beta_reduce(L.inline_main(decoded)) == L.IntLit(7)
@@ -66,9 +66,9 @@ def test_parse_error_propagates():
 
 
 def test_emit_gael_atoms_and_parens():
-    assert CP.emit_target(SK._I, "gael") == "I"
-    assert CP.emit_target(SK.sapp(SK._S, SK._K, SK._K), "gael") == "S K K"
-    assert CP.emit_target(SK.SApp(SK._S, SK.SApp(SK._K, SK._I)), "gael") == "S (K I)"
+    assert CP.emit_target(SK.I, "gael") == "I"
+    assert CP.emit_target(L.apply_spine(SK.S, SK.K, SK.K), "gael") == "S K K"
+    assert CP.emit_target(L.App(SK.S, L.App(SK.K, SK.I)), "gael") == "S (K I)"
 
 
 def test_emit_gael_rejects_lambda():
@@ -82,7 +82,7 @@ def test_emit_gael_accepts_lambda_free_term():
 
 
 def test_emit_lambda_decodes():
-    out = CP.emit_target(SK.sapp(SK._K, SK.SInt(5)), "lambda")
+    out = CP.emit_target(L.apply_spine(SK.K, L.IntLit(5)), "lambda")
     assert L.alpha_equivalent(L.parse_term(out), L.parse_term(r"(\x.\y. x) 5"))
 
 
@@ -94,7 +94,7 @@ def test_emit_pseudocode():
 
 def test_emit_unknown_target():
     with pytest.raises(ValueError):
-        CP.emit_target(SK._I, "brainfuck")
+        CP.emit_target(SK.I, "brainfuck")
 
 
 # --- corpus -------------------------------------------------------------------------
@@ -174,6 +174,17 @@ def test_cli_compress_malformed_input_exit_1(tmp_path, capsys):
     src_file.write_text("\\x. (x")
     assert CP.main(["compress", str(src_file)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_deep_nesting_is_an_input_error(tmp_path, capsys):
+    # 3,000 nested parentheses exceed the recursive-descent parser's depth
+    (tmp_path / "deep.lam").write_text("(" * 3000 + "1" + ")" * 3000)
+    (tmp_path / "deep.gael").write_text("(" * 3000 + "I" + ")" * 3000)
+    for command, name in (("compress", "deep.lam"), ("explain", "deep.gael")):
+        assert CP.main([command, str(tmp_path / name)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("skic: error: ") and "expression nested too deeply" in err
+        assert "Traceback" not in err
 
 
 def test_cli_compress_missing_file_exit_1(tmp_path, capsys):

@@ -3,20 +3,21 @@ import random
 import pytest
 
 from skic import explainer as EX
+from skic import lambda_ir as L
 from skic import ski_core as SK
 
 from conftest import gen_ski_term
 
 
-def g(src: str) -> SK.SkiTerm:
+def g(src: str) -> L.Term:
     return SK.parse_gael_term(src)
 
 
 def test_atom_sentences():
-    doc = EX.explain_term(SK._I)
+    doc = EX.explain_term(SK.I)
     assert len(doc.sentences) == 1
     assert doc.sentences[0].text == "the identity function"
-    assert EX.explain_term(SK._K).sentences[0].text == (
+    assert EX.explain_term(SK.K).sentences[0].text == (
         "a constant function returning its first argument"
     )
 
@@ -29,8 +30,8 @@ def test_application_headline():
 
 
 def test_specialized_primitive_templates():
-    assert EX.explain_term(SK.SPrim("addZ")).sentences[0].text == "integer addition"
-    assert EX.explain_term(SK.SPrim("addR")).sentences[0].text == "real addition"
+    assert EX.explain_term(L.Prim("addZ")).sentences[0].text == "integer addition"
+    assert EX.explain_term(L.Prim("addR")).sentences[0].text == "real addition"
 
 
 def test_multi_argument_spine_sentence():

@@ -68,6 +68,16 @@ def test_parse_unknown_primitive():
         p("#frobnicate 1")
 
 
+def test_parse_integer_literal_range():
+    assert p(f"#sub {L.INT64_MIN} {L.INT64_MAX}") == L.apply_spine(
+        L.Prim("sub"), L.IntLit(L.INT64_MIN), L.IntLit(L.INT64_MAX)
+    )
+    for value in (L.INT64_MAX + 1, L.INT64_MIN - 1):
+        with pytest.raises(L.ParseError) as exc:
+            L.parse_program(f"#add {value} 1")
+        assert str(exc.value) == f"1:6: integer literal {value} exceeds 64-bit signed range"
+
+
 # --- beta reduction -----------------------------------------------------------
 
 

@@ -42,13 +42,13 @@ def test_distance_zero_for_encodings():
 
 def test_distance_positive_identity_vs_const():
     t = L.parse_term(r"\x. x")
-    dist = MD.semantic_distance(t, SK._K, ProbeConfig(arity=1))
+    dist = MD.semantic_distance(t, SK.K, ProbeConfig(arity=1))
     assert dist > 0.0
 
 
 def test_distance_zero_probes_vacuous():
     t = L.parse_term(r"\x. x")
-    assert MD.semantic_distance(t, SK._K, ProbeConfig(arity=1, max_tuples=0)) == 0.0
+    assert MD.semantic_distance(t, SK.K, ProbeConfig(arity=1, max_tuples=0)) == 0.0
 
 
 # --- objective ----------------------------------------------------------------------
@@ -64,9 +64,9 @@ def test_objective_lambda_one_is_token_count():
 def test_objective_lambda_zero_is_distance():
     t = L.parse_term(r"\x. x")
     cfg = MdlConfig(lambda_weight=0.0)
-    assert MD.mdl_objective(SK._I, t, cfg) == 0.0
-    assert MD.mdl_objective(SK._K, t, cfg) == MD.semantic_distance(
-        t, SK._K, cfg.probes_for_arity(1), cfg.fuel
+    assert MD.mdl_objective(SK.I, t, cfg) == 0.0
+    assert MD.mdl_objective(SK.K, t, cfg) == MD.semantic_distance(
+        t, SK.K, cfg.probes_for_arity(1), cfg.fuel
     )
 
 
@@ -103,7 +103,7 @@ def test_compress_byte_unit_plan_consistent():
 
 def test_compress_identity():
     plan = MD.compress_term(L.parse_term(r"\x. x"))
-    assert plan.encoded == SK._I
+    assert plan.encoded == SK.I
     assert plan.token_length == 1
     assert plan.distance == 0.0
 
@@ -112,7 +112,7 @@ def test_compress_add2_fixture():
     prog = L.parse_program("add2 := \\x. #add x 2;\nadd2 5")
     plan = MD.compress_program(prog)
     main = SK.inline_ski_main(plan.encoded_program())
-    assert SK.ski_reduce(main) == SK.SInt(7)
+    assert SK.ski_reduce(main) == L.IntLit(7)
     assert plan.distance == 0.0
 
 
@@ -190,16 +190,16 @@ def test_lambda_sweep_token_length_non_increasing():
 # --- extraction ---------------------------------------------------------------------
 
 
-def _ski(src: str) -> SK.SkiTerm:
+def _ski(src: str) -> L.Term:
     return SK.parse_gael_term(src)
 
 
 def test_extraction_three_occurrences_arithmetic():
     # X = S (K #add) I has 5 gael tokens counting parens; appears 3 times.
     x = _ski("S (K #add) I")
-    prog = SK.SkiProgram(
-        defs=(("a", SK.SApp(x, SK.SInt(1))), ("b", SK.SApp(x, SK.SInt(2)))),
-        main=SK.SApp(x, SK.SInt(3)),
+    prog = L.Program(
+        defs=(("a", L.App(x, L.IntLit(1))), ("b", L.App(x, L.IntLit(2)))),
+        main=L.App(x, L.IntLit(3)),
     )
     before = M.token_count(SK.gael_print_program(prog), "gael")
     out = MD.extract_common_subterms(prog, MdlConfig())
@@ -215,12 +215,12 @@ def test_extraction_three_occurrences_arithmetic():
 
 
 def test_extraction_no_repeats_unchanged():
-    prog = SK.SkiProgram(defs=(), main=_ski("S (K #add) I"))
+    prog = L.Program(defs=(), main=_ski("S (K #add) I"))
     assert MD.extract_common_subterms(prog, MdlConfig()) == prog
 
 
 def test_extraction_identity_program_unchanged():
-    prog = SK.SkiProgram(defs=(("idf", SK._I),), main=None)
+    prog = L.Program(defs=(("idf", SK.I),), main=None)
     assert MD.extract_common_subterms(prog, MdlConfig()) == prog
 
 
@@ -229,7 +229,7 @@ def test_extraction_never_increases_tokens():
     for _ in range(20):
         t = gen_normalizing_term(rng, max_depth=5)
         encoded = SK.bracket_abstract(t, RuleSet.NAIVE)
-        prog = SK.SkiProgram(defs=(), main=encoded)
+        prog = L.Program(defs=(), main=encoded)
         out = MD.extract_common_subterms(prog, MdlConfig())
         assert M.token_count(SK.gael_print_program(out), "gael") <= M.token_count(
             SK.gael_print_program(prog), "gael"
@@ -238,6 +238,6 @@ def test_extraction_never_increases_tokens():
 
 def test_extraction_respects_flag():
     x = _ski("S (K #add) I")
-    prog = SK.SkiProgram(defs=(), main=SK.SApp(SK.SApp(x, x), x))
+    prog = L.Program(defs=(), main=L.App(L.App(x, x), x))
     cfg = MdlConfig(extraction_enabled=False)
     assert MD.extract_common_subterms(prog, cfg) == prog

@@ -65,6 +65,13 @@ def test_lex_error_offset():
     assert exc.value.offset == 3
 
 
+def test_lex_error_offset_counts_earlier_lines():
+    with pytest.raises(M.LexError) as exc:
+        M.tokenize("ab -- c\n  #", "gael")
+    assert exc.value.offset == 10
+    assert str(exc.value) == "offset 10: expected primitive name after '#'"
+
+
 def test_tokenizer_idempotent_on_rejoin():
     for dialect, text in [
         ("source", "f := \\x. #add x -2;\nf true"),

@@ -19,17 +19,17 @@ def p(src: str) -> L.Term:
 
 
 def test_identity_encodes_to_i():
-    assert SK.bracket_abstract(p(r"\x. x"), RuleSet.WITH_I) == SK._I
+    assert SK.bracket_abstract(p(r"\x. x"), RuleSet.WITH_I) == SK.I
 
 
 def test_identity_encodes_to_skk_under_naive():
-    assert SK.bracket_abstract(p(r"\x. x"), RuleSet.NAIVE) == SK.sapp(SK._S, SK._K, SK._K)
+    assert SK.bracket_abstract(p(r"\x. x"), RuleSet.NAIVE) == L.apply_spine(SK.S, SK.K, SK.K)
 
 
 def test_const_encodes_to_k_under_eta():
     t = p(r"\x.\y. x")
     encoded = SK.bracket_abstract(t, RuleSet.ETA_OPTIMIZED)
-    assert encoded == SK._K
+    assert encoded == SK.K
     # probe-pair oracle: encoded and source agree on all probe pairs
     assert SK.behavioral_equal(encoded, t, SK.ProbeConfig(arity=2))
 
@@ -38,7 +38,7 @@ def test_eta_strictly_smaller_on_add():
     t = p(r"\x.\y. #add x y")
     naive = SK.bracket_abstract(t, RuleSet.NAIVE)
     eta = SK.bracket_abstract(t, RuleSet.ETA_OPTIMIZED)
-    assert SK.ski_size(eta) < SK.ski_size(naive)
+    assert L.term_size(eta) < L.term_size(naive)
     assert SK.behavioral_equal(naive, t, SK.ProbeConfig(arity=2))
     assert SK.behavioral_equal(eta, t, SK.ProbeConfig(arity=2))
 
@@ -51,7 +51,7 @@ def test_open_term_is_an_error():
 def test_constants_survive_encoding():
     t = L.App(L.Var("helper"), L.IntLit(1))
     encoded = SK.bracket_abstract(t, RuleSet.ETA_OPTIMIZED, constants=frozenset({"helper"}))
-    assert encoded == SK.SApp(SK.FreeVar("helper"), SK.SInt(1))
+    assert encoded == L.App(L.Var("helper"), L.IntLit(1))
 
 
 def test_output_is_lambda_free():
@@ -66,7 +66,7 @@ def test_size_monotone_across_rule_sets():
     rng = random.Random(5)
     for _ in range(80):
         t = gen_normalizing_term(rng)
-        sizes = {r: SK.ski_size(SK.bracket_abstract(t, r)) for r in ALL_RULES}
+        sizes = {r: L.term_size(SK.bracket_abstract(t, r)) for r in ALL_RULES}
         assert sizes[RuleSet.ETA_OPTIMIZED] <= sizes[RuleSet.WITH_I] <= sizes[RuleSet.NAIVE]
 
 
@@ -74,13 +74,13 @@ def test_size_monotone_across_rule_sets():
 
 
 def test_decode_definitions():
-    assert L.alpha_equivalent(SK.ski_decode(SK._I), p(r"\x. x"))
-    assert L.alpha_equivalent(SK.ski_decode(SK._K), p(r"\x.\y. x"))
-    assert L.alpha_equivalent(SK.ski_decode(SK._S), p(r"\x.\y.\z. x z (y z)"))
+    assert L.alpha_equivalent(SK.ski_decode(SK.I), p(r"\x. x"))
+    assert L.alpha_equivalent(SK.ski_decode(SK.K), p(r"\x.\y. x"))
+    assert L.alpha_equivalent(SK.ski_decode(SK.S), p(r"\x.\y.\z. x z (y z)"))
 
 
 def test_decode_k_applied():
-    decoded = SK.ski_decode(SK.SApp(SK._K, SK.SInt(5)))
+    decoded = SK.ski_decode(L.App(SK.K, L.IntLit(5)))
     assert L.alpha_equivalent(decoded, p(r"(\x.\y. x) 5"))
     nf = L.beta_reduce(decoded)
     assert isinstance(nf, L.Lam) and nf.body == L.IntLit(5)
@@ -99,43 +99,43 @@ def test_decode_consistency_on_random_terms():
 
 
 def test_combinator_laws_small():
-    v = SK.SInt(9)
-    assert SK.ski_reduce(SK.sapp(SK._S, SK._K, SK._K, v)) == v
-    assert SK.ski_reduce(SK.sapp(SK._K, SK.SInt(1), SK.SInt(2))) == SK.SInt(1)
-    assert SK.ski_reduce(SK.SApp(SK._I, SK.SInt(7))) == SK.SInt(7)
+    v = L.IntLit(9)
+    assert SK.ski_reduce(L.apply_spine(SK.S, SK.K, SK.K, v)) == v
+    assert SK.ski_reduce(L.apply_spine(SK.K, L.IntLit(1), L.IntLit(2))) == L.IntLit(1)
+    assert SK.ski_reduce(L.App(SK.I, L.IntLit(7))) == L.IntLit(7)
 
 
 def test_ski_delta_rules():
-    assert SK.ski_reduce(SK.sapp(SK.SPrim("add"), SK.SInt(2), SK.SInt(3))) == SK.SInt(5)
+    assert SK.ski_reduce(L.apply_spine(L.Prim("add"), L.IntLit(2), L.IntLit(3))) == L.IntLit(5)
     assert SK.ski_reduce(
-        SK.sapp(SK.SPrim("if"), SK.SBool(False), SK.SInt(1), SK.SInt(2))
-    ) == SK.SInt(2)
+        L.apply_spine(L.Prim("if"), L.BoolLit(False), L.IntLit(1), L.IntLit(2))
+    ) == L.IntLit(2)
 
 
 def test_ski_fuel_exhaustion():
-    omega = SK.sapp(SK._S, SK._I, SK._I)
+    omega = L.apply_spine(SK.S, SK.I, SK.I)
     with pytest.raises(L.FuelExhausted):
-        SK.ski_reduce(SK.SApp(omega, omega), fuel=500)
+        SK.ski_reduce(L.App(omega, omega), fuel=500)
 
 
 def test_ski_normal_form_scan():
     rng = random.Random(29)
     for _ in range(60):
         s = gen_normalizing_ski(rng)
-        assert SK.ski_is_normal_form(SK.ski_reduce(s, fuel=20000))
+        assert L.is_normal_form(SK.ski_reduce(s, fuel=20000))
 
 
 # --- behavioral equivalence -----------------------------------------------------
 
 
 def test_skk_equals_i_over_probes():
-    skk = SK.sapp(SK._S, SK._K, SK._K)
-    res = SK.behavioral_equal(skk, SK._I, SK.ProbeConfig(arity=1, values=tuple(range(8))))
+    skk = L.apply_spine(SK.S, SK.K, SK.K)
+    res = SK.behavioral_equal(skk, SK.I, SK.ProbeConfig(arity=1, values=tuple(range(8))))
     assert res.verdict is Verdict.EQUAL
 
 
 def test_k_differs_from_i_with_first_witness():
-    res = SK.behavioral_equal(SK._K, SK._I, SK.ProbeConfig(arity=2))
+    res = SK.behavioral_equal(SK.K, SK.I, SK.ProbeConfig(arity=2))
     assert res.verdict is Verdict.DIFFERENT
     assert res.witness == (-2, -2)  # first enumerated pair
 
@@ -160,9 +160,9 @@ def test_probe_cap_and_arity_zero():
 
 
 def test_gael_print_examples():
-    assert SK.gael_print(SK._I) == "I"
-    assert SK.gael_print(SK.sapp(SK._S, SK._K, SK._K)) == "S K K"
-    assert SK.gael_print(SK.SApp(SK._S, SK.SApp(SK._K, SK._I))) == "S (K I)"
+    assert SK.gael_print(SK.I) == "I"
+    assert SK.gael_print(L.apply_spine(SK.S, SK.K, SK.K)) == "S K K"
+    assert SK.gael_print(L.App(SK.S, L.App(SK.K, SK.I))) == "S (K I)"
 
 
 def test_gael_parse_round_trip_random():
@@ -173,13 +173,31 @@ def test_gael_parse_round_trip_random():
 
 
 def test_gael_program_round_trip():
-    prog = SK.SkiProgram(
-        defs=(("q0", SK.sapp(SK._S, SK._K, SK._K)),),
-        main=SK.SApp(SK.FreeVar("q0"), SK.SInt(5)),
+    prog = L.Program(
+        defs=(("q0", L.apply_spine(SK.S, SK.K, SK.K)),),
+        main=L.App(L.Var("q0"), L.IntLit(5)),
     )
     text = SK.gael_print_program(prog)
     assert SK.parse_gael_program(text) == prog
-    assert SK.ski_reduce(SK.inline_ski_main(prog)) == SK.SInt(5)
+    assert SK.ski_reduce(SK.inline_ski_main(prog)) == L.IntLit(5)
+
+
+def test_gael_parse_errors_match_source_parser():
+    with pytest.raises(L.ParseError) as exc:
+        SK.parse_gael_program("S (K")
+    assert str(exc.value) == "1:5: unexpected end of input"
+    with pytest.raises(L.ParseError) as exc:
+        SK.parse_gael_program("S #")
+    assert str(exc.value) == "1:3: expected primitive name after '#'"
+
+
+def test_gael_integer_literal_range():
+    term = SK.parse_gael_term(f"K {L.INT64_MIN} {L.INT64_MAX}")
+    assert term == L.apply_spine(SK.K, L.IntLit(L.INT64_MIN), L.IntLit(L.INT64_MAX))
+    for value in (L.INT64_MAX + 1, L.INT64_MIN - 1):
+        with pytest.raises(L.ParseError) as exc:
+            SK.parse_gael_program(f"K {value}")
+        assert str(exc.value) == f"1:3: integer literal {value} exceeds 64-bit signed range"
 
 
 # --- documented fixture ---------------------------------------------------------
@@ -188,8 +206,8 @@ def test_gael_program_round_trip():
 def test_appendix_fixture_is_not_addition():
     # S (I) (S (K) (I)) applied to integers is a stuck self-application,
     # not two-argument addition; pinned here as observed behavior.
-    fixture = SK.sapp(SK._S, SK._I, SK.sapp(SK._S, SK._K, SK._I))
-    applied = SK.sapp(fixture, SK.SInt(2), SK.SInt(3))
+    fixture = L.apply_spine(SK.S, SK.I, L.apply_spine(SK.S, SK.K, SK.I))
+    applied = L.apply_spine(fixture, L.IntLit(2), L.IntLit(3))
     reduced = SK.ski_reduce(applied)
-    assert reduced == SK.sapp(SK.SInt(2), SK.SInt(2), SK.SInt(3))
-    assert reduced != SK.SInt(5)
+    assert reduced == L.apply_spine(L.IntLit(2), L.IntLit(2), L.IntLit(3))
+    assert reduced != L.IntLit(5)
