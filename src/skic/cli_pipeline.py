@@ -144,15 +144,13 @@ def _infer_and_specialize(prog: Program) -> tuple[Program, dict[str, dict[str, s
 def _verify_equivalence(
     original: Program, encoded: Program, cfg: MdlConfig
 ) -> str:
-    verdicts = []
-    for item in mdl_opt._items_of(original):
-        ski_inlined = mdl_opt._inline_item(encoded, item.name)
-        probes = cfg.probes_for_arity(item.arity)
-        result = ski_core.behavioral_equal(item.inlined, ski_inlined, probes, cfg.fuel)
-        verdicts.append(result.verdict)
-    if any(v is Verdict.DIFFERENT for v in verdicts):
+    verdicts = {
+        ski_core.behavioral_equal(p, s, probes, cfg.fuel).verdict
+        for p, s, probes in mdl_opt.item_checks(original, encoded, cfg)
+    }
+    if Verdict.DIFFERENT in verdicts:
         return "different"
-    if any(v is Verdict.UNKNOWN for v in verdicts):
+    if Verdict.UNKNOWN in verdicts:
         return "unknown"
     return "equal"
 
@@ -246,29 +244,33 @@ def run_pipeline(
     prog = lambda_ir.parse_program(source)
     timings["parse_s"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    specialized, map_summary = _infer_and_specialize(prog)
-    timings["infer_s"] = time.perf_counter() - t0
+    try:
+        t0 = time.perf_counter()
+        specialized, map_summary = _infer_and_specialize(prog)
+        timings["infer_s"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    plan = mdl_opt.compress_program(specialized, cfg)
-    encoded = plan.encoded_program()
-    timings["compress_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        plan = mdl_opt.compress_program(specialized, cfg)
+        encoded = plan.encoded_program()
+        timings["compress_s"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    gael_text = ski_core.gael_print_program(encoded)
-    lambda_text = _emit_program(encoded, "lambda")
-    pseudo_text = _emit_program(encoded, "pseudocode")
-    timings["emit_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        gael_text = ski_core.gael_print_program(encoded)
+        lambda_text = _emit_program(encoded, "lambda")
+        pseudo_text = _emit_program(encoded, "pseudocode")
+        timings["emit_s"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    equivalence = _verify_equivalence(prog, encoded, cfg)
-    p_tokens = metrics.token_count(source, "source")
-    s_tokens = metrics.token_count(gael_text, "gael")
-    cr = metrics.compression_rate(s_tokens, p_tokens)
-    density_source = metrics.symbolic_density(source.encode("utf-8"), c=density_c)
-    density_gael = metrics.symbolic_density(gael_text.encode("utf-8"), c=density_c)
-    timings["metrics_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        equivalence = _verify_equivalence(prog, encoded, cfg)
+        p_tokens = metrics.token_count(source, "source")
+        s_tokens = metrics.token_count(gael_text, "gael")
+        cr = metrics.compression_rate(s_tokens, p_tokens)
+        density_source = metrics.symbolic_density(source.encode("utf-8"), c=density_c)
+        density_gael = metrics.symbolic_density(gael_text.encode("utf-8"), c=density_c)
+        timings["metrics_s"] = time.perf_counter() - t0
+    except RecursionError:
+        # the parser reads long applications iteratively; later passes recurse
+        raise lambda_ir.LambdaError("expression nested too deeply") from None
 
     report = PipelineReport(
         program_id=program_id,
@@ -319,32 +321,19 @@ def run_corpus(
             reports.append(result.report)
         except Exception as exc:  # record and continue the sweep
             errors.append((program_id, f"{type(exc).__name__}: {exc}"))
+
+    def mean(values: list[Fraction]) -> float:
+        return float(sum(values, Fraction(0)) / len(values)) if values else 0.0
+
     crs = [r.cr for r in reports]
-    mean_cr = float(sum(crs, Fraction(0)) / len(crs)) if crs else 0.0
-    median_cr = float(statistics.median(crs)) if crs else 0.0
-    pass_rate = (
-        sum(1 for r in reports if r.equivalence == "equal") / len(reports)
-        if reports
-        else 0.0
-    )
-    mean_rho_src = (
-        float(sum((r.density_source.rho for r in reports), Fraction(0)) / len(reports))
-        if reports
-        else 0.0
-    )
-    mean_rho_gael = (
-        float(sum((r.density_gael.rho for r in reports), Fraction(0)) / len(reports))
-        if reports
-        else 0.0
-    )
     return CorpusReport(
         reports=tuple(reports),
         errors=tuple(errors),
-        mean_cr=mean_cr,
-        median_cr=median_cr,
-        equivalence_pass_rate=pass_rate,
-        mean_rho_source=mean_rho_src,
-        mean_rho_gael=mean_rho_gael,
+        mean_cr=mean(crs),
+        median_cr=float(statistics.median(crs)) if crs else 0.0,
+        equivalence_pass_rate=mean([Fraction(r.equivalence == "equal") for r in reports]),
+        mean_rho_source=mean([r.density_source.rho for r in reports]),
+        mean_rho_gael=mean([r.density_gael.rho for r in reports]),
     )
 
 

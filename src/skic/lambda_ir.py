@@ -192,6 +192,13 @@ def term_size(t: Term) -> int:
 # single-character punctuation of each dialect; both also have ":="
 _PUNCT = {"source": "\\.();", "gael": "();"}
 
+# character classes are ASCII only: str.isdigit and friends admit
+# other scripts' letters and digits
+_DIGITS = frozenset("0123456789")
+_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
+_IDENT_CHARS = _LOWER | _DIGITS | {"_"}
+_PRIM_CHARS = _IDENT_CHARS | frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
 
 class _Tok(NamedTuple):
     kind: str  # punct | ident | int | prim | keyword | comb
@@ -234,9 +241,9 @@ def _lex(source: str, dialect: str = "source") -> list[_Tok]:
             toks.append(_Tok("comb", c, start_line, start_col))
             i, col = i + 1, col + 1
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and source[i + 1].isdigit()):
+        if c in _DIGITS or (c == "-" and i + 1 < n and source[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             toks.append(_Tok("int", source[i:j], start_line, start_col))
             col += j - i
@@ -244,7 +251,7 @@ def _lex(source: str, dialect: str = "source") -> list[_Tok]:
             continue
         if c == "#":
             j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and source[j] in _PRIM_CHARS:
                 j += 1
             if j == i + 1:
                 raise ParseError("expected primitive name after '#'", line, col)
@@ -252,9 +259,9 @@ def _lex(source: str, dialect: str = "source") -> list[_Tok]:
             col += j - i
             i = j
             continue
-        if c.islower():
+        if c in _LOWER:
             j = i + 1
-            while j < n and (source[j].islower() or source[j].isdigit() or source[j] == "_"):
+            while j < n and source[j] in _IDENT_CHARS:
                 j += 1
             word = source[i:j]
             kind = "keyword" if word in ("true", "false") else "ident"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from . import lambda_ir, metrics, ski_core
 from .lambda_ir import DEFAULT_FUEL, App, Program, Term, Var, term_size
@@ -75,6 +75,9 @@ class CompressionPlan:
         return Program(defs=(), main=self.encoded)
 
 
+_PENALTY = {True: 0.0, False: 1.0, None: 0.5}
+
+
 def semantic_distance(
     p: Term, s: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL
 ) -> float:
@@ -83,20 +86,12 @@ def semantic_distance(
     Fuel-exhausted probes contribute 0.5; an empty probe set yields 0
     (vacuous agreement).
     """
-    tuples = probes.tuples()
-    if not tuples:
-        return 0.0
-    total = 0.0
-    for tup in tuples:
-        try:
-            na = ski_core.comparison_form(p, tup, fuel)
-            nb = ski_core.comparison_form(s, tup, fuel)
-        except lambda_ir.FuelExhausted:
-            total += 0.5
-            continue
-        if not lambda_ir.alpha_equivalent(na, nb):
-            total += 1.0
-    return total / len(tuples)
+    penalties = [_PENALTY[agree] for _, agree in ski_core.probe_outcomes(p, s, probes, fuel)]
+    return sum(penalties) / len(penalties) if penalties else 0.0
+
+
+def _objective(cfg: MdlConfig, length: int, dist: float) -> float:
+    return cfg.lambda_weight * length + (1.0 - cfg.lambda_weight) * dist
 
 
 def mdl_objective(s: Term, p: Term, cfg: MdlConfig) -> float:
@@ -107,8 +102,7 @@ def mdl_objective(s: Term, p: Term, cfg: MdlConfig) -> float:
     """
     length = cfg.gael_length(gael_print(s))
     probes = cfg.probes_for_arity(lambda_ir.leading_lambda_count(p))
-    dist = semantic_distance(p, s, probes, cfg.fuel)
-    return cfg.lambda_weight * length + (1.0 - cfg.lambda_weight) * dist
+    return _objective(cfg, length, semantic_distance(p, s, probes, cfg.fuel))
 
 
 # --- program-level search -------------------------------------------------
@@ -161,95 +155,78 @@ def _program_length(prog: Program, cfg: MdlConfig) -> int:
     return cfg.gael_length(gael_print_program(prog))
 
 
-class _DistanceCache:
-    """Per-item distances keyed by the rule prefix that can affect them."""
-
-    def __init__(self, items: list[_Item], cfg: MdlConfig):
-        self.items = items
-        self.cfg = cfg
-        self.cache: dict[tuple[int, tuple[RuleSet, ...]], float] = {}
-
-    def item_distance(self, encoded: Program, idx: int, rules: tuple[RuleSet, ...]) -> float:
-        key = (idx, rules[: idx + 1])
-        if key not in self.cache:
-            item = self.items[idx]
-            ski_inlined = _inline_item(encoded, item.name)
-            probes = self.cfg.probes_for_arity(item.arity)
-            self.cache[key] = semantic_distance(
-                item.inlined, ski_inlined, probes, self.cfg.fuel
-            )
-        return self.cache[key]
-
-    def program_distance(self, encoded: Program, rules: tuple[RuleSet, ...]) -> float:
-        if not self.items:
-            return 0.0
-        return max(
-            self.item_distance(encoded, idx, rules) for idx in range(len(self.items))
-        )
-
-
-def _inline_item(prog: Program, name: Optional[str]) -> Term:
-    resolved = dict(ski_core.inline_ski_defs(prog))
-    if name is None:
-        assert prog.main is not None
-        body = prog.main
-        for dep, val in reversed(list(resolved.items())):
-            body = ski_core.substitute_free(body, dep, val)
-        return body
-    return resolved[name]
+def item_checks(
+    source: Program, encoded: Program, cfg: MdlConfig
+) -> Iterator[tuple[Term, Term, ProbeConfig]]:
+    """Per source item: its closed source side, its closed encoded side
+    and its probes.  `encoded` is closed once for the whole program."""
+    closed = dict(ski_core.inline_ski_defs(encoded))
+    for item in _items_of(source):
+        if item.name is None:
+            side = encoded.main
+            for dep, val in reversed(closed.items()):
+                side = ski_core.substitute_free(side, dep, val)
+        else:
+            side = closed[item.name]
+        yield item.inlined, side, cfg.probes_for_arity(item.arity)
 
 
 def program_distance(source: Program, encoded: Program, cfg: MdlConfig) -> float:
     """Max per-item distance between a source program and its encoding."""
-    items = _items_of(source)
-    if not items:
-        return 0.0
-    out = []
-    for item in items:
-        ski_inlined = _inline_item(encoded, item.name)
-        probes = cfg.probes_for_arity(item.arity)
-        out.append(semantic_distance(item.inlined, ski_inlined, probes, cfg.fuel))
-    return max(out)
+    return max(
+        (semantic_distance(p, s, probes, cfg.fuel) for p, s, probes in item_checks(source, encoded, cfg)),
+        default=0.0,
+    )
 
 
 def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> CompressionPlan:
-    """Beam search over per-item rule sets, then extraction moves."""
+    """Beam search over per-item rule sets, then extraction moves.
+
+    A state is a rule prefix; the items past it take the first rule set.
+    Item i's distance depends only on the rules of items 0..i, so it is
+    probed once per such prefix.
+    """
     items = _items_of(prog)
     if not items:
         raise ValueError("program has no definitions and no main expression")
-    cache = _DistanceCache(items, cfg)
-    baseline = cfg.rule_sets[0]
     n = len(items)
+    distances: dict[tuple[RuleSet, ...], float] = {}  # rule prefix -> its last item's distance
+    scores: dict[tuple[RuleSet, ...], tuple[float, int, float]] = {}
 
-    def complete(rules: tuple[RuleSet, ...]) -> tuple[RuleSet, ...]:
-        return rules + (baseline,) * (n - len(rules))
-
-    def score(rules: tuple[RuleSet, ...]) -> tuple[float, int, Program, float]:
-        full = complete(rules)
+    def score(state: tuple[RuleSet, ...]) -> tuple[float, int, str]:
+        full = state + (cfg.rule_sets[0],) * (n - len(state))
         encoded = _encode_program(items, full)
-        tokens = _program_length(encoded, cfg)
-        dist = cache.program_distance(encoded, full)
-        objective = cfg.lambda_weight * tokens + (1.0 - cfg.lambda_weight) * dist
-        return objective, tokens, encoded, dist
+        bodies = [body for _, body in encoded.defs]
+        if encoded.main is not None:
+            bodies.append(encoded.main)
+        last = max((i for i in range(n) if full[: i + 1] not in distances), default=-1)
+        closed: list[Term] = []  # item i's body with items 0..i-1 substituted in
+        for i, body in enumerate(bodies[: last + 1]):
+            for item, value in zip(items, closed):
+                body = ski_core.substitute_free(body, item.name, value)
+            closed.append(body)
+            if full[: i + 1] not in distances:
+                probes = cfg.probes_for_arity(items[i].arity)
+                distances[full[: i + 1]] = semantic_distance(items[i].inlined, body, probes, cfg.fuel)
+        dist = max(distances[full[: i + 1]] for i in range(n))
+        text = gael_print_program(encoded)
+        tokens = cfg.gael_length(text)
+        objective = _objective(cfg, tokens, dist)
+        scores[state] = (objective, tokens, dist)
+        return objective, tokens, text
 
     beam: list[tuple[RuleSet, ...]] = [()]
     for _ in range(n):
         candidates = [state + (rs,) for state in beam for rs in cfg.rule_sets]
-        scored = []
-        for state in candidates:
-            objective, tokens, encoded, dist = score(state)
-            scored.append((objective, tokens, gael_print_program(encoded), state))
-        scored.sort(key=lambda s: (s[0], s[1], s[2]))
-        beam = [s[3] for s in scored[: cfg.beam_width]]
+        beam = sorted(candidates, key=score)[: cfg.beam_width]
 
-    best_rules = beam[0]
-    objective, tokens, encoded, dist = score(best_rules)
-
-    trace: list[tuple[str, float]] = []
-    for i in range(n):
-        prefix_obj, _, _, _ = score(best_rules[: i + 1])
-        label = items[i].name if items[i].name is not None else "main"
-        trace.append((f"rules[{label}]={best_rules[i].value}", prefix_obj))
+    best = beam[0]
+    objective, tokens, dist = scores[best]
+    encoded = _encode_program(items, best)
+    trace = [
+        (f"rules[{item.name or 'main'}]={rs.value}", scores[best[: i + 1]][0])
+        for i, (item, rs) in enumerate(zip(items, best))
+    ]
 
     if cfg.extraction_enabled:
         extracted, moves = _extract_with_trace(encoded, cfg)
@@ -257,9 +234,8 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
             encoded = extracted
             tokens = _program_length(encoded, cfg)
             dist = program_distance(prog, encoded, cfg)
-            objective = cfg.lambda_weight * tokens + (1.0 - cfg.lambda_weight) * dist
-            for name in moves:
-                trace.append((f"extract[{name}]", objective))
+            objective = _objective(cfg, tokens, dist)
+            trace += [(f"extract[{name}]", objective) for name in moves]
 
     result: Union[Term, Program] = encoded
     if not encoded.defs and encoded.main is not None and not prog.defs:

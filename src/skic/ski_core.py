@@ -17,13 +17,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import lambda_ir
 from .lambda_ir import (
     DEFAULT_FUEL,
     App,
     Comb,
+    EvalOverflowError,
     Fuel,
     FuelExhausted,
     I,
@@ -31,11 +32,11 @@ from .lambda_ir import (
     K,
     Lam,
     ParseError,
+    Prim,
     Program,
     S,
     Term,
     Var,
-    alpha_equivalent,
     apply_spine,
 )
 
@@ -195,6 +196,37 @@ def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> Term:
     return lambda_ir.canonical_normal_form(ski_decode(ski_reduce(applied, fuel)), fuel)
 
 
+def _probe_key(side: Term, args: tuple[int, ...], fuel: int) -> object:
+    """What one probe of `side` compares by: its comparison form up to
+    alpha, with specialised adds read as `#add` (they evaluate exactly
+    like it), or the value of a 64-bit overflow."""
+    try:
+        return lambda_ir._debruijn(_read_adds(comparison_form(side, args, fuel)), ())
+    except EvalOverflowError as exc:
+        return ("overflow", exc.value)
+
+
+def _read_adds(t: Term) -> Term:
+    if isinstance(t, App):
+        return App(_read_adds(t.fun), _read_adds(t.arg))
+    if isinstance(t, Lam):
+        return Lam(t.param, _read_adds(t.body))
+    return Prim("add") if isinstance(t, Prim) and t.op in ("addZ", "addR") else t
+
+
+def probe_outcomes(
+    a: Term, b: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL
+) -> Iterator[tuple[tuple[int, ...], Optional[bool]]]:
+    """Yield (tuple, agree) for every probe tuple: whether both sides
+    reach the same comparison form (or overflow with the same value),
+    or None when either side runs out of fuel first."""
+    for tup in probes.tuples():
+        try:
+            yield tup, _probe_key(a, tup, fuel) == _probe_key(b, tup, fuel)
+        except FuelExhausted:
+            yield tup, None
+
+
 def behavioral_equal(
     a: Term,
     b: Term,
@@ -207,18 +239,11 @@ def behavioral_equal(
     means some probe hit the fuel budget and no mismatch was found.
     """
     saw_fuel = False
-    for tup in probes.tuples():
-        try:
-            na = comparison_form(a, tup, fuel)
-            nb = comparison_form(b, tup, fuel)
-        except FuelExhausted:
-            saw_fuel = True
-            continue
-        if not alpha_equivalent(na, nb):
+    for tup, agree in probe_outcomes(a, b, probes, fuel):
+        if agree is False:
             return EquivalenceResult(Verdict.DIFFERENT, witness=tup)
-    if saw_fuel:
-        return EquivalenceResult(Verdict.UNKNOWN)
-    return EquivalenceResult(Verdict.EQUAL)
+        saw_fuel = saw_fuel or agree is None
+    return EquivalenceResult(Verdict.UNKNOWN if saw_fuel else Verdict.EQUAL)
 
 
 # --- GAEL text ----------------------------------------------------------

@@ -177,14 +177,29 @@ def test_cli_compress_malformed_input_exit_1(tmp_path, capsys):
 
 
 def test_cli_deep_nesting_is_an_input_error(tmp_path, capsys):
-    # 3,000 nested parentheses exceed the recursive-descent parser's depth
+    # 3,000 nested parentheses exceed the recursive-descent parser's depth;
+    # a 3,000-argument application parses but is too deep for later passes
     (tmp_path / "deep.lam").write_text("(" * 3000 + "1" + ")" * 3000)
     (tmp_path / "deep.gael").write_text("(" * 3000 + "I" + ")" * 3000)
-    for command, name in (("compress", "deep.lam"), ("explain", "deep.gael")):
+    (tmp_path / "wide.lam").write_text("f := \\x. x;\n#add" + " 1" * 3000)
+    for command, name in (("compress", "deep.lam"), ("explain", "deep.gael"), ("compress", "wide.lam")):
         assert CP.main([command, str(tmp_path / name)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("skic: error: ") and "expression nested too deeply" in err
         assert "Traceback" not in err
+    (tmp_path / "deep.lam").unlink()
+    report = CP.run_corpus(tmp_path)
+    assert report.errors == (("wide", "LambdaError: expression nested too deeply"),)
+
+
+@pytest.mark.parametrize("source", ["#add 9223372036854775807 1", "(\\x. #add x 1) (\\z. z)"])
+def test_cli_compress_probe_edge_cases_are_equal(tmp_path, capsys, source):
+    # a probe that overflows on both sides, and a stuck #add the
+    # encoding specialises to #addZ, both compare equal
+    (tmp_path / "prog.lam").write_text(source)
+    report_file = tmp_path / "report.json"
+    assert CP.main(["compress", str(tmp_path / "prog.lam"), "--report", str(report_file)]) == 0
+    assert json.loads(report_file.read_text())["equivalence"] == "equal"
 
 
 def test_cli_compress_missing_file_exit_1(tmp_path, capsys):

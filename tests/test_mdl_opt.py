@@ -177,6 +177,28 @@ def test_beam_width_one_matches_exhaustive_on_three_def_fixtures():
         assert plan.objective == exhaustive_best_objective(prog, cfg)
 
 
+FIVE_DEF_CHAIN = (
+    "a := \\x. #add x 1;\n"
+    "b := \\x. #mul (a x) 2;\n"
+    "c := \\x. #sub (b x) (a x);\n"
+    "d := \\x.\\y. #add (c x) (b y);\n"
+    "e := \\x. d (a x) x;\n"
+    "e 3"
+)
+
+
+def test_search_closing_matches_whole_program_inlining():
+    # the search closes item i from items 0..i-1; verification closes the
+    # whole encoded program at once
+    cfg = MdlConfig(extraction_enabled=False)
+    sources = [src for _, src in corpus_sources()] + THREE_DEF_FIXTURES + [FIVE_DEF_CHAIN]
+    for source in sources:
+        prog = L.parse_program(source)
+        plan = MD.compress_program(prog, cfg)
+        assert plan.distance == MD.program_distance(prog, plan.encoded_program(), cfg)
+        assert plan.trace[-1][1] == plan.objective
+
+
 def test_lambda_sweep_token_length_non_increasing():
     for _, source in corpus_sources():
         prog = L.parse_program(source)

@@ -72,6 +72,14 @@ def test_lex_error_offset_counts_earlier_lines():
     assert str(exc.value) == "offset 10: expected primitive name after '#'"
 
 
+@pytest.mark.parametrize("source,offset", [("#add 1 \u00b2", 7), ("caf\u00e9 := 1;\ncaf\u00e9", 3)])
+@pytest.mark.parametrize("dialect", ["source", "gael"])
+def test_lex_error_offset_of_non_ascii(source, offset, dialect):
+    with pytest.raises(M.LexError) as exc:
+        M.tokenize(source, dialect)
+    assert exc.value.offset == offset
+
+
 def test_tokenizer_idempotent_on_rejoin():
     for dialect, text in [
         ("source", "f := \\x. #add x -2;\nf true"),

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from skic import lambda_ir as L
+from skic import mdl_opt as MD
 from skic import ski_core as SK
 from skic.ski_core import RuleSet, Verdict
 
@@ -140,6 +141,48 @@ def test_k_differs_from_i_with_first_witness():
     assert res.witness == (-2, -2)  # first enumerated pair
 
 
+def test_probe_outcomes_fold_into_both_checks():
+    probes = SK.ProbeConfig(arity=1, values=(0, 1))
+    omega = L.parse_term(r"(\x. x x) (\x. x x)")
+    assert list(SK.probe_outcomes(SK.I, SK.I, probes)) == [((0,), True), ((1,), True)]
+    assert list(SK.probe_outcomes(SK.I, L.App(SK.K, L.IntLit(1)), probes)) == [
+        ((0,), False), ((1,), True)]
+    assert list(SK.probe_outcomes(L.App(SK.K, omega), SK.I, probes, fuel=50)) == [
+        ((0,), None), ((1,), None)]
+    assert MD.semantic_distance(SK.I, L.App(SK.K, L.IntLit(1)), probes) == 0.5
+    assert SK.behavioral_equal(SK.I, L.App(SK.K, L.IntLit(1)), probes).witness == (0,)
+
+
+def test_overflow_is_a_probe_outcome():
+    big = L.IntLit(L.INT64_MAX)
+    add_big = L.apply_spine(L.Prim("add"), big)
+    probes = SK.ProbeConfig(arity=1, values=(1, -1))
+    # both sides overflow with the same value on 1, agree on -1
+    res = SK.behavioral_equal(add_big, L.apply_spine(L.Prim("addZ"), big), probes)
+    assert res.verdict is Verdict.EQUAL
+    # an overflow against a normal form differs
+    res = SK.behavioral_equal(add_big, L.App(SK.K, big), probes)
+    assert res.verdict is Verdict.DIFFERENT and res.witness == (1,)
+    # a different overflow value differs too
+    add_double_big = L.apply_spine(L.Prim("add"), L.apply_spine(L.Prim("mul"), big, L.IntLit(2)))
+    res = SK.behavioral_equal(add_big, add_double_big, SK.ProbeConfig(arity=1, values=(1,)))
+    assert res.verdict is Verdict.DIFFERENT
+    # running out of fuel still wins over an overflow on the other side
+    omega = L.parse_term(r"(\x. x x) (\x. x x)")
+    res = SK.behavioral_equal(add_big, L.App(SK.K, omega), SK.ProbeConfig(arity=1, values=(1,)), fuel=50)
+    assert res.verdict is Verdict.UNKNOWN
+
+
+def test_specialised_adds_compare_as_add():
+    ident = L.parse_term(r"\z. z")
+    stuck = {op: L.apply_spine(L.Prim(op), ident, L.IntLit(1)) for op in ("add", "addZ", "addR")}
+    probes = SK.ProbeConfig(arity=0)
+    for op in ("addZ", "addR"):
+        assert SK.behavioral_equal(stuck["add"], stuck[op], probes).verdict is Verdict.EQUAL
+    assert SK.behavioral_equal(stuck["add"], L.apply_spine(L.Prim("sub"), ident, L.IntLit(1)),
+                               probes).verdict is Verdict.DIFFERENT
+
+
 def test_encode_equal_for_all_rule_sets_random():
     rng = random.Random(41)
     for _ in range(30):
@@ -189,6 +232,17 @@ def test_gael_parse_errors_match_source_parser():
     with pytest.raises(L.ParseError) as exc:
         SK.parse_gael_program("S #")
     assert str(exc.value) == "1:3: expected primitive name after '#'"
+
+
+@pytest.mark.parametrize("source,message", [
+    ("#add 1 \u00b2", "1:8: unexpected character '\u00b2'"),
+    ("caf\u00e9 := 1;\ncaf\u00e9", "1:4: unexpected character '\u00e9'"),
+])
+@pytest.mark.parametrize("parse", [L.parse_program, SK.parse_gael_program])
+def test_lexer_character_classes_are_ascii(parse, source, message):
+    with pytest.raises(L.ParseError) as exc:
+        parse(source)
+    assert str(exc.value) == message
 
 
 def test_gael_integer_literal_range():
