@@ -141,18 +141,14 @@ def _infer_and_specialize(prog: Program) -> tuple[Program, dict[str, dict[str, s
 # --- equivalence stage --------------------------------------------------------
 
 
-def _verify_equivalence(
-    original: Program, encoded: Program, cfg: MdlConfig
-) -> str:
+def _verify_equivalence(original: Program, encoded: Program, cfg: MdlConfig) -> str:
+    """The worst item verdict: any `different`, else any `unknown`."""
     verdicts = {
         ski_core.behavioral_equal(p, s, probes, cfg.fuel).verdict
         for p, s, probes in mdl_opt.item_checks(original, encoded, cfg)
     }
-    if Verdict.DIFFERENT in verdicts:
-        return "different"
-    if Verdict.UNKNOWN in verdicts:
-        return "unknown"
-    return "equal"
+    worst = (v for v in (Verdict.DIFFERENT, Verdict.UNKNOWN) if v in verdicts)
+    return next(worst, Verdict.EQUAL).value
 
 
 # --- target emission -----------------------------------------------------------
@@ -269,8 +265,8 @@ def run_pipeline(
         density_gael = metrics.symbolic_density(gael_text.encode("utf-8"), c=density_c)
         timings["metrics_s"] = time.perf_counter() - t0
     except RecursionError:
-        # the parser reads long applications iteratively; later passes recurse
-        raise lambda_ir.LambdaError("expression nested too deeply") from None
+        # past the parser: long input applications, or deep terms reduction built
+        raise lambda_ir.LambdaError("expression nested too deeply for the compiler's passes") from None
 
     report = PipelineReport(
         program_id=program_id,
@@ -321,19 +317,32 @@ def run_corpus(
             reports.append(result.report)
         except Exception as exc:  # record and continue the sweep
             errors.append((program_id, f"{type(exc).__name__}: {exc}"))
-
-    def mean(values: list[Fraction]) -> float:
-        return float(sum(values, Fraction(0)) / len(values)) if values else 0.0
-
     crs = [r.cr for r in reports]
+    mean_cr = float(sum(crs, Fraction(0)) / len(crs)) if crs else 0.0
+    median_cr = float(statistics.median(crs)) if crs else 0.0
+    pass_rate = (
+        sum(1 for r in reports if r.equivalence == "equal") / len(reports)
+        if reports
+        else 0.0
+    )
+    mean_rho_src = (
+        float(sum((r.density_source.rho for r in reports), Fraction(0)) / len(reports))
+        if reports
+        else 0.0
+    )
+    mean_rho_gael = (
+        float(sum((r.density_gael.rho for r in reports), Fraction(0)) / len(reports))
+        if reports
+        else 0.0
+    )
     return CorpusReport(
         reports=tuple(reports),
         errors=tuple(errors),
-        mean_cr=mean(crs),
-        median_cr=float(statistics.median(crs)) if crs else 0.0,
-        equivalence_pass_rate=mean([Fraction(r.equivalence == "equal") for r in reports]),
-        mean_rho_source=mean([r.density_source.rho for r in reports]),
-        mean_rho_gael=mean([r.density_gael.rho for r in reports]),
+        mean_cr=mean_cr,
+        median_cr=median_cr,
+        equivalence_pass_rate=pass_rate,
+        mean_rho_source=mean_rho_src,
+        mean_rho_gael=mean_rho_gael,
     )
 
 

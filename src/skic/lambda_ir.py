@@ -192,8 +192,7 @@ def term_size(t: Term) -> int:
 # single-character punctuation of each dialect; both also have ":="
 _PUNCT = {"source": "\\.();", "gael": "();"}
 
-# character classes are ASCII only: str.isdigit and friends admit
-# other scripts' letters and digits
+# ASCII character classes (str.isdigit and friends admit other scripts)
 _DIGITS = frozenset("0123456789")
 _LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
 _IDENT_CHARS = _LOWER | _DIGITS | {"_"}

@@ -155,28 +155,30 @@ def _program_length(prog: Program, cfg: MdlConfig) -> int:
     return cfg.gael_length(gael_print_program(prog))
 
 
+def _closed_sides(encoded: Program) -> dict[Optional[str], Term]:
+    """Each item of `encoded` (main under None) with every definition
+    substituted in."""
+    defs = ski_core.inline_ski_defs(encoded)
+    closed: dict[Optional[str], Term] = dict(defs)
+    if encoded.main is not None:
+        closed[None] = ski_core.inline_ski_main(encoded, defs)
+    return closed
+
+
 def item_checks(
     source: Program, encoded: Program, cfg: MdlConfig
 ) -> Iterator[tuple[Term, Term, ProbeConfig]]:
     """Per source item: its closed source side, its closed encoded side
     and its probes.  `encoded` is closed once for the whole program."""
-    closed = dict(ski_core.inline_ski_defs(encoded))
+    closed = _closed_sides(encoded)
     for item in _items_of(source):
-        if item.name is None:
-            side = encoded.main
-            for dep, val in reversed(closed.items()):
-                side = ski_core.substitute_free(side, dep, val)
-        else:
-            side = closed[item.name]
-        yield item.inlined, side, cfg.probes_for_arity(item.arity)
+        yield item.inlined, closed[item.name], cfg.probes_for_arity(item.arity)
 
 
 def program_distance(source: Program, encoded: Program, cfg: MdlConfig) -> float:
     """Max per-item distance between a source program and its encoding."""
-    return max(
-        (semantic_distance(p, s, probes, cfg.fuel) for p, s, probes in item_checks(source, encoded, cfg)),
-        default=0.0,
-    )
+    checks = item_checks(source, encoded, cfg)
+    return max((semantic_distance(p, s, probes, cfg.fuel) for p, s, probes in checks), default=0.0)
 
 
 def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> CompressionPlan:
@@ -196,24 +198,17 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
     def score(state: tuple[RuleSet, ...]) -> tuple[float, int, str]:
         full = state + (cfg.rule_sets[0],) * (n - len(state))
         encoded = _encode_program(items, full)
-        bodies = [body for _, body in encoded.defs]
-        if encoded.main is not None:
-            bodies.append(encoded.main)
-        last = max((i for i in range(n) if full[: i + 1] not in distances), default=-1)
-        closed: list[Term] = []  # item i's body with items 0..i-1 substituted in
-        for i, body in enumerate(bodies[: last + 1]):
-            for item, value in zip(items, closed):
-                body = ski_core.substitute_free(body, item.name, value)
-            closed.append(body)
-            if full[: i + 1] not in distances:
-                probes = cfg.probes_for_arity(items[i].arity)
-                distances[full[: i + 1]] = semantic_distance(items[i].inlined, body, probes, cfg.fuel)
+        missing = [i for i in range(n) if full[: i + 1] not in distances]
+        closed = _closed_sides(encoded) if missing else {}
+        for i in missing:
+            item = items[i]
+            probes = cfg.probes_for_arity(item.arity)
+            distances[full[: i + 1]] = semantic_distance(item.inlined, closed[item.name], probes, cfg.fuel)
         dist = max(distances[full[: i + 1]] for i in range(n))
         text = gael_print_program(encoded)
         tokens = cfg.gael_length(text)
-        objective = _objective(cfg, tokens, dist)
-        scores[state] = (objective, tokens, dist)
-        return objective, tokens, text
+        scores[state] = (_objective(cfg, tokens, dist), tokens, dist)
+        return scores[state][0], tokens, text
 
     beam: list[tuple[RuleSet, ...]] = [()]
     for _ in range(n):

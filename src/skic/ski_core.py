@@ -24,7 +24,6 @@ from .lambda_ir import (
     DEFAULT_FUEL,
     App,
     Comb,
-    EvalOverflowError,
     Fuel,
     FuelExhausted,
     I,
@@ -32,7 +31,6 @@ from .lambda_ir import (
     K,
     Lam,
     ParseError,
-    Prim,
     Program,
     S,
     Term,
@@ -197,13 +195,12 @@ def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> Term:
 
 
 def _probe_key(side: Term, args: tuple[int, ...], fuel: int) -> object:
-    """What one probe of `side` compares by: its comparison form up to
-    alpha, with specialised adds read as `#add` (they evaluate exactly
-    like it), or the value of a 64-bit overflow."""
+    """What one probe of `side` compares by: its comparison form up to alpha
+    with `#addZ`/`#addR` read as the `#add` they evaluate like, or its overflow."""
     try:
         return lambda_ir._debruijn(_read_adds(comparison_form(side, args, fuel)), ())
-    except EvalOverflowError as exc:
-        return ("overflow", exc.value)
+    except lambda_ir.EvalOverflowError as exc:
+        return exc
 
 
 def _read_adds(t: Term) -> Term:
@@ -211,32 +208,33 @@ def _read_adds(t: Term) -> Term:
         return App(_read_adds(t.fun), _read_adds(t.arg))
     if isinstance(t, Lam):
         return Lam(t.param, _read_adds(t.body))
-    return Prim("add") if isinstance(t, Prim) and t.op in ("addZ", "addR") else t
+    return lambda_ir.Prim("add") if isinstance(t, lambda_ir.Prim) and t.op in ("addZ", "addR") else t
 
 
 def probe_outcomes(
     a: Term, b: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL
 ) -> Iterator[tuple[tuple[int, ...], Optional[bool]]]:
-    """Yield (tuple, agree) for every probe tuple: whether both sides
-    reach the same comparison form (or overflow with the same value),
-    or None when either side runs out of fuel first."""
+    """Yield (tuple, agree) per probe tuple: whether both sides reach the
+    same comparison form, or None if either runs out of fuel first.  Two
+    overflows agree on the same value and are undecided otherwise: which
+    redex overflows first follows a side's own reduction order."""
     for tup in probes.tuples():
         try:
-            yield tup, _probe_key(a, tup, fuel) == _probe_key(b, tup, fuel)
+            ka, kb = _probe_key(a, tup, fuel), _probe_key(b, tup, fuel)
         except FuelExhausted:
             yield tup, None
+            continue
+        both_overflow = all(isinstance(k, lambda_ir.EvalOverflowError) for k in (ka, kb))
+        yield tup, (ka.value == kb.value or None) if both_overflow else ka == kb
 
 
 def behavioral_equal(
-    a: Term,
-    b: Term,
-    probes: ProbeConfig,
-    fuel: int = DEFAULT_FUEL,
+    a: Term, b: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL
 ) -> EquivalenceResult:
     """Probe both sides and compare normal forms.
 
-    `different` carries the first mismatching probe tuple; `unknown`
-    means some probe hit the fuel budget and no mismatch was found.
+    `different` carries the first disagreeing probe tuple; `unknown`
+    means some probe was undecided and none disagreed.
     """
     saw_fuel = False
     for tup, agree in probe_outcomes(a, b, probes, fuel):
@@ -288,10 +286,11 @@ def inline_ski_defs(prog: Program) -> list[tuple[str, Term]]:
     return out
 
 
-def inline_ski_main(prog: Program) -> Term:
+def inline_ski_main(prog: Program, defs: Optional[list[tuple[str, Term]]] = None) -> Term:
+    """Main with every definition substituted in; `defs`: inline_ski_defs(prog)."""
     if prog.main is None:
         raise ValueError("program has no main term")
     body = prog.main
-    for dep, val in reversed(inline_ski_defs(prog)):
+    for dep, val in reversed(inline_ski_defs(prog) if defs is None else defs):
         body = substitute_free(body, dep, val)
     return body
