@@ -112,30 +112,23 @@ def _infer_and_specialize(prog: Program) -> tuple[Program, dict[str, dict[str, s
     """MAP-specialize each definition and main under an environment that
     types earlier definition names as functions."""
     summary: dict[str, dict[str, str]] = {}
-    new_defs: list[tuple[str, Term]] = []
-    seen: list[str] = []
-
-    def process(label: str, body: Term) -> Term:
+    items: list[tuple[Optional[str], Term]] = []
+    for i, (name, body) in enumerate(prog.items()):
+        label = name or "main"
         env = type_infer.ContextEnv(
-            bindings={name: type_infer.TypeTag.FUNC for name in seen}
+            bindings={dep: type_infer.TypeTag.FUNC for dep, _ in prog.defs[:i]}
         )
         variables, constraints = type_infer.build_constraints(body, env)
         if not variables:
             summary[label] = {}
-            return body
-        if len(variables) > type_infer.MAX_ENUM_VARIABLES:
+        elif len(variables) > type_infer.MAX_ENUM_VARIABLES:
             summary[label] = {"_skipped": f"{len(variables)} variables exceed guard"}
-            return body
-        post = type_infer.posterior(constraints, variables)
-        assignment = type_infer.map_assignment(post)
-        summary[label] = {v: assignment[v].name for v in variables}
-        return type_infer.specialize_operators(body, assignment, env)
-
-    for name, body in prog.defs:
-        new_defs.append((name, process(name, body)))
-        seen.append(name)
-    new_main = process("main", prog.main) if prog.main is not None else None
-    return Program(defs=tuple(new_defs), main=new_main), summary
+        else:
+            assignment = type_infer.map_assignment(type_infer.posterior(constraints, variables))
+            summary[label] = {v: assignment[v].name for v in variables}
+            body = type_infer.specialize_operators(body, assignment, env)
+        items.append((name, body))
+    return Program.of_items(items), summary
 
 
 # --- equivalence stage --------------------------------------------------------
@@ -197,32 +190,21 @@ def _pseudo_procedure(name: str, t: Term) -> str:
 
 def emit_target(t: Term, target: str) -> str:
     """Render a term as `gael`, `lambda`, or `pseudocode` text."""
-    if target == "gael":
-        if ski_core.contains_lambda(t):
-            raise IncompatibleTermError("lambda node cannot be emitted as GAEL")
-        return ski_core.gael_print(t)
-    if target == "lambda":
-        return lambda_ir.pretty_print(ski_core.ski_decode(t))
-    if target == "pseudocode":
-        return _pseudo_procedure("main", ski_core.ski_decode(t))
-    raise ValueError(f"unknown target {target!r}")
+    if target == "gael" and ski_core.contains_lambda(t):
+        raise IncompatibleTermError("lambda node cannot be emitted as GAEL")
+    return _emit_program(Program((), t), target)
 
 
 def _emit_program(encoded: Program, target: str) -> str:
+    """Render a program as `gael`, `lambda`, or `pseudocode` text."""
     if target == "gael":
         return ski_core.gael_print_program(encoded)
-    chunks = []
-    for name, body in encoded.defs:
-        if target == "lambda":
-            chunks.append(f"{name} := {lambda_ir.pretty_print(ski_core.ski_decode(body))};")
-        else:
-            chunks.append(_pseudo_procedure(name, ski_core.ski_decode(body)))
-    if encoded.main is not None:
-        if target == "lambda":
-            chunks.append(lambda_ir.pretty_print(ski_core.ski_decode(encoded.main)))
-        else:
-            chunks.append(_pseudo_procedure("main", ski_core.ski_decode(encoded.main)))
-    return "\n\n".join(chunks) if target == "pseudocode" else "\n".join(chunks)
+    decoded = [(name, ski_core.ski_decode(body)) for name, body in encoded.items()]
+    if target == "lambda":
+        return lambda_ir.pretty_print_program(Program.of_items(decoded))
+    if target == "pseudocode":
+        return "\n\n".join(_pseudo_procedure(name or "main", body) for name, body in decoded)
+    raise ValueError(f"unknown target {target!r}")
 
 
 # --- pipeline -------------------------------------------------------------------
@@ -377,6 +359,8 @@ def _config_from_args(args: argparse.Namespace) -> MdlConfig:
                 raise ValueError(f"unknown rule set {flag!r} (expected naive|i|eta)")
             chosen.append(_RULE_FLAGS[flag])
         rule_sets = tuple(chosen)
+    if args.density_c < 0:
+        raise ValueError("density bound constant must be nonnegative")
     probe_config = ski_core.ProbeConfig(arity=0, max_tuples=args.probes)
     return MdlConfig(
         lambda_weight=args.lambda_weight,
@@ -433,29 +417,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each --emit target and the PipelineResult text it prints
+_EMIT_TEXTS = {"gael": "gael_text", "lambda": "lambda_text",
+               "pseudo": "pseudocode_text", "pseudocode": "pseudocode_text"}
+
+
 def _cmd_compress(args: argparse.Namespace) -> int:
+    targets = [t.strip() for t in args.emit.split(",") if t.strip()]
     try:
-        source = Path(args.file).read_text(encoding="utf-8")
+        for target in targets:
+            if target not in _EMIT_TEXTS:
+                raise ValueError(f"unknown emit target {target!r}")
         cfg = _config_from_args(args)
+        source = Path(args.file).read_text(encoding="utf-8")
         result = run_pipeline(source, cfg, program_id=Path(args.file).stem,
                               density_c=args.density_c)
     except (OSError, ValueError, lambda_ir.LambdaError, ski_core.OpenTermError,
             metrics.LexError) as exc:
         print(f"skic: error: {exc}", file=sys.stderr)
         return 1
-    targets = [t.strip() for t in args.emit.split(",") if t.strip()]
-    rename = {"pseudo": "pseudocode"}
     for target in targets:
-        target = rename.get(target, target)
-        if target == "gael":
-            print(result.gael_text)
-        elif target == "lambda":
-            print(result.lambda_text)
-        elif target == "pseudocode":
-            print(result.pseudocode_text)
-        else:
-            print(f"skic: error: unknown emit target {target!r}", file=sys.stderr)
-            return 1
+        print(getattr(result, _EMIT_TEXTS[target]))
     if args.report:
         Path(args.report).write_text(
             json.dumps(result.report.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -494,12 +476,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     except (OSError, lambda_ir.ParseError) as exc:
         print(f"skic: error: {exc}", file=sys.stderr)
         return 1
-    chunks = []
-    for name, body in prog.defs:
-        chunks.append(f"-- {name}\n{explain_term(body).to_text()}")
-    if prog.main is not None:
-        chunks.append(explain_term(prog.main).to_text())
-    print("\n\n".join(chunks))
+    print("\n\n".join(
+        explain_term(body).to_text() if name is None else f"-- {name}\n{explain_term(body).to_text()}"
+        for name, body in prog.items()
+    ))
     return 0
 
 

@@ -138,11 +138,22 @@ class Program:
     """Ordered definitions plus an optional main expression.
 
     Definition names are unique and a body may reference only earlier
-    definitions, so inlining always terminates.
+    definitions, so closing the items in order substitutes only closed
+    bodies and always terminates.
     """
 
     defs: tuple[tuple[str, Term], ...]
     main: Optional[Term]
+
+    def items(self) -> list[tuple[Optional[str], Term]]:
+        """The definitions in order, then main (if any) under the name None."""
+        return [*self.defs, *([(None, self.main)] if self.main is not None else [])]
+
+    @classmethod
+    def of_items(cls, items: list[tuple[Optional[str], Term]]) -> "Program":
+        """The inverse of `items`: the item named None is main."""
+        defs = tuple((name, body) for name, body in items if name is not None)
+        return cls(defs, next((body for name, body in items if name is None), None))
 
 
 def apply_spine(fun: Term, *args: Term) -> Term:
@@ -415,7 +426,7 @@ def parse_term(source: str, allow_free: bool = False) -> Term:
     return prog.main
 
 
-# --- substitution and inlining ----------------------------------------
+# --- substitution -----------------------------------------------------
 
 
 def _fresh(base: str, avoid: frozenset[str]) -> str:
@@ -443,27 +454,6 @@ def substitute(t: Term, name: str, value: Term) -> Term:
             param = renamed
         return Lam(param, substitute(body, name, value))
     return t
-
-
-def inline_defs(prog: Program) -> list[tuple[str, Term]]:
-    """Each definition body with all earlier definitions substituted in."""
-    resolved: dict[str, Term] = {}
-    out: list[tuple[str, Term]] = []
-    for name, body in prog.defs:
-        for dep, val in resolved.items():
-            body = substitute(body, dep, val)
-        resolved[name] = body
-        out.append((name, body))
-    return out
-
-
-def inline_main(prog: Program) -> Term:
-    if prog.main is None:
-        raise ValueError("program has no main expression")
-    body = prog.main
-    for dep, val in reversed(inline_defs(prog)):
-        body = substitute(body, dep, val)
-    return body
 
 
 # --- normal-order reduction -------------------------------------------
@@ -722,7 +712,7 @@ def pretty_print(t: Term) -> str:
 
 
 def pretty_print_program(prog: Program) -> str:
-    lines = [f"{name} := {pretty_print(body)};" for name, body in prog.defs]
-    if prog.main is not None:
-        lines.append(pretty_print(prog.main))
-    return "\n".join(lines)
+    return "\n".join(
+        pretty_print(body) if name is None else f"{name} := {pretty_print(body)};"
+        for name, body in prog.items()
+    )

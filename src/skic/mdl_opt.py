@@ -45,6 +45,8 @@ class MdlConfig:
             raise ValueError("rule_sets must be nonempty")
         if self.length_unit not in ("tokens", "bytes"):
             raise ValueError("length_unit must be 'tokens' or 'bytes'")
+        if self.fuel < 0:
+            raise ValueError("fuel must be nonnegative")
 
     def probes_for_arity(self, arity: int) -> ProbeConfig:
         return replace(self.probe_config, arity=arity)
@@ -123,46 +125,23 @@ class _Item:
 
 
 def _items_of(prog: Program) -> list[_Item]:
-    inlined = dict(lambda_ir.inline_defs(prog))
-    items: list[_Item] = []
-    seen: list[str] = []
-    for name, body in prog.defs:
-        items.append(
-            _Item(name=name, source=body, inlined=inlined[name], constants=frozenset(seen))
-        )
-        seen.append(name)
-    if prog.main is not None:
-        main_inlined = lambda_ir.inline_main(prog)
-        items.append(
-            _Item(name=None, source=prog.main, inlined=main_inlined, constants=frozenset(seen))
-        )
-    return items
+    closed = ski_core.inline_ski_defs(prog)
+    names = [name for name, _ in prog.defs]
+    return [
+        _Item(name=name, source=body, inlined=closed[name], constants=frozenset(names[:i]))
+        for i, (name, body) in enumerate(prog.items())
+    ]
 
 
 def _encode_program(items: list[_Item], rules: tuple[RuleSet, ...]) -> Program:
-    defs: list[tuple[str, Term]] = []
-    main: Optional[Term] = None
-    for item, rs in zip(items, rules):
-        encoded = ski_core.bracket_abstract(item.source, rs, constants=item.constants)
-        if item.name is None:
-            main = encoded
-        else:
-            defs.append((item.name, encoded))
-    return Program(defs=tuple(defs), main=main)
+    return Program.of_items([
+        (item.name, ski_core.bracket_abstract(item.source, rs, constants=item.constants))
+        for item, rs in zip(items, rules)
+    ])
 
 
 def _program_length(prog: Program, cfg: MdlConfig) -> int:
     return cfg.gael_length(gael_print_program(prog))
-
-
-def _closed_sides(encoded: Program) -> dict[Optional[str], Term]:
-    """Each item of `encoded` (main under None) with every definition
-    substituted in."""
-    defs = ski_core.inline_ski_defs(encoded)
-    closed: dict[Optional[str], Term] = dict(defs)
-    if encoded.main is not None:
-        closed[None] = ski_core.inline_ski_main(encoded, defs)
-    return closed
 
 
 def item_checks(
@@ -170,7 +149,7 @@ def item_checks(
 ) -> Iterator[tuple[Term, Term, ProbeConfig]]:
     """Per source item: its closed source side, its closed encoded side
     and its probes.  `encoded` is closed once for the whole program."""
-    closed = _closed_sides(encoded)
+    closed = ski_core.inline_ski_defs(encoded)
     for item in _items_of(source):
         yield item.inlined, closed[item.name], cfg.probes_for_arity(item.arity)
 
@@ -199,7 +178,7 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
         full = state + (cfg.rule_sets[0],) * (n - len(state))
         encoded = _encode_program(items, full)
         missing = [i for i in range(n) if full[: i + 1] not in distances]
-        closed = _closed_sides(encoded) if missing else {}
+        closed = ski_core.inline_ski_defs(encoded) if missing else {}
         for i in missing:
             item = items[i]
             probes = cfg.probes_for_arity(item.arity)
@@ -224,11 +203,11 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
     ]
 
     if cfg.extraction_enabled:
+        # extraction leaves every closed item as it was, so `dist` stands
         extracted, moves = _extract_with_trace(encoded, cfg)
         if moves:
             encoded = extracted
             tokens = _program_length(encoded, cfg)
-            dist = program_distance(prog, encoded, cfg)
             objective = _objective(cfg, tokens, dist)
             trace += [(f"extract[{name}]", objective) for name in moves]
 
@@ -262,10 +241,8 @@ def _collect_counts(prog: Program) -> dict[Term, int]:
             visit(t.fun)
             visit(t.arg)
 
-    for _, body in prog.defs:
+    for _, body in prog.items():
         visit(body)
-    if prog.main is not None:
-        visit(prog.main)
     return counts
 
 
@@ -281,10 +258,8 @@ def _replace_subterm(t: Term, target: Term, name: str) -> Term:
 
 def _used_names(prog: Program) -> set[str]:
     names = {name for name, _ in prog.defs}
-    for _, body in prog.defs:
+    for _, body in prog.items():
         names |= lambda_ir.free_vars(body)
-    if prog.main is not None:
-        names |= lambda_ir.free_vars(prog.main)
     return names
 
 
@@ -297,23 +272,17 @@ def _fresh_def_name(prog: Program) -> str:
 
 
 def _apply_extraction(prog: Program, target: Term, name: str) -> Program:
-    new_defs: list[tuple[str, Term]] = []
+    new_items: list[tuple[Optional[str], Term]] = []
     inserted = False
-    for def_name, body in prog.defs:
+    for item_name, body in prog.items():
         replaced = _replace_subterm(body, target, name)
         if replaced != body and not inserted:
-            new_defs.append((name, target))
+            new_items.append((name, target))
             inserted = True
-        new_defs.append((def_name, replaced))
-    new_main = None
-    if prog.main is not None:
-        new_main = _replace_subterm(prog.main, target, name)
-        if new_main != prog.main and not inserted:
-            new_defs.append((name, target))
-            inserted = True
+        new_items.append((item_name, replaced))
     if not inserted:  # target occurs nowhere; caller guarantees otherwise
         return prog
-    return Program(defs=tuple(new_defs), main=new_main)
+    return Program.of_items(new_items)
 
 
 def _extract_with_trace(prog: Program, cfg: MdlConfig) -> tuple[Program, list[str]]:

@@ -155,6 +155,12 @@ class ProbeConfig:
     values: tuple[int, ...] = (-2, -1, 0, 1, 2, 3)
     max_tuples: int = 216
 
+    def __post_init__(self):
+        if self.arity < 0:
+            raise ValueError("probe arity must be nonnegative")
+        if self.max_tuples < 0:
+            raise ValueError("probe tuple count must be nonnegative")
+
     def tuples(self) -> list[tuple[int, ...]]:
         if self.arity == 0:
             return [()]
@@ -268,29 +274,24 @@ def parse_gael_term(source: str) -> Term:
 
 
 def substitute_free(t: Term, name: str, value: Term) -> Term:
+    """t[name := value] for a closed `value`: it steps under every binder
+    that does not shadow `name`, and nothing can be captured."""
     if isinstance(t, Var) and t.name == name:
         return value
     if isinstance(t, App):
         return App(substitute_free(t.fun, name, value), substitute_free(t.arg, name, value))
+    if isinstance(t, Lam) and t.param != name:
+        return Lam(t.param, substitute_free(t.body, name, value))
     return t
 
 
-def inline_ski_defs(prog: Program) -> list[tuple[str, Term]]:
-    resolved: dict[str, Term] = {}
-    out: list[tuple[str, Term]] = []
-    for name, body in prog.defs:
-        for dep, val in resolved.items():
+def inline_ski_defs(prog: Program) -> dict[Optional[str], Term]:
+    """Every item of a source or encoded program (main under None) with
+    each earlier definition substituted in.  Items close in order, so the
+    definition bodies substituted are already closed."""
+    closed: dict[Optional[str], Term] = {}
+    for name, body in prog.items():
+        for dep, val in closed.items():
             body = substitute_free(body, dep, val)
-        resolved[name] = body
-        out.append((name, body))
-    return out
-
-
-def inline_ski_main(prog: Program, defs: Optional[list[tuple[str, Term]]] = None) -> Term:
-    """Main with every definition substituted in; `defs`: inline_ski_defs(prog)."""
-    if prog.main is None:
-        raise ValueError("program has no main term")
-    body = prog.main
-    for dep, val in reversed(inline_ski_defs(prog) if defs is None else defs):
-        body = substitute_free(body, dep, val)
-    return body
+        closed[name] = body
+    return closed

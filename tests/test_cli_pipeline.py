@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from skic import cli_pipeline as CP
 from skic import lambda_ir as L
@@ -25,11 +29,11 @@ def test_identity_program_report():
 def test_add2_fixture_end_to_end():
     res = CP.run_pipeline("add2 := \\x. #add x 2;\nadd2 5")
     assert res.report.equivalence == "equal"
-    main = SK.inline_ski_main(res.encoded)
+    main = SK.inline_ski_defs(res.encoded)[None]
     assert SK.ski_reduce(main) == L.IntLit(7)
     # the decoded lambda rendering reduces to 7 as well
     decoded = L.parse_program(res.lambda_text)
-    assert L.beta_reduce(L.inline_main(decoded)) == L.IntLit(7)
+    assert L.beta_reduce(SK.inline_ski_defs(decoded)[None]) == L.IntLit(7)
 
 
 def test_pipeline_specializes_addition():
@@ -212,6 +216,25 @@ def test_cli_compress_probe_edge_cases(tmp_path, capsys, source, verdict):
     assert json.loads(report_file.read_text())["equivalence"] == verdict
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["corpus", "{dir}", "--fuel", "-1"], "fuel must be nonnegative"),
+    (["corpus", "{dir}", "--probes", "-1"], "probe tuple count must be nonnegative"),
+    (["corpus", "{dir}", "--c", "-1"], "density bound constant must be nonnegative"),
+    (["compress", "{dir}/prog.lam", "--fuel", "-1"], "fuel must be nonnegative"),
+    (["compress", "{dir}/prog.lam", "--probes", "-1"], "probe tuple count must be nonnegative"),
+    (["compress", "{dir}/prog.lam", "--c", "-1"], "density bound constant must be nonnegative"),
+    (["compress", "{dir}/prog.lam", "--emit", "gael,bogus"], "unknown emit target 'bogus'"),
+])
+def test_cli_invalid_values_exit_1_before_compiling(tmp_path, capsys, argv, message):
+    (tmp_path / "prog.lam").write_text("inc := \\x. #add x 1;\ninc 3")
+    report_file = tmp_path / "report.json"
+    argv = [arg.format(dir=tmp_path) for arg in argv] + ["--report", str(report_file)]
+    assert CP.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"skic: error: {message}\n")
+    assert not report_file.exists()
+
+
 def test_cli_compress_missing_file_exit_1(tmp_path, capsys):
     assert CP.main(["compress", str(tmp_path / "nope.lam")]) == 1
 
@@ -290,3 +313,21 @@ def test_cli_bad_rules_flag(tmp_path, capsys):
 def test_config_from_probes_flag(tmp_path):
     cfg = MdlConfig(probe_config=SK.ProbeConfig(arity=0, max_tuples=10))
     assert len(cfg.probes_for_arity(2).tuples()) == 10
+
+
+_SOURCE_TOKENS = ("\\", ".", "(", ")", ";", ":=", " ", "\n", "-- c\n", "x", "y", "f", "S", "K",
+                  "I", "0", "-2", "9223372036854775807", "true", "#add", "#eq", "#if", "#nope")
+_fuzz_texts = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+    st.lists(st.sampled_from(_SOURCE_TOKENS), max_size=24).map("".join),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzz_texts)
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path, text):
+    path = tmp_path / "fuzz.txt"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert CP.main(["compress", str(path), "--fuel", "2000"]) in (0, 1, 3)
+        assert CP.main(["explain", str(path)]) in (0, 1)

@@ -1,13 +1,17 @@
-"""The bundled corpus's reports and GAEL text, byte for byte.
+"""The bundled corpus's reports and emitted text, byte for byte.
 
 `tests/fixtures/corpus_golden.json` holds every `corpus/*.lam` report
-(without timings) and its GAEL text.  A change that moves any output
+(without timings), its GAEL, lambda and pseudocode text, and what
+`skic explain` prints for its GAEL text.  A change that moves any output
 must regenerate it on purpose and say why:
 
     PYTHONPATH=src python tests/test_corpus_golden.py
 """
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 from skic import cli_pipeline as CP
@@ -21,12 +25,27 @@ def _dump(doc) -> str:
     return json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=True) + "\n"
 
 
+def _explain_output(gael_text: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "program.gael"
+        path.write_text(gael_text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert CP.main(["explain", str(path)]) == 0
+    return out.getvalue()
+
+
 def golden_document() -> dict:
-    gael = {
-        pid: CP.run_pipeline(source, program_id=pid).gael_text
-        for pid, source in corpus_sources()
-    }
-    return {"corpus": CP.run_corpus(CORPUS_DIR).to_dict(include_timings=False), "gael": gael}
+    doc = {"corpus": CP.run_corpus(CORPUS_DIR).to_dict(include_timings=False)}
+    for key in ("gael", "lambda", "pseudocode", "explain"):
+        doc[key] = {}
+    for pid, source in corpus_sources():
+        result = CP.run_pipeline(source, program_id=pid)
+        doc["gael"][pid] = result.gael_text
+        doc["lambda"][pid] = result.lambda_text
+        doc["pseudocode"][pid] = result.pseudocode_text
+        doc["explain"][pid] = _explain_output(result.gael_text)
+    return doc
 
 
 def test_corpus_reproduces_golden_reports_and_gael():

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skic import lambda_ir as L
+from skic import ski_core as SK
 
 from conftest import gen_closed_term, gen_normalizing_term
 
@@ -208,7 +209,7 @@ def test_capture_avoiding_substitution():
 
 def test_inline_main_substitutes_defs():
     prog = L.parse_program("one := 1;\ninc := \\x. #add x one;\ninc 4")
-    assert L.beta_reduce(L.inline_main(prog)) == L.IntLit(5)
+    assert L.beta_reduce(SK.inline_ski_defs(prog)[None]) == L.IntLit(5)
 
 
 def test_eta_contract():

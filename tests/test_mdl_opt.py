@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skic import lambda_ir as L
 from skic import mdl_opt as MD
@@ -111,7 +113,7 @@ def test_compress_identity():
 def test_compress_add2_fixture():
     prog = L.parse_program("add2 := \\x. #add x 2;\nadd2 5")
     plan = MD.compress_program(prog)
-    main = SK.inline_ski_main(plan.encoded_program())
+    main = SK.inline_ski_defs(plan.encoded_program())[None]
     assert SK.ski_reduce(main) == L.IntLit(7)
     assert plan.distance == 0.0
 
@@ -188,15 +190,15 @@ FIVE_DEF_CHAIN = (
 
 
 def test_search_closing_matches_whole_program_inlining():
-    # the search closes item i from items 0..i-1; verification closes the
-    # whole encoded program at once
-    cfg = MdlConfig(extraction_enabled=False)
+    # the search closes item i from items 0..i-1 and keeps its distance
+    # through extraction; verification closes the whole encoded program
     sources = [src for _, src in corpus_sources()] + THREE_DEF_FIXTURES + [FIVE_DEF_CHAIN]
-    for source in sources:
-        prog = L.parse_program(source)
-        plan = MD.compress_program(prog, cfg)
-        assert plan.distance == MD.program_distance(prog, plan.encoded_program(), cfg)
-        assert plan.trace[-1][1] == plan.objective
+    for cfg in (MdlConfig(extraction_enabled=False), MdlConfig()):
+        for source in sources:
+            prog = L.parse_program(source)
+            plan = MD.compress_program(prog, cfg)
+            assert plan.distance == MD.program_distance(prog, plan.encoded_program(), cfg)
+            assert plan.trace[-1][1] == plan.objective
 
 
 def test_lambda_sweep_token_length_non_increasing():
@@ -233,7 +235,37 @@ def test_extraction_three_occurrences_arithmetic():
     after_defs = dict(SK.inline_ski_defs(out))
     for name in ("a", "b"):
         assert SK.ski_reduce(after_defs[name]) == SK.ski_reduce(before_defs[name])
-    assert SK.ski_reduce(SK.inline_ski_main(out)) == SK.ski_reduce(SK.inline_ski_main(prog))
+    assert SK.ski_reduce(SK.inline_ski_defs(out)[None]) == SK.ski_reduce(SK.inline_ski_defs(prog)[None])
+
+
+@st.composite
+def ski_programs(draw) -> L.Program:
+    """Lambda-free programs of 0-4 definitions over S, K, I, #add, small
+    literals and earlier definition names; leaves also draw from a pool of
+    shared subterms, so extraction has repeats to find."""
+    atoms = st.sampled_from((SK.S, SK.K, SK.I, L.Prim("add"), L.IntLit(1), L.IntLit(2)))
+    pool = draw(st.lists(st.tuples(atoms, atoms, atoms), min_size=1, max_size=3))
+    shared = [L.apply_spine(*parts) for parts in pool]
+    defs: list[tuple[str, L.Term]] = []
+
+    def term(depth: int) -> L.Term:
+        leaves = st.one_of(st.sampled_from(shared + [L.Var(n) for n, _ in defs]), atoms)
+        if depth == 0 or draw(st.booleans()):
+            return draw(leaves)
+        return L.App(term(depth - 1), term(depth - 1))
+
+    for i in range(draw(st.integers(0, 4))):
+        defs.append((f"d{i}", term(3)))
+    main = term(3) if draw(st.booleans()) else None
+    return L.Program(tuple(defs), main)
+
+
+@settings(deadline=None)
+@given(ski_programs())
+def test_extraction_leaves_closed_items_unchanged(prog):
+    closed = SK.inline_ski_defs(prog)
+    after = SK.inline_ski_defs(MD.extract_common_subterms(prog))
+    assert {name: after[name] for name in closed} == closed
 
 
 def test_extraction_no_repeats_unchanged():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skic import lambda_ir as L
 from skic import mdl_opt as MD
@@ -222,7 +224,7 @@ def test_gael_program_round_trip():
     )
     text = SK.gael_print_program(prog)
     assert SK.parse_gael_program(text) == prog
-    assert SK.ski_reduce(SK.inline_ski_main(prog)) == L.IntLit(5)
+    assert SK.ski_reduce(SK.inline_ski_defs(prog)[None]) == L.IntLit(5)
 
 
 def test_gael_parse_errors_match_source_parser():
@@ -252,6 +254,56 @@ def test_gael_integer_literal_range():
         with pytest.raises(L.ParseError) as exc:
             SK.parse_gael_program(f"K {value}")
         assert str(exc.value) == f"1:3: integer literal {value} exceeds 64-bit signed range"
+
+
+# --- closing programs -----------------------------------------------------------
+
+# binder names include definition names, so some binders shadow a definition
+_BINDERS = ("x", "y", "d0", "d1", "d2")
+
+
+@st.composite
+def source_programs(draw) -> L.Program:
+    """Closed programs of 0-4 definitions whose bodies refer to earlier ones."""
+    defs: list[tuple[str, L.Term]] = []
+
+    def term(scope: frozenset[str], depth: int) -> L.Term:
+        visible = sorted(scope | {name for name, _ in defs})
+        kind = draw(st.sampled_from(("lit", "var", "lam", "app")[: 4 if depth else 2]))
+        if kind == "var" and visible:
+            return L.Var(draw(st.sampled_from(visible)))
+        if kind == "lam":
+            param = draw(st.sampled_from(_BINDERS))
+            return L.Lam(param, term(scope | {param}, depth - 1))
+        if kind == "app":
+            return L.App(term(scope, depth - 1), term(scope, depth - 1))
+        return L.IntLit(draw(st.integers(-2, 3)))
+
+    for i in range(draw(st.integers(0, 4))):
+        defs.append((f"d{i}", term(frozenset(), 4)))
+    main = term(frozenset(), 4) if draw(st.booleans()) else None
+    return L.Program(tuple(defs), main)
+
+
+def _close_by_substitution(prog: L.Program) -> dict:
+    """Reference closer: fold capture-avoiding substitution over the items."""
+    closed: dict = {}
+    for name, body in prog.items():
+        for dep, val in closed.items():
+            body = L.substitute(body, dep, val)
+        closed[name] = body
+    return closed
+
+
+@settings(deadline=None)
+@given(source_programs())
+def test_inline_ski_defs_matches_capture_avoiding_substitution(prog):
+    assert SK.inline_ski_defs(prog) == _close_by_substitution(prog)
+
+
+def test_inline_ski_defs_respects_shadowing():
+    prog = L.parse_program("one := 1;\n(\\one. one) one")
+    assert SK.inline_ski_defs(prog) == {"one": L.IntLit(1), None: p("(\\one. one) 1")}
 
 
 # --- documented fixture ---------------------------------------------------------
