@@ -61,15 +61,6 @@ from .mdl_opt import (
     semantic_distance,
 )
 from .explainer import ExplanationDoc, explain_term, parse_explanation
-from .softgrad import (
-    AttnParams,
-    SoftKeepVector,
-    attention_backward,
-    attention_forward,
-    finite_diff_check,
-    soft_cr,
-    soft_cr_grad,
-)
 from .cli_pipeline import PipelineReport, emit_target, run_corpus, run_pipeline
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,8 +6,9 @@ main expression into combinator form under the MDL objective.  Layer 3
 emits the GAEL text, a decoded lambda rendering, and pseudocode, plus a
 structured report with token, density, and equivalence metrics.
 
-Exit codes: 0 success, 1 input error, 3 equivalence violation (the
-compressed program provably disagrees with its source on some probe).
+Exit codes, set in `main` alone: 0 success (an `unknown` verdict prints a
+warning), 1 input error, 3 equivalence violation (the compressed program
+provably disagrees with its source on some probe).
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def run_pipeline(
 
         t0 = time.perf_counter()
         plan = mdl_opt.compress_program(specialized, cfg)
-        encoded = plan.encoded_program()
+        encoded = plan.encoded
         timings["compress_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -422,41 +423,28 @@ _EMIT_TEXTS = {"gael": "gael_text", "lambda": "lambda_text",
                "pseudo": "pseudocode_text", "pseudocode": "pseudocode_text"}
 
 
-def _cmd_compress(args: argparse.Namespace) -> int:
+def _cmd_compress(args: argparse.Namespace) -> dict[str, str]:
     targets = [t.strip() for t in args.emit.split(",") if t.strip()]
-    try:
-        for target in targets:
-            if target not in _EMIT_TEXTS:
-                raise ValueError(f"unknown emit target {target!r}")
-        cfg = _config_from_args(args)
-        source = Path(args.file).read_text(encoding="utf-8")
-        result = run_pipeline(source, cfg, program_id=Path(args.file).stem,
-                              density_c=args.density_c)
-    except (OSError, ValueError, lambda_ir.LambdaError, ski_core.OpenTermError,
-            metrics.LexError) as exc:
-        print(f"skic: error: {exc}", file=sys.stderr)
-        return 1
     for target in targets:
-        print(getattr(result, _EMIT_TEXTS[target]))
+        if target not in _EMIT_TEXTS:
+            raise ValueError(f"unknown emit target {target!r}")
+    cfg = _config_from_args(args)
+    source = Path(args.file).read_text(encoding="utf-8")
+    result = run_pipeline(source, cfg, program_id=Path(args.file).stem,
+                          density_c=args.density_c)
     if args.report:
         Path(args.report).write_text(
             json.dumps(result.report.to_dict(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-    if result.report.equivalence == "different":
-        print("skic: error: compressed program differs from source", file=sys.stderr)
-        return 3
-    return 0
+    for target in targets:
+        print(getattr(result, _EMIT_TEXTS[target]))
+    return {result.report.program_id: result.report.equivalence}
 
 
-def _cmd_corpus(args: argparse.Namespace) -> int:
-    try:
-        cfg = _config_from_args(args)
-        report = run_corpus(args.dir, cfg, density_c=args.density_c)
-    except (OSError, ValueError) as exc:
-        print(f"skic: error: {exc}", file=sys.stderr)
-        return 1
-    print(corpus_csv(report), end="")
+def _cmd_corpus(args: argparse.Namespace) -> dict[str, str]:
+    cfg = _config_from_args(args)
+    report = run_corpus(args.dir, cfg, density_c=args.density_c)
     if args.report:
         path = Path(args.report)
         path.write_text(
@@ -464,46 +452,56 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             encoding="utf-8",
         )
         path.with_suffix(".csv").write_text(corpus_csv(report), encoding="utf-8")
-    if any(r.equivalence == "different" for r in report.reports):
-        return 3
-    return 0
+    print(corpus_csv(report), end="")
+    return {r.program_id: r.equivalence for r in report.reports}
 
 
-def _cmd_explain(args: argparse.Namespace) -> int:
-    try:
-        source = Path(args.file).read_text(encoding="utf-8")
-        prog = ski_core.parse_gael_program(source)
-    except (OSError, lambda_ir.ParseError) as exc:
-        print(f"skic: error: {exc}", file=sys.stderr)
-        return 1
+def _cmd_explain(args: argparse.Namespace) -> dict[str, str]:
+    items = ski_core.parse_gael_program(Path(args.file).read_text(encoding="utf-8")).items()
+    if not items:
+        raise ValueError("program has no definitions and no main expression")
     print("\n\n".join(
         explain_term(body).to_text() if name is None else f"-- {name}\n{explain_term(body).to_text()}"
-        for name, body in prog.items()
+        for name, body in items
     ))
-    return 0
+    return {}
 
 
-def _cmd_density(args: argparse.Namespace) -> int:
-    try:
-        data = Path(args.file).read_bytes()
-        report = metrics.symbolic_density(data, c=args.density_c)
-    except (OSError, ValueError) as exc:
-        print(f"skic: error: {exc}", file=sys.stderr)
-        return 1
+def _cmd_density(args: argparse.Namespace) -> dict[str, str]:
+    report = metrics.symbolic_density(Path(args.file).read_bytes(), c=args.density_c)
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    return 0
+    return {}
+
+
+_COMMANDS = {
+    "compress": _cmd_compress,
+    "corpus": _cmd_corpus,
+    "explain": _cmd_explain,
+    "density": _cmd_density,
+}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one `skic` command; the one place an outcome becomes an exit code.
+
+    A command returns each compiled program's verdict.  An input error
+    (unreadable or non-UTF-8 file, unwritable report, invalid option,
+    rejected program) exits 1; any `different` exits 3; an `unknown`
+    prints a warning and leaves the exit code 0.
+    """
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "compress": _cmd_compress,
-        "corpus": _cmd_corpus,
-        "explain": _cmd_explain,
-        "density": _cmd_density,
-    }
-    return handlers[args.command](args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        verdicts = _COMMANDS[args.command](args)
+    except (OSError, ValueError, lambda_ir.LambdaError) as exc:
+        print(f"skic: error: {exc}", file=sys.stderr)
+        return 1
+    unknown = [pid for pid, v in verdicts.items() if v == Verdict.UNKNOWN.value]
+    different = [pid for pid, v in verdicts.items() if v == Verdict.DIFFERENT.value]
+    if unknown:
+        print(f"skic: warning: equivalence unknown for {', '.join(unknown)}: "
+              "some probe ran out of fuel or was undecided", file=sys.stderr)
+    if different:
+        print(f"skic: error: compressed program differs from source for {', '.join(different)}",
+              file=sys.stderr)
+        return 3
+    return 0

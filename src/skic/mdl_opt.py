@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from . import lambda_ir, metrics, ski_core
 from .lambda_ir import DEFAULT_FUEL, App, Program, Term, Var, term_size
@@ -65,16 +65,11 @@ class CompressionPlan:
     default); trace pairs each decision with the objective after it.
     """
 
-    encoded: Union[Term, Program]
+    encoded: Program
     objective: float
     token_length: int
     distance: float
     trace: tuple[tuple[str, float], ...]
-
-    def encoded_program(self) -> Program:
-        if isinstance(self.encoded, Program):
-            return self.encoded
-        return Program(defs=(), main=self.encoded)
 
 
 _PENALTY = {True: 0.0, False: 1.0, None: 0.5}
@@ -211,11 +206,8 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
             objective = _objective(cfg, tokens, dist)
             trace += [(f"extract[{name}]", objective) for name in moves]
 
-    result: Union[Term, Program] = encoded
-    if not encoded.defs and encoded.main is not None and not prog.defs:
-        result = encoded.main
     return CompressionPlan(
-        encoded=result,
+        encoded=encoded,
         objective=objective,
         token_length=tokens,
         distance=dist,

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -205,15 +209,20 @@ def test_cli_deep_nesting_is_an_input_error(tmp_path, capsys):
     ("#add 9223372036854775807 1", "equal"),
     ("(\\x. #add x 1) (\\z. z)", "equal"),
     ("(\\z. \\y. #add (y (#add 9223372036854775807 2)) (#add 9223372036854775807 1)) 0", "unknown"),
+    ("(\\x. x x) (\\x. x x)", "unknown"),
 ])
 def test_cli_compress_probe_edge_cases(tmp_path, capsys, source, verdict):
     # a probe that overflows on both sides with one value, and a stuck #add
     # the encoding specialises to #addZ, compare equal; under a binder the
-    # source overflows on MAX+1 first and its encoding on MAX+2, undecided
+    # source overflows on MAX+1 first and its encoding on MAX+2, undecided;
+    # omega runs out of fuel on both sides.  `unknown` exits 0 with a warning
     (tmp_path / "prog.lam").write_text(source)
     report_file = tmp_path / "report.json"
     assert CP.main(["compress", str(tmp_path / "prog.lam"), "--report", str(report_file)]) == 0
     assert json.loads(report_file.read_text())["equivalence"] == verdict
+    warnings = ["skic: warning: equivalence unknown for prog: "
+                "some probe ran out of fuel or was undecided"]
+    assert capsys.readouterr().err.splitlines() == (warnings if verdict == "unknown" else [])
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -237,6 +246,31 @@ def test_cli_invalid_values_exit_1_before_compiling(tmp_path, capsys, argv, mess
 
 def test_cli_compress_missing_file_exit_1(tmp_path, capsys):
     assert CP.main(["compress", str(tmp_path / "nope.lam")]) == 1
+
+
+@pytest.mark.parametrize("command", ["compress", "corpus"])
+def test_cli_unwritable_report_is_an_input_error(tmp_path, capsys, command):
+    (tmp_path / "prog.lam").write_text("inc := \\x. #add x 1;\ninc 3")
+    report_file = tmp_path / "missing" / "r.json"
+    target = tmp_path / "prog.lam" if command == "compress" else tmp_path
+    assert CP.main([command, str(target), "--report", str(report_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("skic: error: ") and str(report_file) in err
+
+
+@pytest.mark.parametrize("command", ["compress", "explain"])
+def test_cli_non_utf8_or_empty_program_is_an_input_error(tmp_path, capsys, command):
+    empty = "program has no definitions and no main expression"
+    cases = {
+        b"\xff\xfe": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        b"": empty,
+        b"-- only a comment\n": empty,
+    }
+    for data, message in cases.items():
+        (tmp_path / "prog.txt").write_bytes(data)
+        assert CP.main([command, str(tmp_path / "prog.txt")]) == 1
+        assert capsys.readouterr() == ("", f"skic: error: {message}\n")
 
 
 def test_cli_corpus_csv_and_json(tmp_path, capsys):
@@ -280,6 +314,8 @@ def test_cli_exit_3_on_equivalence_violation(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(CP, "_verify_equivalence", lambda *a, **k: "different")
     assert CP.main(["compress", str(src_file)]) == 3
     assert "differs" in capsys.readouterr().err
+    assert CP.main(["corpus", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "skic: error: compressed program differs from source for prog\n"
 
 
 def test_corpus_byte_identical_reports(corpus_dir):
@@ -317,17 +353,43 @@ def test_config_from_probes_flag(tmp_path):
 
 _SOURCE_TOKENS = ("\\", ".", "(", ")", ";", ":=", " ", "\n", "-- c\n", "x", "y", "f", "S", "K",
                   "I", "0", "-2", "9223372036854775807", "true", "#add", "#eq", "#if", "#nope")
-_fuzz_texts = st.one_of(
-    st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
-    st.lists(st.sampled_from(_SOURCE_TOKENS), max_size=24).map("".join),
+_fuzz_inputs = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=40).map(str.encode),
+    st.lists(st.sampled_from(_SOURCE_TOKENS), max_size=24).map(lambda ts: "".join(ts).encode()),
+    st.binary(max_size=40),
 )
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_fuzz_texts)
-def test_cli_fuzz_exits_with_a_documented_code(tmp_path, text):
-    path = tmp_path / "fuzz.txt"
-    path.write_text(text, encoding="utf-8")
+@given(_fuzz_inputs)
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path, data):
+    path = tmp_path / "fuzz.lam"
+    path.write_bytes(data)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert CP.main(["compress", str(path), "--fuel", "2000"]) in (0, 1, 3)
+        assert CP.main(["corpus", str(tmp_path), "--fuel", "2000"]) in (0, 1, 3)
         assert CP.main(["explain", str(path)]) in (0, 1)
+        assert CP.main(["density", str(path)]) in (0, 1)
+
+
+# --- entry points ------------------------------------------------------------------
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports skic from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(CP.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_import_skic_leaves_numpy_unloaded():
+    done = _python("-c", "import sys, skic; print('numpy' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+def test_python_m_skic_runs_the_cli(tmp_path):
+    (tmp_path / "prog.lam").write_text(r"\x. x")
+    done = _python("-m", "skic", "compress", str(tmp_path / "prog.lam"))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "I\n", "")
+    done = _python("-m", "skic", "explain", str(tmp_path / "nope.gael"))
+    assert done.returncode == 1 and done.stderr.startswith("skic: error: ")

@@ -94,7 +94,7 @@ def test_compress_byte_unit_plan_consistent():
     prog = L.parse_program("add2 := \\x. #add x 2;\nadd2 5")
     cfg = MdlConfig(length_unit="bytes")
     plan = MD.compress_program(prog, cfg)
-    text = SK.gael_print_program(plan.encoded_program())
+    text = SK.gael_print_program(plan.encoded)
     assert plan.token_length == len(text.encode("utf-8"))
     recomputed = cfg.lambda_weight * plan.token_length + (1 - cfg.lambda_weight) * plan.distance
     assert abs(plan.objective - recomputed) < 1e-12
@@ -105,7 +105,7 @@ def test_compress_byte_unit_plan_consistent():
 
 def test_compress_identity():
     plan = MD.compress_term(L.parse_term(r"\x. x"))
-    assert plan.encoded == SK.I
+    assert plan.encoded == L.Program((), SK.I)
     assert plan.token_length == 1
     assert plan.distance == 0.0
 
@@ -113,7 +113,7 @@ def test_compress_identity():
 def test_compress_add2_fixture():
     prog = L.parse_program("add2 := \\x. #add x 2;\nadd2 5")
     plan = MD.compress_program(prog)
-    main = SK.inline_ski_defs(plan.encoded_program())[None]
+    main = SK.inline_ski_defs(plan.encoded)[None]
     assert SK.ski_reduce(main) == L.IntLit(7)
     assert plan.distance == 0.0
 
@@ -197,7 +197,7 @@ def test_search_closing_matches_whole_program_inlining():
         for source in sources:
             prog = L.parse_program(source)
             plan = MD.compress_program(prog, cfg)
-            assert plan.distance == MD.program_distance(prog, plan.encoded_program(), cfg)
+            assert plan.distance == MD.program_distance(prog, plan.encoded, cfg)
             assert plan.trace[-1][1] == plan.objective
 
 

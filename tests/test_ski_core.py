@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skic import lambda_ir as L
@@ -193,6 +193,59 @@ def test_encode_equal_for_all_rule_sets_random():
         for rules in ALL_RULES:
             res = SK.behavioral_equal(SK.bracket_abstract(t, rules), t, probes, fuel=50000)
             assert res.verdict is Verdict.EQUAL, (L.pretty_print(t), rules)
+
+
+@st.composite
+def literal_applications(draw) -> tuple[L.Term, tuple[int, ...]]:
+    """A closed term with 0-3 leading lambdas and integer arguments for them.
+
+    Bodies mix arithmetic, equality, conditionals, redexes whose binder may
+    go unused, and a function passed to a function; all leaves are
+    integers, so the applied term usually normalises to a literal.
+    """
+    def term(scope: tuple[str, ...], depth: int) -> L.Term:
+        kind = draw(st.sampled_from(("lit", "var", "arith", "eq", "if", "let", "apply")
+                                    [: 7 if depth else 2]))
+        if kind == "var" and scope:
+            return L.Var(draw(st.sampled_from(scope)))
+        if kind == "arith":
+            op = draw(st.sampled_from(("add", "sub", "mul")))
+            return L.apply_spine(L.Prim(op), term(scope, depth - 1), term(scope, depth - 1))
+        if kind == "eq":
+            return L.apply_spine(L.Prim("eq"), term(scope, depth - 1), term(scope, depth - 1))
+        if kind == "if":
+            cond = L.apply_spine(L.Prim("eq"), term(scope, depth - 1), term(scope, depth - 1))
+            return L.apply_spine(L.Prim("if"), cond, term(scope, depth - 1), term(scope, depth - 1))
+        if kind == "let":
+            v = f"v{len(scope)}"
+            return L.App(L.Lam(v, term(scope + (v,), depth - 1)), term(scope, depth - 1))
+        if kind == "apply":
+            v = f"v{len(scope)}"
+            return L.App(L.Lam("f", L.App(L.Var("f"), term(scope, depth - 1))),
+                         L.Lam(v, term(scope + (v,), depth - 1)))
+        return L.IntLit(draw(st.integers(-2, 3)))
+
+    params = tuple(f"x{i}" for i in range(draw(st.integers(0, 3))))
+    body = term(params, 4)
+    for param in reversed(params):
+        body = L.Lam(param, body)
+    return body, tuple(draw(st.integers(-2, 3)) for _ in params)
+
+
+@settings(deadline=None)
+@given(literal_applications())
+def test_ski_reduce_of_encoding_matches_beta_reduce(case):
+    # a literal oracle: no comparison_form, no alpha equivalence
+    t, args = case
+    literals = [L.IntLit(a) for a in args]
+    try:
+        expected = L.beta_reduce(L.apply_spine(t, *literals))
+    except (L.FuelExhausted, L.EvalError):
+        expected = None
+    assume(isinstance(expected, (L.IntLit, L.BoolLit)))
+    for rules in ALL_RULES:
+        encoded = L.apply_spine(SK.bracket_abstract(t, rules), *literals)
+        assert SK.ski_reduce(encoded, fuel=100_000) == expected, (L.pretty_print(t), args, rules)
 
 
 def test_probe_cap_and_arity_zero():
