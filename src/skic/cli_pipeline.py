@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -73,8 +74,6 @@ class PipelineReport:
 class PipelineResult:
     report: PipelineReport
     plan: CompressionPlan
-    encoded: Program
-    specialized: Program
     gael_text: str
     lambda_text: str
     pseudocode_text: str
@@ -230,20 +229,18 @@ def run_pipeline(
 
         t0 = time.perf_counter()
         plan = mdl_opt.compress_program(specialized, cfg)
-        encoded = plan.encoded
         timings["compress_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        gael_text = ski_core.gael_print_program(encoded)
-        lambda_text = _emit_program(encoded, "lambda")
-        pseudo_text = _emit_program(encoded, "pseudocode")
+        gael_text = ski_core.gael_print_program(plan.encoded)
+        lambda_text = _emit_program(plan.encoded, "lambda")
+        pseudo_text = _emit_program(plan.encoded, "pseudocode")
         timings["emit_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        equivalence = _verify_equivalence(prog, encoded, cfg)
+        equivalence = _verify_equivalence(prog, plan.encoded, cfg)
         p_tokens = metrics.token_count(source, "source")
-        s_tokens = metrics.token_count(gael_text, "gael")
-        cr = metrics.compression_rate(s_tokens, p_tokens)
+        cr = metrics.compression_rate(plan.token_length, p_tokens)
         density_source = metrics.symbolic_density(source.encode("utf-8"), c=density_c)
         density_gael = metrics.symbolic_density(gael_text.encode("utf-8"), c=density_c)
         timings["metrics_s"] = time.perf_counter() - t0
@@ -254,7 +251,7 @@ def run_pipeline(
     report = PipelineReport(
         program_id=program_id,
         p_tokens=p_tokens,
-        s_tokens=s_tokens,
+        s_tokens=plan.token_length,
         cr=cr,
         density_source=density_source,
         density_gael=density_gael,
@@ -266,8 +263,6 @@ def run_pipeline(
     return PipelineResult(
         report=report,
         plan=plan,
-        encoded=encoded,
-        specialized=specialized,
         gael_text=gael_text,
         lambda_text=lambda_text,
         pseudocode_text=pseudo_text,
@@ -360,8 +355,8 @@ def _config_from_args(args: argparse.Namespace) -> MdlConfig:
                 raise ValueError(f"unknown rule set {flag!r} (expected naive|i|eta)")
             chosen.append(_RULE_FLAGS[flag])
         rule_sets = tuple(chosen)
-    if args.density_c < 0:
-        raise ValueError("density bound constant must be nonnegative")
+    if not 0 <= args.density_c < math.inf:
+        raise ValueError("density bound constant must be finite and nonnegative")
     probe_config = ski_core.ProbeConfig(arity=0, max_tuples=args.probes)
     return MdlConfig(
         lambda_weight=args.lambda_weight,
@@ -374,21 +369,24 @@ def _config_from_args(args: argparse.Namespace) -> MdlConfig:
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lambda", dest="lambda_weight", type=float, default=0.99,
-                        help="compression weight in [0,1] (default 0.99)")
-    parser.add_argument("--beam", type=int, default=8, help="beam width (default 8)")
+    defaults = MdlConfig()
+    parser.add_argument("--lambda", dest="lambda_weight", type=float,
+                        default=defaults.lambda_weight,
+                        help="compression weight in [0,1] (default %(default)s)")
+    parser.add_argument("--beam", type=int, default=defaults.beam_width,
+                        help="beam width (default %(default)s)")
     parser.add_argument("--rules", default="",
                         help="comma list of rule sets to search: naive,i,eta (default all)")
-    parser.add_argument("--fuel", type=int, default=lambda_ir.DEFAULT_FUEL,
-                        help="reduction step budget (default 10000)")
-    parser.add_argument("--probes", type=int, default=216,
-                        help="max probe tuples per equivalence check (default 216)")
+    parser.add_argument("--fuel", type=int, default=defaults.fuel,
+                        help="reduction step budget (default %(default)s)")
+    parser.add_argument("--probes", type=int, default=defaults.probe_config.max_tuples,
+                        help="max probe tuples per equivalence check (default %(default)s)")
     parser.add_argument("--no-extract", action="store_true",
                         help="disable common-subterm extraction")
     parser.add_argument("--report", default="", help="write a JSON report to this path")
     parser.add_argument("--c", dest="density_c", type=float,
                         default=metrics.DEFAULT_BOUND_CONSTANT,
-                        help="density bound constant (default 16)")
+                        help="density bound constant (default %(default)s)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -210,20 +210,22 @@ _IDENT_CHARS = _LOWER | _DIGITS | {"_"}
 _PRIM_CHARS = _IDENT_CHARS | frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
-class _Tok(NamedTuple):
+class Token(NamedTuple):
+    """One lexeme; `kind` is its token class."""
+
     kind: str  # punct | ident | int | prim | keyword | comb
     text: str
     line: int
     col: int
 
 
-def _lex(source: str, dialect: str = "source") -> list[_Tok]:
+def _lex(source: str, dialect: str = "source") -> list[Token]:
     """Tokens of `source` in the "source" or "gael" dialect."""
     if dialect not in _PUNCT:
         raise ValueError(f"unknown dialect {dialect!r}")
     punct = _PUNCT[dialect]
     combs = "SKI" if dialect == "gael" else ""
-    toks: list[_Tok] = []
+    toks: list[Token] = []
     i, line, col = 0, 1, 1
     n = len(source)
     while i < n:
@@ -240,22 +242,22 @@ def _lex(source: str, dialect: str = "source") -> list[_Tok]:
             continue
         start_line, start_col = line, col
         if source.startswith(":=", i):
-            toks.append(_Tok("punct", ":=", start_line, start_col))
+            toks.append(Token("punct", ":=", start_line, start_col))
             i, col = i + 2, col + 2
             continue
         if c in punct:
-            toks.append(_Tok("punct", c, start_line, start_col))
+            toks.append(Token("punct", c, start_line, start_col))
             i, col = i + 1, col + 1
             continue
         if c in combs:
-            toks.append(_Tok("comb", c, start_line, start_col))
+            toks.append(Token("comb", c, start_line, start_col))
             i, col = i + 1, col + 1
             continue
         if c in _DIGITS or (c == "-" and i + 1 < n and source[i + 1] in _DIGITS):
             j = i + 1
             while j < n and source[j] in _DIGITS:
                 j += 1
-            toks.append(_Tok("int", source[i:j], start_line, start_col))
+            toks.append(Token("int", source[i:j], start_line, start_col))
             col += j - i
             i = j
             continue
@@ -265,7 +267,7 @@ def _lex(source: str, dialect: str = "source") -> list[_Tok]:
                 j += 1
             if j == i + 1:
                 raise ParseError("expected primitive name after '#'", line, col)
-            toks.append(_Tok("prim", source[i:j], start_line, start_col))
+            toks.append(Token("prim", source[i:j], start_line, start_col))
             col += j - i
             i = j
             continue
@@ -275,7 +277,7 @@ def _lex(source: str, dialect: str = "source") -> list[_Tok]:
                 j += 1
             word = source[i:j]
             kind = "keyword" if word in ("true", "false") else "ident"
-            toks.append(_Tok(kind, word, start_line, start_col))
+            toks.append(Token(kind, word, start_line, start_col))
             col += j - i
             i = j
             continue
@@ -284,23 +286,23 @@ def _lex(source: str, dialect: str = "source") -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], allow_free: bool = False):
+    def __init__(self, toks: list[Token], allow_free: bool = False):
         self.toks = toks
         self.pos = 0
         self.allow_free = allow_free
 
-    def peek(self) -> Optional[_Tok]:
+    def peek(self) -> Optional[Token]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def next(self) -> _Tok:
+    def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            last = self.toks[-1] if self.toks else _Tok("punct", "", 1, 1)
+            last = self.toks[-1] if self.toks else Token("punct", "", 1, 1)
             raise ParseError("unexpected end of input", last.line, last.col + len(last.text))
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Tok:
+    def expect(self, text: str) -> Token:
         tok = self.next()
         if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
@@ -352,7 +354,7 @@ class _Parser:
     def parse_expr(self, scope: tuple[str, ...], defs: set[str]) -> Term:
         if self.at("\\"):
             self.next()
-            params: list[_Tok] = []
+            params: list[Token] = []
             while True:
                 tok = self.next()
                 if tok.kind != "ident":

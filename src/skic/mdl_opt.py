@@ -34,7 +34,6 @@ class MdlConfig:
     rule_sets: tuple[RuleSet, ...] = ALL_RULE_SETS
     extraction_enabled: bool = True
     fuel: int = DEFAULT_FUEL
-    length_unit: str = "tokens"  # or "bytes" of the GAEL text
 
     def __post_init__(self):
         if not 0.0 <= self.lambda_weight <= 1.0:
@@ -43,26 +42,19 @@ class MdlConfig:
             raise ValueError("beam_width must be at least 1")
         if not self.rule_sets:
             raise ValueError("rule_sets must be nonempty")
-        if self.length_unit not in ("tokens", "bytes"):
-            raise ValueError("length_unit must be 'tokens' or 'bytes'")
         if self.fuel < 0:
             raise ValueError("fuel must be nonnegative")
 
     def probes_for_arity(self, arity: int) -> ProbeConfig:
         return replace(self.probe_config, arity=arity)
 
-    def gael_length(self, text: str) -> int:
-        if self.length_unit == "bytes":
-            return len(text.encode("utf-8"))
-        return metrics.token_count(text, "gael")
-
 
 @dataclass(frozen=True)
 class CompressionPlan:
     """Chosen encoding with its objective decomposition and search trace.
 
-    token_length is measured in the config's length unit (GAEL tokens by
-    default); trace pairs each decision with the objective after it.
+    token_length counts GAEL tokens; trace pairs each decision with the
+    objective after it.
     """
 
     encoded: Program
@@ -92,12 +84,8 @@ def _objective(cfg: MdlConfig, length: int, dist: float) -> float:
 
 
 def mdl_objective(s: Term, p: Term, cfg: MdlConfig) -> float:
-    """Scalarized objective for a single encoded term.
-
-    Length is measured in the configured unit (GAEL tokens by default,
-    GAEL text bytes as the alternate).
-    """
-    length = cfg.gael_length(gael_print(s))
+    """Scalarized objective for a single encoded term."""
+    length = metrics.token_count(gael_print(s), "gael")
     probes = cfg.probes_for_arity(lambda_ir.leading_lambda_count(p))
     return _objective(cfg, length, semantic_distance(p, s, probes, cfg.fuel))
 
@@ -135,8 +123,8 @@ def _encode_program(items: list[_Item], rules: tuple[RuleSet, ...]) -> Program:
     ])
 
 
-def _program_length(prog: Program, cfg: MdlConfig) -> int:
-    return cfg.gael_length(gael_print_program(prog))
+def _program_length(prog: Program) -> int:
+    return metrics.token_count(gael_print_program(prog), "gael")
 
 
 def item_checks(
@@ -180,7 +168,7 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
             distances[full[: i + 1]] = semantic_distance(item.inlined, closed[item.name], probes, cfg.fuel)
         dist = max(distances[full[: i + 1]] for i in range(n))
         text = gael_print_program(encoded)
-        tokens = cfg.gael_length(text)
+        tokens = metrics.token_count(text, "gael")
         scores[state] = (_objective(cfg, tokens, dist), tokens, dist)
         return scores[state][0], tokens, text
 
@@ -199,12 +187,9 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
 
     if cfg.extraction_enabled:
         # extraction leaves every closed item as it was, so `dist` stands
-        extracted, moves = _extract_with_trace(encoded, cfg)
-        if moves:
-            encoded = extracted
-            tokens = _program_length(encoded, cfg)
-            objective = _objective(cfg, tokens, dist)
-            trace += [(f"extract[{name}]", objective) for name in moves]
+        encoded, moves, tokens = _extract_with_trace(encoded, tokens)
+        objective = _objective(cfg, tokens, dist)
+        trace += [(f"extract[{name}]", objective) for name in moves]
 
     return CompressionPlan(
         encoded=encoded,
@@ -277,31 +262,30 @@ def _apply_extraction(prog: Program, target: Term, name: str) -> Program:
     return Program.of_items(new_items)
 
 
-def _extract_with_trace(prog: Program, cfg: MdlConfig) -> tuple[Program, list[str]]:
+def _extract_with_trace(prog: Program, tokens: int) -> tuple[Program, list[str], int]:
+    """Extraction moves from `prog`, whose GAEL token count is `tokens`:
+    the extracted program, its new names and its token count."""
     moves: list[str] = []
     while True:
-        tokens_now = _program_length(prog, cfg)
         counts = _collect_counts(prog)
         candidates = [
             (term, count) for term, count in counts.items() if count >= 2
         ]
         candidates.sort(key=lambda tc: (-tc[1], -term_size(tc[0]), gael_print(tc[0])))
-        applied = False
         for term, _count in candidates:
             name = _fresh_def_name(prog)
             replaced = _apply_extraction(prog, term, name)
-            if _program_length(replaced, cfg) < tokens_now:
-                prog = replaced
+            replaced_tokens = _program_length(replaced)
+            if replaced_tokens < tokens:
+                prog, tokens = replaced, replaced_tokens
                 moves.append(name)
-                applied = True
                 break
-        if not applied:
-            return prog, moves
+        else:
+            return prog, moves, tokens
 
 
 def extract_common_subterms(prog: Program, cfg: MdlConfig = MdlConfig()) -> Program:
     """Extract repeated subterms while each move strictly shrinks tokens."""
     if not cfg.extraction_enabled:
         return prog
-    extracted, _ = _extract_with_trace(prog, cfg)
-    return extracted
+    return _extract_with_trace(prog, _program_length(prog))[0]

@@ -1,9 +1,9 @@
 """Token counting, compression rate, and compressor-based density.
 
-Token classes are lexical, deliberately independent of any model
-tokenizer: one token per punctuation mark; identifiers, integers,
-combinators, and primitives count one each; whitespace and comments
-never count.
+Tokens are the lexer's (`lambda_ir.Token`), deliberately independent
+of any model tokenizer: one token per punctuation mark; identifiers,
+integers, combinators, primitives and keywords count one each;
+whitespace and comments never count.
 
 The information-content proxy is raw DEFLATE (RFC 1951) at maximum
 effort with no container framing, measured in output bytes.  The
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from . import lambda_ir
@@ -30,58 +29,17 @@ class LexError(Exception):
         self.offset = offset
 
 
-class TokenClass(Enum):
-    IDENTIFIER = "identifier"
-    INTEGER = "integer"
-    COMBINATOR = "combinator"
-    PRIMITIVE = "primitive"
-    PUNCT = "punct"
-    KEYWORD = "keyword"
-
-
-@dataclass(frozen=True)
-class Token:
-    cls: TokenClass
-    lexeme: str
-
-
-@dataclass(frozen=True)
-class TokenSeq:
-    tokens: tuple[Token, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
-    def lexemes(self) -> list[str]:
-        return [t.lexeme for t in self.tokens]
-
-    def rejoin(self) -> str:
-        return " ".join(self.lexemes())
-
-
-_TOKEN_CLASSES = {
-    "ident": TokenClass.IDENTIFIER,
-    "int": TokenClass.INTEGER,
-    "comb": TokenClass.COMBINATOR,
-    "prim": TokenClass.PRIMITIVE,
-    "punct": TokenClass.PUNCT,
-    "keyword": TokenClass.KEYWORD,
-}
-
-
-def tokenize(source: str, dialect: str = "source") -> TokenSeq:
-    """Lex `source` under the named dialect ("source" or "gael")."""
+def tokenize(source: str, dialect: str = "source") -> list[lambda_ir.Token]:
+    """The lexer's tokens of `source` in the named dialect ("source" or "gael")."""
     try:
-        toks = lambda_ir._lex(source, dialect)
+        return lambda_ir._lex(source, dialect)
     except lambda_ir.ParseError as exc:
         line_start = sum(len(line) + 1 for line in source.split("\n")[: exc.line - 1])
         raise LexError(exc.message, line_start + exc.column - 1) from None
-    return TokenSeq(tokens=tuple(Token(_TOKEN_CLASSES[tok.kind], tok.text) for tok in toks))
 
 
 def token_count(source: str, dialect: str = "source") -> int:
-    return tokenize(source, dialect).length
+    return len(tokenize(source, dialect))
 
 
 def compression_rate(s_tokens: int, p_tokens: int) -> Fraction:
@@ -130,8 +88,8 @@ def symbolic_density(data: bytes, c: float = DEFAULT_BOUND_CONSTANT) -> DensityR
     """
     if not data:
         raise ValueError("empty input")
-    if c < 0:
-        raise ValueError("bound constant must be nonnegative")
+    if not 0 <= c < math.inf:
+        raise ValueError("bound constant must be finite and nonnegative")
     n = len(data)
     k = approx_kolmogorov(data)
     slack = k - (n - c * math.log2(n))

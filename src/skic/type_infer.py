@@ -73,10 +73,9 @@ NUMERIC_TAGS = (TypeTag.INT, TypeTag.REAL)
 
 @dataclass
 class ContextEnv:
-    """Known name types plus the usage sites the last extraction saw."""
+    """Known name types."""
 
     bindings: dict[str, TypeTag] = field(default_factory=dict)
-    usage_sites: list[tuple] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,6 @@ class _Extractor:
         self.variables: list[str] = []
         self.groups: dict[tuple, list[str]] = {}
         self.factors: list[Factor] = []
-        self.sites: list[tuple] = []
         self.lam_counter = 0
 
     def walk(self, t: Term, binders: tuple[tuple[str, int], ...]) -> None:
@@ -208,7 +206,6 @@ class _Extractor:
             cond = operand_slots[0]
             if cond is not None and cond.var is not None:
                 self.factors.append(Factor("bool_cond", (cond.var,), COND_FACTOR_WEIGHT))
-                self.sites.append(("bool_cond", (cond.var,)))
 
     def _agreement_factor(self, kind: str, slots: list[Optional[_Slot]], weight: float) -> None:
         present = [s for s in slots if s is not None]
@@ -219,28 +216,23 @@ class _Extractor:
         if kind == "agree" and len(clique) + len(fixed) < 2:
             return  # single-operand agreement is vacuous
         self.factors.append(Factor(kind, clique, weight, fixed))
-        self.sites.append((kind, clique, fixed))
 
     def finish(self) -> None:
         for key in self.groups:
             members = self.groups[key]
             for a, b in zip(members, members[1:]):
                 self.factors.append(Factor("binding", (a, b), BINDING_FACTOR_WEIGHT))
-                self.sites.append(("binding", (a, b)))
 
 
 def build_constraints(t: Term, env: Optional[ContextEnv] = None) -> tuple[list[str], ConstraintSet]:
     """Extract inference variables and factors from a term.
 
     Variables are named `<display>@<leaf-index>` in left-to-right leaf
-    order.  The environment's usage_sites list is replaced with the
-    seeds this extraction produced.
+    order.
     """
-    env = env if env is not None else ContextEnv()
-    ex = _Extractor(env)
+    ex = _Extractor(env if env is not None else ContextEnv())
     ex.walk(t, ())
     ex.finish()
-    env.usage_sites = list(ex.sites)
     return ex.variables, ConstraintSet(factors=tuple(ex.factors))
 
 

@@ -214,11 +214,11 @@ def test_c08_explanation_round_trip():
     report = None
     for path in sorted(CORPUS_DIR.glob("*.lam")):
         result = CP.run_pipeline(path.read_text(), program_id=path.stem)
-        for _, body in result.encoded.defs:
+        for _, body in result.plan.encoded.defs:
             assert parse_explanation(explain_term(body)) == body
             count += 1
-        if result.encoded.main is not None:
-            assert parse_explanation(explain_term(result.encoded.main)) == result.encoded.main
+        if result.plan.encoded.main is not None:
+            assert parse_explanation(explain_term(result.plan.encoded.main)) == result.plan.encoded.main
             count += 1
     rng = random.Random(888)
     for _ in range(200):

@@ -33,7 +33,7 @@ def test_identity_program_report():
 def test_add2_fixture_end_to_end():
     res = CP.run_pipeline("add2 := \\x. #add x 2;\nadd2 5")
     assert res.report.equivalence == "equal"
-    main = SK.inline_ski_defs(res.encoded)[None]
+    main = SK.inline_ski_defs(res.plan.encoded)[None]
     assert SK.ski_reduce(main) == L.IntLit(7)
     # the decoded lambda rendering reduces to 7 as well
     decoded = L.parse_program(res.lambda_text)
@@ -225,23 +225,40 @@ def test_cli_compress_probe_edge_cases(tmp_path, capsys, source, verdict):
     assert capsys.readouterr().err.splitlines() == (warnings if verdict == "unknown" else [])
 
 
+C_ERROR = "density bound constant must be finite and nonnegative"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["corpus", "{dir}", "--fuel", "-1"], "fuel must be nonnegative"),
     (["corpus", "{dir}", "--probes", "-1"], "probe tuple count must be nonnegative"),
-    (["corpus", "{dir}", "--c", "-1"], "density bound constant must be nonnegative"),
+    (["corpus", "{dir}", "--c", "-1"], C_ERROR),
     (["compress", "{dir}/prog.lam", "--fuel", "-1"], "fuel must be nonnegative"),
     (["compress", "{dir}/prog.lam", "--probes", "-1"], "probe tuple count must be nonnegative"),
-    (["compress", "{dir}/prog.lam", "--c", "-1"], "density bound constant must be nonnegative"),
+    (["compress", "{dir}/prog.lam", "--c", "-1"], C_ERROR),
     (["compress", "{dir}/prog.lam", "--emit", "gael,bogus"], "unknown emit target 'bogus'"),
+    (["corpus", "{dir}", "--c", "nan"], C_ERROR),
+    (["corpus", "{dir}", "--c", "inf"], C_ERROR),
+    (["compress", "{dir}/prog.lam", "--c", "nan"], C_ERROR),
+    (["compress", "{dir}/prog.lam", "--c", "inf"], C_ERROR),
+    (["density", "{dir}/prog.lam", "--c", "nan"], "bound constant must be finite and nonnegative"),
+    (["density", "{dir}/prog.lam", "--c", "inf"], "bound constant must be finite and nonnegative"),
 ])
 def test_cli_invalid_values_exit_1_before_compiling(tmp_path, capsys, argv, message):
     (tmp_path / "prog.lam").write_text("inc := \\x. #add x 1;\ninc 3")
     report_file = tmp_path / "report.json"
-    argv = [arg.format(dir=tmp_path) for arg in argv] + ["--report", str(report_file)]
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    if argv[0] != "density":  # density has no --report
+        argv += ["--report", str(report_file)]
     assert CP.main(argv) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"skic: error: {message}\n")
     assert not report_file.exists()
+
+
+@pytest.mark.parametrize("command", ["compress", "corpus"])
+def test_cli_defaults_are_mdl_config_defaults(command):
+    args = CP._build_parser().parse_args([command, "x.lam"])
+    assert CP._config_from_args(args) == MdlConfig()
 
 
 def test_cli_compress_missing_file_exit_1(tmp_path, capsys):

@@ -79,23 +79,20 @@ def test_config_validation():
         MdlConfig(beam_width=0)
     with pytest.raises(ValueError):
         MdlConfig(rule_sets=())
-    with pytest.raises(ValueError):
-        MdlConfig(length_unit="furlongs")
 
 
-def test_objective_byte_unit():
+def test_objective_counts_gael_tokens():
     t = L.parse_term(r"\x.\y. #add x y")
     s = SK.bracket_abstract(t, RuleSet.ETA_OPTIMIZED)  # "#add": 4 bytes, 1 token
     assert MD.mdl_objective(s, t, MdlConfig(lambda_weight=1.0)) == 1
-    assert MD.mdl_objective(s, t, MdlConfig(lambda_weight=1.0, length_unit="bytes")) == 4
 
 
-def test_compress_byte_unit_plan_consistent():
+def test_compress_plan_objective_decomposes():
     prog = L.parse_program("add2 := \\x. #add x 2;\nadd2 5")
-    cfg = MdlConfig(length_unit="bytes")
+    cfg = MdlConfig()
     plan = MD.compress_program(prog, cfg)
     text = SK.gael_print_program(plan.encoded)
-    assert plan.token_length == len(text.encode("utf-8"))
+    assert plan.token_length == M.token_count(text, "gael")
     recomputed = cfg.lambda_weight * plan.token_length + (1 - cfg.lambda_weight) * plan.distance
     assert abs(plan.objective - recomputed) < 1e-12
 

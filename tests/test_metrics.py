@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skic import metrics as M
-from skic.metrics import TokenClass
 
 # Golden values from the pinned reference compressor (raw DEFLATE,
 # level 9) and the pinned SplitMix64 fixture stream.
@@ -20,43 +19,34 @@ GOLDEN_SPLITMIX_FIRST = 6750856300299513006
 
 
 def test_tokenize_source_example():
-    seq = M.tokenize(r"\x. #add x 1")
-    assert seq.lexemes() == ["\\", "x", ".", "#add", "x", "1"]
-    assert seq.length == 6
+    toks = M.tokenize(r"\x. #add x 1")
+    assert [t.text for t in toks] == ["\\", "x", ".", "#add", "x", "1"]
+    assert len(toks) == M.token_count(r"\x. #add x 1") == 6
 
 
 def test_tokenize_gael_example():
-    assert M.tokenize("S (K I)", "gael").length == 5
+    assert M.token_count("S (K I)", "gael") == 5
 
 
 def test_tokenize_empty():
-    assert M.tokenize("").length == 0
+    assert M.tokenize("") == []
 
 
 def test_tokenize_classes():
-    seq = M.tokenize("f := #add 1 true; -- note\nf 2", "source")
-    classes = [t.cls for t in seq.tokens]
-    assert classes == [
-        TokenClass.IDENTIFIER,
-        TokenClass.PUNCT,
-        TokenClass.PRIMITIVE,
-        TokenClass.INTEGER,
-        TokenClass.KEYWORD,
-        TokenClass.PUNCT,
-        TokenClass.IDENTIFIER,
-        TokenClass.INTEGER,
-    ]
+    toks = M.tokenize("f := #add 1 true; -- note\nf 2", "source")
+    kinds = [t.kind for t in toks]
+    assert kinds == ["ident", "punct", "prim", "int", "keyword", "punct", "ident", "int"]
 
 
 def test_tokenize_combinators_only_in_gael():
-    assert M.tokenize("S K I", "gael").tokens[0].cls == TokenClass.COMBINATOR
+    assert M.tokenize("S K I", "gael")[0].kind == "comb"
     with pytest.raises(M.LexError):
         M.tokenize("S K I", "source")
 
 
 def test_tokenize_negative_integer_one_token():
-    seq = M.tokenize("#sub 5 -2")
-    assert seq.lexemes() == ["#sub", "5", "-2"]
+    toks = M.tokenize("#sub 5 -2")
+    assert [t.text for t in toks] == ["#sub", "5", "-2"]
 
 
 def test_lex_error_offset():
@@ -85,10 +75,9 @@ def test_tokenizer_idempotent_on_rejoin():
         ("source", "f := \\x. #add x -2;\nf true"),
         ("gael", "q0 := S (K #addZ) I;\nq0 3 false"),
     ]:
-        seq = M.tokenize(text, dialect)
-        again = M.tokenize(seq.rejoin(), dialect)
-        assert [t.cls for t in again.tokens] == [t.cls for t in seq.tokens]
-        assert again.lexemes() == seq.lexemes()
+        toks = M.tokenize(text, dialect)
+        again = M.tokenize(" ".join(t.text for t in toks), dialect)
+        assert [(t.kind, t.text) for t in again] == [(t.kind, t.text) for t in toks]
 
 
 def test_tokenizer_deterministic():
@@ -188,3 +177,9 @@ def test_density_monotone_under_self_concat():
 def test_density_allows_rho_above_one():
     rep = M.symbolic_density(M.prng_bytes(42, 4096))
     assert rep.rho > 1  # header overhead on incompressible input; not clamped
+
+
+@pytest.mark.parametrize("c", [-1.0, float("nan"), float("inf")])
+def test_density_rejects_non_finite_or_negative_c(c):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        M.symbolic_density(b"abc", c=c)

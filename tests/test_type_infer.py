@@ -84,9 +84,10 @@ def test_env_binding_bakes_fixed_tag():
 
 
 def test_usage_sites_recorded():
-    env = TI.ContextEnv()
-    TI.build_constraints(p("#if x 1 2"), env)
-    assert any(site[0] == "bool_cond" for site in env.usage_sites)
+    variables, cs = TI.build_constraints(p("#if x 1 2"), TI.ContextEnv())
+    assert [f for f in cs.factors if f.kind == "bool_cond"] == [
+        TI.Factor("bool_cond", (variables[0],), TI.COND_FACTOR_WEIGHT)
+    ]
 
 
 # --- energy ------------------------------------------------------------------------
