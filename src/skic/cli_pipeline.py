@@ -295,32 +295,19 @@ def run_corpus(
             reports.append(result.report)
         except Exception as exc:  # record and continue the sweep
             errors.append((program_id, f"{type(exc).__name__}: {exc}"))
+
+    def mean(values: list) -> float:
+        return float(sum(values, Fraction(0)) / len(values)) if values else 0.0
+
     crs = [r.cr for r in reports]
-    mean_cr = float(sum(crs, Fraction(0)) / len(crs)) if crs else 0.0
-    median_cr = float(statistics.median(crs)) if crs else 0.0
-    pass_rate = (
-        sum(1 for r in reports if r.equivalence == "equal") / len(reports)
-        if reports
-        else 0.0
-    )
-    mean_rho_src = (
-        float(sum((r.density_source.rho for r in reports), Fraction(0)) / len(reports))
-        if reports
-        else 0.0
-    )
-    mean_rho_gael = (
-        float(sum((r.density_gael.rho for r in reports), Fraction(0)) / len(reports))
-        if reports
-        else 0.0
-    )
     return CorpusReport(
         reports=tuple(reports),
         errors=tuple(errors),
-        mean_cr=mean_cr,
-        median_cr=median_cr,
-        equivalence_pass_rate=pass_rate,
-        mean_rho_source=mean_rho_src,
-        mean_rho_gael=mean_rho_gael,
+        mean_cr=mean(crs),
+        median_cr=float(statistics.median(crs)) if crs else 0.0,
+        equivalence_pass_rate=mean([int(r.equivalence == "equal") for r in reports]),
+        mean_rho_source=mean([r.density_source.rho for r in reports]),
+        mean_rho_gael=mean([r.density_gael.rho for r in reports]),
     )
 
 
@@ -357,11 +344,10 @@ def _config_from_args(args: argparse.Namespace) -> MdlConfig:
         rule_sets = tuple(chosen)
     if not 0 <= args.density_c < math.inf:
         raise ValueError("density bound constant must be finite and nonnegative")
-    probe_config = ski_core.ProbeConfig(arity=0, max_tuples=args.probes)
     return MdlConfig(
         lambda_weight=args.lambda_weight,
         beam_width=args.beam,
-        probe_config=probe_config,
+        max_probes=args.probes,
         rule_sets=rule_sets,
         extraction_enabled=not args.no_extract,
         fuel=args.fuel,
@@ -379,8 +365,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                         help="comma list of rule sets to search: naive,i,eta (default all)")
     parser.add_argument("--fuel", type=int, default=defaults.fuel,
                         help="reduction step budget (default %(default)s)")
-    parser.add_argument("--probes", type=int, default=defaults.probe_config.max_tuples,
-                        help="max probe tuples per equivalence check (default %(default)s)")
+    parser.add_argument("--probes", type=int, default=defaults.max_probes,
+                        help="max probe tuples per equivalence check, at least 1 (default %(default)s)")
     parser.add_argument("--no-extract", action="store_true",
                         help="disable common-subterm extraction")
     parser.add_argument("--report", default="", help="write a JSON report to this path")

@@ -22,6 +22,7 @@ signed range.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -483,6 +484,13 @@ def _check_range(op: str, value: int) -> int:
     return value
 
 
+# the two-operand primitives on integer literals; `eq` gives a BoolLit
+_BINARY = {
+    "add": operator.add, "addZ": operator.add, "addR": operator.add,
+    "sub": operator.sub, "mul": operator.mul, "eq": operator.eq,
+}
+
+
 def _delta(op: str, args: list[Term], fuel: Fuel) -> Optional[tuple[Term, list[Term]]]:
     """Try a primitive step on a spine head `#op args...`.
 
@@ -490,26 +498,14 @@ def _delta(op: str, args: list[Term], fuel: Fuel) -> Optional[tuple[Term, list[T
     fire.  Operands are brought to WHNF first; non-literal operands
     leave the application stuck.
     """
-    if op in ARITH_OPS and len(args) >= 2:
+    if op in _BINARY and len(args) >= 2:
         a = _whnf(args[0], fuel)
         b = _whnf(args[1], fuel)
         args[0], args[1] = a, b
         if isinstance(a, IntLit) and isinstance(b, IntLit):
             fuel.spend()
-            if op in ("add", "addZ", "addR"):
-                v = a.value + b.value
-            elif op == "sub":
-                v = a.value - b.value
-            else:
-                v = a.value * b.value
-            return IntLit(_check_range(op, v)), args[2:]
-    elif op == "eq" and len(args) >= 2:
-        a = _whnf(args[0], fuel)
-        b = _whnf(args[1], fuel)
-        args[0], args[1] = a, b
-        if isinstance(a, IntLit) and isinstance(b, IntLit):
-            fuel.spend()
-            return BoolLit(a.value == b.value), args[2:]
+            v = _BINARY[op](a.value, b.value)
+            return (BoolLit(v) if op == "eq" else IntLit(_check_range(op, v))), args[2:]
     elif op == "if" and len(args) >= 3:
         c = _whnf(args[0], fuel)
         args[0] = c
@@ -555,15 +551,6 @@ def _normalize(t: Term, fuel: Fuel) -> Term:
     return apply_spine(head, *(_normalize(a, fuel) for a in args))
 
 
-def beta_reduce(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    """Normal-order reduction with combinator and primitive delta rules.
-
-    Returns the beta-delta normal form; raises FuelExhausted when the
-    step budget runs out first.
-    """
-    return _normalize(t, Fuel(fuel))
-
-
 def is_normal_form(t: Term) -> bool:
     """Scan for any remaining beta, combinator or delta redex."""
     if isinstance(t, Lam):
@@ -574,7 +561,7 @@ def is_normal_form(t: Term) -> bool:
     if isinstance(head, Comb) and len(args) >= _COMB_ARITY[head.name]:
         return False
     if isinstance(head, Prim):
-        if head.op in ARITH_OPS or head.op == "eq":
+        if head.op in _BINARY:
             if len(args) >= 2 and isinstance(args[0], IntLit) and isinstance(args[1], IntLit):
                 return False
         elif head.op == "if":

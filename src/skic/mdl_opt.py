@@ -14,7 +14,7 @@ accepted only when they strictly shrink the GAEL token count.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import lambda_ir, metrics, ski_core
@@ -30,7 +30,7 @@ ALL_RULE_SETS = (RuleSet.NAIVE, RuleSet.WITH_I, RuleSet.ETA_OPTIMIZED)
 class MdlConfig:
     lambda_weight: float = 0.99
     beam_width: int = 8
-    probe_config: ProbeConfig = ProbeConfig(arity=0)
+    max_probes: int = 216
     rule_sets: tuple[RuleSet, ...] = ALL_RULE_SETS
     extraction_enabled: bool = True
     fuel: int = DEFAULT_FUEL
@@ -44,9 +44,11 @@ class MdlConfig:
             raise ValueError("rule_sets must be nonempty")
         if self.fuel < 0:
             raise ValueError("fuel must be nonnegative")
+        if self.max_probes < 1:
+            raise ValueError("probe tuple count must be positive")
 
     def probes_for_arity(self, arity: int) -> ProbeConfig:
-        return replace(self.probe_config, arity=arity)
+        return ProbeConfig(arity, max_tuples=self.max_probes)
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,10 @@ def semantic_distance(
 ) -> float:
     """Fraction of probe tuples where reduced outputs differ.
 
-    Fuel-exhausted probes contribute 0.5; an empty probe set yields 0
-    (vacuous agreement).
+    Fuel-exhausted probes contribute 0.5.
     """
     penalties = [_PENALTY[agree] for _, agree in ski_core.probe_outcomes(p, s, probes, fuel)]
-    return sum(penalties) / len(penalties) if penalties else 0.0
+    return sum(penalties) / len(penalties)
 
 
 def _objective(cfg: MdlConfig, length: int, dist: float) -> float:
@@ -200,11 +201,6 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
     )
 
 
-def compress_term(p: Term, cfg: MdlConfig = MdlConfig()) -> CompressionPlan:
-    """Compress a single closed term (a one-item program)."""
-    return compress_program(Program(defs=(), main=p), cfg)
-
-
 # --- common-subterm extraction ---------------------------------------------
 
 
@@ -272,8 +268,8 @@ def _extract_with_trace(prog: Program, tokens: int) -> tuple[Program, list[str],
             (term, count) for term, count in counts.items() if count >= 2
         ]
         candidates.sort(key=lambda tc: (-tc[1], -term_size(tc[0]), gael_print(tc[0])))
+        name = _fresh_def_name(prog)
         for term, _count in candidates:
-            name = _fresh_def_name(prog)
             replaced = _apply_extraction(prog, term, name)
             replaced_tokens = _program_length(replaced)
             if replaced_tokens < tokens:

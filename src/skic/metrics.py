@@ -23,19 +23,10 @@ from . import lambda_ir
 DEFAULT_BOUND_CONSTANT = 16.0
 
 
-class LexError(Exception):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"offset {offset}: {message}")
-        self.offset = offset
-
-
 def tokenize(source: str, dialect: str = "source") -> list[lambda_ir.Token]:
-    """The lexer's tokens of `source` in the named dialect ("source" or "gael")."""
-    try:
-        return lambda_ir._lex(source, dialect)
-    except lambda_ir.ParseError as exc:
-        line_start = sum(len(line) + 1 for line in source.split("\n")[: exc.line - 1])
-        raise LexError(exc.message, line_start + exc.column - 1) from None
+    """The lexer's tokens of `source` in the named dialect ("source" or "gael");
+    a character outside the dialect raises the lexer's `ParseError` (line:col)."""
+    return lambda_ir._lex(source, dialect)
 
 
 def token_count(source: str, dialect: str = "source") -> int:

@@ -30,7 +30,6 @@ from .lambda_ir import (
     IntLit,
     K,
     Lam,
-    ParseError,
     Program,
     S,
     Term,
@@ -148,7 +147,7 @@ class ProbeConfig:
     """Finite probe set: integer tuples of a fixed arity.
 
     The tuple set is the Cartesian product of `values`, arity-fold,
-    truncated to `max_tuples` in lexicographic order.
+    truncated to `max_tuples` in lexicographic order; it is never empty.
     """
 
     arity: int
@@ -158,19 +157,14 @@ class ProbeConfig:
     def __post_init__(self):
         if self.arity < 0:
             raise ValueError("probe arity must be nonnegative")
-        if self.max_tuples < 0:
-            raise ValueError("probe tuple count must be nonnegative")
+        if self.max_tuples < 1 or not self.values:
+            raise ValueError("probe tuple count must be positive")
 
     def tuples(self) -> list[tuple[int, ...]]:
         if self.arity == 0:
             return [()]
         product = itertools.product(self.values, repeat=self.arity)
         return list(itertools.islice(product, self.max_tuples))
-
-
-def probe_config_for(t: Term, **kwargs) -> ProbeConfig:
-    """Arity inferred from the term's leading lambda count (0 for SKI)."""
-    return ProbeConfig(arity=lambda_ir.leading_lambda_count(t), **kwargs)
 
 
 class Verdict(Enum):
@@ -264,13 +258,6 @@ def gael_print_program(prog: Program) -> str:
 def parse_gael_program(source: str) -> Program:
     """Parse GAEL text into a Program; every identifier is a free reference."""
     return lambda_ir._Parser(lambda_ir._lex(source, "gael"), allow_free=True).parse_program()
-
-
-def parse_gael_term(source: str) -> Term:
-    prog = parse_gael_program(source)
-    if prog.defs or prog.main is None:
-        raise ParseError("expected a single GAEL term", 1, 1)
-    return prog.main
 
 
 def substitute_free(t: Term, name: str, value: Term) -> Term:

@@ -64,9 +64,6 @@ class TypeTag(Enum):
     BOOL = 2
     FUNC = 3
 
-    def __lt__(self, other: "TypeTag") -> bool:
-        return self.value < other.value
-
 
 NUMERIC_TAGS = (TypeTag.INT, TypeTag.REAL)
 
@@ -236,13 +233,6 @@ def build_constraints(t: Term, env: Optional[ContextEnv] = None) -> tuple[list[s
     return ex.variables, ConstraintSet(factors=tuple(ex.factors))
 
 
-def leaf_slots(t: Term, env: Optional[ContextEnv] = None) -> list[_Slot]:
-    """Per-leaf resolution in the same traversal order build_constraints uses."""
-    ex = _Extractor(env if env is not None else ContextEnv())
-    ex.walk(t, ())
-    return ex.leaf_slots
-
-
 # --- energy and posterior -------------------------------------------------
 
 
@@ -306,7 +296,9 @@ def specialize_operators(
     (arithmetic results, #eq results, same-tag conditional branches).
     Anything unresolved leaves the operator unchanged.
     """
-    slots = leaf_slots(t, env)
+    ex = _Extractor(env if env is not None else ContextEnv())
+    ex.walk(t, ())
+    slots = ex.leaf_slots
     counter = itertools.count()
 
     def resolve(idx: int) -> Optional[TypeTag]:

@@ -72,7 +72,7 @@ def gen_normalizing_term(rng: random.Random, max_depth: int = 6, fuel: int = 500
     while True:
         t = gen_closed_term(rng, max_depth)
         try:
-            L.beta_reduce(t, fuel)
+            SK.ski_reduce(t, fuel)
         except (L.FuelExhausted, L.EvalError):
             continue
         return t

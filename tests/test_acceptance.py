@@ -105,7 +105,7 @@ def test_c04_encode_round_trip_500_terms():
     unknowns: list[tuple[L.Term, RuleSet]] = []
     for _ in range(500):
         t = gen_normalizing_term(rng, max_depth=6)
-        probes = SK.probe_config_for(t)
+        probes = ProbeConfig(arity=L.leading_lambda_count(t))
         for rules in MD.ALL_RULE_SETS:
             encoded = SK.bracket_abstract(t, rules)
             res = SK.behavioral_equal(encoded, t, probes, fuel)
@@ -116,7 +116,7 @@ def test_c04_encode_round_trip_500_terms():
     assert len(unknowns) <= 0.01 * 1500
     for t, rules in unknowns:  # rerun with 10x fuel to resolution
         res = SK.behavioral_equal(
-            SK.bracket_abstract(t, rules), t, SK.probe_config_for(t), fuel * 10
+            SK.bracket_abstract(t, rules), t, ProbeConfig(arity=L.leading_lambda_count(t)), fuel * 10
         )
         assert res.verdict is Verdict.EQUAL, (L.pretty_print(t), rules)
     _report(

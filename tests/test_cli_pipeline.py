@@ -37,7 +37,7 @@ def test_add2_fixture_end_to_end():
     assert SK.ski_reduce(main) == L.IntLit(7)
     # the decoded lambda rendering reduces to 7 as well
     decoded = L.parse_program(res.lambda_text)
-    assert L.beta_reduce(SK.inline_ski_defs(decoded)[None]) == L.IntLit(7)
+    assert SK.ski_reduce(SK.inline_ski_defs(decoded)[None]) == L.IntLit(7)
 
 
 def test_pipeline_specializes_addition():
@@ -230,10 +230,10 @@ C_ERROR = "density bound constant must be finite and nonnegative"
 
 @pytest.mark.parametrize("argv, message", [
     (["corpus", "{dir}", "--fuel", "-1"], "fuel must be nonnegative"),
-    (["corpus", "{dir}", "--probes", "-1"], "probe tuple count must be nonnegative"),
+    (["corpus", "{dir}", "--probes", "-1"], "probe tuple count must be positive"),
     (["corpus", "{dir}", "--c", "-1"], C_ERROR),
     (["compress", "{dir}/prog.lam", "--fuel", "-1"], "fuel must be nonnegative"),
-    (["compress", "{dir}/prog.lam", "--probes", "-1"], "probe tuple count must be nonnegative"),
+    (["compress", "{dir}/prog.lam", "--probes", "-1"], "probe tuple count must be positive"),
     (["compress", "{dir}/prog.lam", "--c", "-1"], C_ERROR),
     (["compress", "{dir}/prog.lam", "--emit", "gael,bogus"], "unknown emit target 'bogus'"),
     (["corpus", "{dir}", "--c", "nan"], C_ERROR),
@@ -242,6 +242,8 @@ C_ERROR = "density bound constant must be finite and nonnegative"
     (["compress", "{dir}/prog.lam", "--c", "inf"], C_ERROR),
     (["density", "{dir}/prog.lam", "--c", "nan"], "bound constant must be finite and nonnegative"),
     (["density", "{dir}/prog.lam", "--c", "inf"], "bound constant must be finite and nonnegative"),
+    (["compress", "{dir}/prog.lam", "--probes", "0"], "probe tuple count must be positive"),
+    (["corpus", "{dir}", "--probes", "0"], "probe tuple count must be positive"),
 ])
 def test_cli_invalid_values_exit_1_before_compiling(tmp_path, capsys, argv, message):
     (tmp_path / "prog.lam").write_text("inc := \\x. #add x 1;\ninc 3")
@@ -364,7 +366,7 @@ def test_cli_bad_rules_flag(tmp_path, capsys):
 
 
 def test_config_from_probes_flag(tmp_path):
-    cfg = MdlConfig(probe_config=SK.ProbeConfig(arity=0, max_tuples=10))
+    cfg = MdlConfig(max_probes=10)
     assert len(cfg.probes_for_arity(2).tuples()) == 10
 
 
@@ -400,8 +402,11 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_import_skic_leaves_numpy_unloaded():
-    done = _python("-c", "import sys, skic; print('numpy' in sys.modules)")
-    assert (done.returncode, done.stdout) == (0, "False\n")
+    # the package root loads only what `parse_gael_program` needs
+    code = ("import sys, skic; print([m in sys.modules for m in ('numpy', 'skic.cli_pipeline', 'argparse')],"
+            " callable(skic.parse_gael_program))")
+    done = _python("-c", code)
+    assert (done.returncode, done.stdout) == (0, "[False, False, False] True\n")
 
 
 def test_python_m_skic_runs_the_cli(tmp_path):

@@ -10,7 +10,7 @@ from conftest import gen_ski_term
 
 
 def g(src: str) -> L.Term:
-    return SK.parse_gael_term(src)
+    return SK.parse_gael_program(src).main
 
 
 def test_atom_sentences():

@@ -83,16 +83,16 @@ def test_parse_integer_literal_range():
 
 
 def test_beta_identity_application():
-    assert L.beta_reduce(p(r"(\x. x) 5")) == L.IntLit(5)
+    assert SK.ski_reduce(p(r"(\x. x) 5")) == L.IntLit(5)
 
 
 def test_beta_add_delta():
-    assert L.beta_reduce(p(r"(\x.\y. #add x y) 2 3")) == L.IntLit(5)
+    assert SK.ski_reduce(p(r"(\x.\y. #add x y) 2 3")) == L.IntLit(5)
 
 
 def test_omega_exhausts_fuel():
     with pytest.raises(L.FuelExhausted):
-        L.beta_reduce(p(r"(\x. x x)(\x. x x)"), fuel=1000)
+        SK.ski_reduce(p(r"(\x. x x)(\x. x x)"), fuel=1000)
 
 
 @pytest.mark.parametrize(
@@ -109,23 +109,26 @@ def test_omega_exhausts_fuel():
     ],
 )
 def test_delta_rules(src, expected):
-    assert L.beta_reduce(p(src)) == expected
+    assert SK.ski_reduce(p(src)) == expected
 
 
 def test_if_leaves_branches_unevaluated():
     # the untaken branch diverges; normal order must not touch it
     src = r"#if true 7 ((\x. x x)(\x. x x))"
-    assert L.beta_reduce(p(src), fuel=100) == L.IntLit(7)
+    assert SK.ski_reduce(p(src), fuel=100) == L.IntLit(7)
 
 
-def test_arithmetic_overflow_is_an_error():
-    big = 2**62
-    with pytest.raises(L.EvalOverflowError):
-        L.beta_reduce(p(f"#mul {big} 4"))
+@pytest.mark.parametrize("src", [
+    f"#add {L.INT64_MAX} 1", f"#addZ {L.INT64_MAX} 1", f"#sub {L.INT64_MIN} 1", f"#mul {2**62} 4",
+])
+def test_arithmetic_overflow_is_an_error(src):
+    op = src.split()[0]
+    with pytest.raises(L.EvalOverflowError, match=f"^{op} result "):
+        SK.ski_reduce(p(src))
 
 
 def test_stuck_primitive_is_normal():
-    t = L.beta_reduce(p(r"(\x. #add x 1) true"))
+    t = SK.ski_reduce(p(r"(\x. #add x 1) true"))
     assert t == L.apply_spine(L.Prim("add"), L.BoolLit(True), L.IntLit(1))
     assert L.is_normal_form(t)
 
@@ -194,14 +197,14 @@ def test_normal_forms_have_no_redex():
     rng = random.Random(23)
     for _ in range(100):
         t = gen_normalizing_term(rng)
-        nf = L.beta_reduce(t)
+        nf = SK.ski_reduce(t)
         assert L.is_normal_form(nf)
 
 
 def test_capture_avoiding_substitution():
     # (\x.\y. x) y must not capture the free y
     t = L.App(p(r"\x.\y. x"), L.Var("y"))
-    nf = L.beta_reduce(t)
+    nf = SK.ski_reduce(t)
     assert isinstance(nf, L.Lam)
     assert nf.body == L.Var("y")
     assert nf.param != "y"
@@ -209,7 +212,7 @@ def test_capture_avoiding_substitution():
 
 def test_inline_main_substitutes_defs():
     prog = L.parse_program("one := 1;\ninc := \\x. #add x one;\ninc 4")
-    assert L.beta_reduce(SK.inline_ski_defs(prog)[None]) == L.IntLit(5)
+    assert SK.ski_reduce(SK.inline_ski_defs(prog)[None]) == L.IntLit(5)
 
 
 def test_eta_contract():

@@ -39,7 +39,7 @@ def test_distance_zero_for_encodings():
         t = gen_normalizing_term(rng, max_depth=4)
         for rules in MD.ALL_RULE_SETS:
             s = SK.bracket_abstract(t, rules)
-            assert MD.semantic_distance(t, s, SK.probe_config_for(t), fuel=50000) == 0.0
+            assert MD.semantic_distance(t, s, ProbeConfig(arity=L.leading_lambda_count(t)), fuel=50000) == 0.0
 
 
 def test_distance_positive_identity_vs_const():
@@ -48,9 +48,15 @@ def test_distance_positive_identity_vs_const():
     assert dist > 0.0
 
 
-def test_distance_zero_probes_vacuous():
-    t = L.parse_term(r"\x. x")
-    assert MD.semantic_distance(t, SK.K, ProbeConfig(arity=1, max_tuples=0)) == 0.0
+@pytest.mark.parametrize("make", [
+    lambda: ProbeConfig(arity=1, max_tuples=0),
+    lambda: ProbeConfig(arity=1, values=()),
+    lambda: MdlConfig(max_probes=0),
+], ids=["max_tuples", "values", "max_probes"])
+def test_zero_probes_rejected(make):
+    # an empty probe set would make every distance 0 and every verdict `equal`
+    with pytest.raises(ValueError, match="probe tuple count must be positive"):
+        make()
 
 
 # --- objective ----------------------------------------------------------------------
@@ -97,11 +103,11 @@ def test_compress_plan_objective_decomposes():
     assert abs(plan.objective - recomputed) < 1e-12
 
 
-# --- compress_term -------------------------------------------------------------------
+# --- one-term programs -----------------------------------------------------------
 
 
 def test_compress_identity():
-    plan = MD.compress_term(L.parse_term(r"\x. x"))
+    plan = MD.compress_program(L.Program((), L.parse_term(r"\x. x")))
     assert plan.encoded == L.Program((), SK.I)
     assert plan.token_length == 1
     assert plan.distance == 0.0
@@ -212,7 +218,7 @@ def test_lambda_sweep_token_length_non_increasing():
 
 
 def _ski(src: str) -> L.Term:
-    return SK.parse_gael_term(src)
+    return SK.parse_gael_program(src).main
 
 
 def test_extraction_three_occurrences_arithmetic():

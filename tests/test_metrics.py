@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skic import lambda_ir as L
 from skic import metrics as M
 
 # Golden values from the pinned reference compressor (raw DEFLATE,
@@ -40,7 +41,7 @@ def test_tokenize_classes():
 
 def test_tokenize_combinators_only_in_gael():
     assert M.tokenize("S K I", "gael")[0].kind == "comb"
-    with pytest.raises(M.LexError):
+    with pytest.raises(L.ParseError):
         M.tokenize("S K I", "source")
 
 
@@ -50,24 +51,25 @@ def test_tokenize_negative_integer_one_token():
 
 
 def test_lex_error_offset():
-    with pytest.raises(M.LexError) as exc:
+    with pytest.raises(L.ParseError) as exc:
         M.tokenize("ab ?")
-    assert exc.value.offset == 3
+    assert (exc.value.line, exc.value.column) == (1, 4)
 
 
 def test_lex_error_offset_counts_earlier_lines():
-    with pytest.raises(M.LexError) as exc:
+    with pytest.raises(L.ParseError) as exc:
         M.tokenize("ab -- c\n  #", "gael")
-    assert exc.value.offset == 10
-    assert str(exc.value) == "offset 10: expected primitive name after '#'"
+    assert (exc.value.line, exc.value.column) == (2, 3)
+    assert str(exc.value) == "2:3: expected primitive name after '#'"
 
 
-@pytest.mark.parametrize("source,offset", [("#add 1 \u00b2", 7), ("caf\u00e9 := 1;\ncaf\u00e9", 3)])
+# `index` is the 0-based position of the rejected character on line 1
+@pytest.mark.parametrize("source,index", [("#add 1 \u00b2", 7), ("caf\u00e9 := 1;\ncaf\u00e9", 3)])
 @pytest.mark.parametrize("dialect", ["source", "gael"])
-def test_lex_error_offset_of_non_ascii(source, offset, dialect):
-    with pytest.raises(M.LexError) as exc:
+def test_lex_error_offset_of_non_ascii(source, index, dialect):
+    with pytest.raises(L.ParseError) as exc:
         M.tokenize(source, dialect)
-    assert exc.value.offset == offset
+    assert (exc.value.line, exc.value.column) == (1, index + 1)
 
 
 def test_tokenizer_idempotent_on_rejoin():

@@ -291,6 +291,6 @@ def test_specialization_preserves_behavior():
             continue
         assignment = TI.map_assignment(TI.posterior(cs, variables)) if variables else {}
         out = TI.specialize_operators(t, assignment)
-        res = SK.behavioral_equal(out, t, SK.probe_config_for(t), fuel=50000)
+        res = SK.behavioral_equal(out, t, SK.ProbeConfig(arity=L.leading_lambda_count(t)), fuel=50000)
         assert res.verdict is SK.Verdict.EQUAL
         checked += 1
