@@ -13,6 +13,8 @@ accepted only when they strictly shrink the GAEL token count.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -42,6 +44,8 @@ class MdlConfig:
             raise ValueError("beam_width must be at least 1")
         if not self.rule_sets:
             raise ValueError("rule_sets must be nonempty")
+        if len(set(self.rule_sets)) < len(self.rule_sets):
+            raise ValueError("rule_sets must not repeat")
         if self.fuel < 0:
             raise ValueError("fuel must be nonnegative")
         if self.max_probes < 1:
@@ -117,13 +121,6 @@ def _items_of(prog: Program) -> list[_Item]:
     ]
 
 
-def _encode_program(items: list[_Item], rules: tuple[RuleSet, ...]) -> Program:
-    return Program.of_items([
-        (item.name, ski_core.bracket_abstract(item.source, rs, constants=item.constants))
-        for item, rs in zip(items, rules)
-    ])
-
-
 def _program_length(prog: Program) -> int:
     return metrics.token_count(gael_print_program(prog), "gael")
 
@@ -144,47 +141,134 @@ def program_distance(source: Program, encoded: Program, cfg: MdlConfig) -> float
     return max((semantic_distance(p, s, probes, cfg.fuel) for p, s, probes in checks), default=0.0)
 
 
+@dataclass
+class _Candidate:
+    rules: tuple[RuleSet, ...]  # padded to every item
+    tokens: int
+    text: str
+    unprobed: list[tuple[RuleSet, ...]]  # its rule prefixes not probed yet, shortest first
+    known_max: float = 0.0  # the largest distance among its probed prefixes
+
+
+class _Search:
+    """What the candidates of one search share: each item's encoding per
+    rule set, and each probed rule prefix's closed item and distance.
+
+    A candidate's distance is the max over its rule prefixes.  While some
+    prefix is unprobed it lies in [largest known, 1], and since
+    `_objective` is monotone in the distance (in floating point too), so
+    does the candidate's objective between the two ends' objectives.
+    """
+
+    def __init__(self, items: list[_Item], cfg: MdlConfig):
+        self.items, self.cfg = items, cfg
+        self.encodings: dict[tuple[int, RuleSet], tuple[Term, str, int]] = {}
+        self.closings: dict[tuple[RuleSet, ...], Term] = {}
+        self.distances: dict[tuple[RuleSet, ...], float] = {}  # rule prefix -> its last item's distance
+
+    def encode(self, i: int, rs: RuleSet) -> tuple[Term, str, int]:
+        """Item i under `rs`: its term, its GAEL line and the line's tokens."""
+        if (i, rs) not in self.encodings:
+            item = self.items[i]
+            term = ski_core.bracket_abstract(item.source, rs, constants=item.constants)
+            line = gael_print_program(Program.of_items([(item.name, term)]))
+            self.encodings[i, rs] = term, line, metrics.token_count(line, "gael")
+        return self.encodings[i, rs]
+
+    def candidate(self, state: tuple[RuleSet, ...]) -> _Candidate:
+        """A state padded with the first rule set; the program text joins
+        the item lines, and no token spans a line."""
+        rules = state + (self.cfg.rule_sets[0],) * (len(self.items) - len(state))
+        lines = [self.encode(i, rs) for i, rs in enumerate(rules)]
+        prefixes = [rules[: i + 1] for i in range(len(rules))]
+        return _Candidate(rules, sum(e[2] for e in lines), "\n".join(e[1] for e in lines), prefixes)
+
+    def closed(self, prefix: tuple[RuleSet, ...]) -> Term:
+        """The prefix's last item, encoded under its rule set and closed
+        over the prefix's earlier items, as `ski_core.inline_ski_defs`
+        would close it; each shorter prefix is closed once."""
+        for k in range(1, len(prefix) + 1):
+            if prefix[:k] not in self.closings:
+                earlier = {self.items[j].name: self.closings[prefix[: j + 1]] for j in range(k - 1)}
+                body = self.encode(k - 1, prefix[k - 1])[0]
+                self.closings[prefix[:k]] = ski_core.substitute_free(body, earlier)
+        return self.closings[prefix]
+
+    def probe(self, prefix: tuple[RuleSet, ...]) -> None:
+        item = self.items[len(prefix) - 1]
+        probes = self.cfg.probes_for_arity(item.arity)
+        self.distances[prefix] = semantic_distance(item.inlined, self.closed(prefix), probes, self.cfg.fuel)
+
+    def distance_bounds(self, c: _Candidate) -> tuple[float, float]:
+        """[lo, hi] holding the candidate's distance."""
+        unprobed = []
+        for p in c.unprobed:
+            if p in self.distances:
+                c.known_max = max(c.known_max, self.distances[p])
+            else:
+                unprobed.append(p)
+        c.unprobed = unprobed
+        return c.known_max, (1.0 if unprobed else c.known_max)
+
+    def distance(self, c: _Candidate) -> float:
+        while True:
+            lo, hi = self.distance_bounds(c)
+            if lo == hi:
+                return lo
+            self.probe(c.unprobed[0])
+
+    def key(self, c: _Candidate, dist: float) -> tuple[float, int, str]:
+        return _objective(self.cfg, c.tokens, dist), c.tokens, c.text
+
+    def compare(self, a: _Candidate, b: _Candidate) -> int:
+        """Order by (objective, tokens, text), probing while the two
+        objective intervals leave the order open.  Equal texts are equal
+        programs, whose distances are equal too."""
+        if a.text == b.text:
+            return 0
+        while True:
+            (a_lo, a_hi), (b_lo, b_hi) = self.distance_bounds(a), self.distance_bounds(b)
+            if self.key(a, a_hi) < self.key(b, b_lo):
+                return -1
+            if self.key(b, b_hi) < self.key(a, a_lo):
+                return 1
+            # refine the one ahead on its lower bound first: if it stays
+            # ahead once exact, the other needs no more probes
+            open_ = [c for c, lo, hi in ((a, a_lo, a_hi), (b, b_lo, b_hi)) if lo < hi]
+            self.probe(min(open_, key=lambda c: self.key(c, c.known_max)).unprobed[0])
+
+
 def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> CompressionPlan:
     """Beam search over per-item rule sets, then extraction moves.
 
     A state is a rule prefix; the items past it take the first rule set.
-    Item i's distance depends only on the rules of items 0..i, so it is
-    probed once per such prefix.
+    A beam step keeps the `beam_width` candidates that sort first by
+    (objective, tokens, text), ties in candidate order: `nsmallest` is
+    `sorted(...)[:beam_width]`, stable too.  Item i's distance
+    depends only on the rules of items 0..i, so it is probed once per such
+    prefix, and only where two candidates' objective intervals overlap.
     """
     items = _items_of(prog)
     if not items:
         raise ValueError("program has no definitions and no main expression")
-    n = len(items)
-    distances: dict[tuple[RuleSet, ...], float] = {}  # rule prefix -> its last item's distance
-    scores: dict[tuple[RuleSet, ...], tuple[float, int, float]] = {}
-
-    def score(state: tuple[RuleSet, ...]) -> tuple[float, int, str]:
-        full = state + (cfg.rule_sets[0],) * (n - len(state))
-        encoded = _encode_program(items, full)
-        missing = [i for i in range(n) if full[: i + 1] not in distances]
-        closed = ski_core.inline_ski_defs(encoded) if missing else {}
-        for i in missing:
-            item = items[i]
-            probes = cfg.probes_for_arity(item.arity)
-            distances[full[: i + 1]] = semantic_distance(item.inlined, closed[item.name], probes, cfg.fuel)
-        dist = max(distances[full[: i + 1]] for i in range(n))
-        text = gael_print_program(encoded)
-        tokens = metrics.token_count(text, "gael")
-        scores[state] = (_objective(cfg, tokens, dist), tokens, dist)
-        return scores[state][0], tokens, text
-
+    search = _Search(items, cfg)
+    key = functools.cmp_to_key(search.compare)
     beam: list[tuple[RuleSet, ...]] = [()]
-    for _ in range(n):
-        candidates = [state + (rs,) for state in beam for rs in cfg.rule_sets]
-        beam = sorted(candidates, key=score)[: cfg.beam_width]
+    for step in range(1, len(items) + 1):
+        states = [state + (rs,) for state in beam for rs in cfg.rule_sets]
+        chosen = heapq.nsmallest(cfg.beam_width, map(search.candidate, states), key=key)
+        beam = [c.rules[:step] for c in chosen]
 
-    best = beam[0]
-    objective, tokens, dist = scores[best]
-    encoded = _encode_program(items, best)
-    trace = [
-        (f"rules[{item.name or 'main'}]={rs.value}", scores[best[: i + 1]][0])
-        for i, (item, rs) in enumerate(zip(items, best))
-    ]
+    best = chosen[0]
+    trace = []
+    for i, item in enumerate(items):
+        state = search.candidate(best.rules[: i + 1])
+        objective = _objective(cfg, state.tokens, search.distance(state))
+        trace.append((f"rules[{item.name or 'main'}]={best.rules[i].value}", objective))
+    dist, tokens, objective = search.distance(best), best.tokens, trace[-1][1]
+    encoded = Program.of_items([
+        (item.name, search.encode(i, rs)[0]) for i, (item, rs) in enumerate(zip(items, best.rules))
+    ])
 
     if cfg.extraction_enabled:
         # extraction leaves every closed item as it was, so `dist` stands

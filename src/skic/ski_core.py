@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 from . import lambda_ir
 from .lambda_ir import (
@@ -260,25 +260,26 @@ def parse_gael_program(source: str) -> Program:
     return lambda_ir._Parser(lambda_ir._lex(source, "gael"), allow_free=True).parse_program()
 
 
-def substitute_free(t: Term, name: str, value: Term) -> Term:
-    """t[name := value] for a closed `value`: it steps under every binder
-    that does not shadow `name`, and nothing can be captured."""
-    if isinstance(t, Var) and t.name == name:
-        return value
+def substitute_free(t: Term, env: Mapping[Optional[str], Term]) -> Term:
+    """t with each free name in `env` replaced by its closed value, in one
+    walk: it steps under every binder, leaving out the names the binder
+    shadows, never enters a value, and nothing can be captured."""
+    if isinstance(t, Var):
+        return env.get(t.name, t)
     if isinstance(t, App):
-        return App(substitute_free(t.fun, name, value), substitute_free(t.arg, name, value))
-    if isinstance(t, Lam) and t.param != name:
-        return Lam(t.param, substitute_free(t.body, name, value))
+        return App(substitute_free(t.fun, env), substitute_free(t.arg, env))
+    if isinstance(t, Lam):
+        inner = {name: v for name, v in env.items() if name != t.param} if t.param in env else env
+        return Lam(t.param, substitute_free(t.body, inner))
     return t
 
 
 def inline_ski_defs(prog: Program) -> dict[Optional[str], Term]:
     """Every item of a source or encoded program (main under None) with
     each earlier definition substituted in.  Items close in order, so the
-    definition bodies substituted are already closed."""
+    definition bodies substituted are already closed; an item refers only
+    to earlier definitions."""
     closed: dict[Optional[str], Term] = {}
     for name, body in prog.items():
-        for dep, val in closed.items():
-            body = substitute_free(body, dep, val)
-        closed[name] = body
+        closed[name] = substitute_free(body, closed)
     return closed

@@ -244,6 +244,7 @@ C_ERROR = "density bound constant must be finite and nonnegative"
     (["density", "{dir}/prog.lam", "--c", "inf"], "bound constant must be finite and nonnegative"),
     (["compress", "{dir}/prog.lam", "--probes", "0"], "probe tuple count must be positive"),
     (["corpus", "{dir}", "--probes", "0"], "probe tuple count must be positive"),
+    (["compress", "{dir}/prog.lam", "--rules", "eta,eta"], "rule_sets must not repeat"),
 ])
 def test_cli_invalid_values_exit_1_before_compiling(tmp_path, capsys, argv, message):
     (tmp_path / "prog.lam").write_text("inc := \\x. #add x 1;\ninc 3")

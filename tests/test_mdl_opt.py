@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,8 @@ def test_config_validation():
         MdlConfig(beam_width=0)
     with pytest.raises(ValueError):
         MdlConfig(rule_sets=())
+    with pytest.raises(ValueError, match="rule_sets must not repeat"):
+        MdlConfig(rule_sets=(RuleSet.ETA_OPTIMIZED, RuleSet.ETA_OPTIMIZED))
 
 
 def test_objective_counts_gael_tokens():
@@ -149,12 +153,19 @@ def test_dominance_over_single_shot_eta():
 # --- beam vs exhaustive oracle ---------------------------------------------------------
 
 
+def _encode(items: list, rules: tuple[RuleSet, ...]) -> L.Program:
+    return L.Program.of_items([
+        (item.name, SK.bracket_abstract(item.source, rs, constants=item.constants))
+        for item, rs in zip(items, rules)
+    ])
+
+
 def exhaustive_best_objective(prog: L.Program, cfg: MdlConfig) -> float:
     """Independent search: every rule assignment, extraction applied after."""
     items = MD._items_of(prog)
     best = None
     for combo in itertools.product(cfg.rule_sets, repeat=len(items)):
-        encoded = MD._encode_program(items, combo)
+        encoded = _encode(items, combo)
         if cfg.extraction_enabled:
             encoded = MD.extract_common_subterms(encoded, cfg)
         tokens = M.token_count(SK.gael_print_program(encoded), "gael")
@@ -202,6 +213,130 @@ def test_search_closing_matches_whole_program_inlining():
             plan = MD.compress_program(prog, cfg)
             assert plan.distance == MD.program_distance(prog, plan.encoded, cfg)
             assert plan.trace[-1][1] == plan.objective
+
+
+def eager_compress(prog: L.Program, cfg: MdlConfig) -> MD.CompressionPlan:
+    """The search as a plain sort: every candidate is encoded whole and
+    every padded rule prefix probed before the beam keeps
+    `sorted(candidates, key=score)[:beam_width]`."""
+    items = MD._items_of(prog)
+    n = len(items)
+    distances: dict[tuple[RuleSet, ...], float] = {}
+    scores: dict[tuple[RuleSet, ...], tuple[float, int, float]] = {}
+
+    def score(state: tuple[RuleSet, ...]) -> tuple[float, int, str]:
+        full = state + (cfg.rule_sets[0],) * (n - len(state))
+        encoded = _encode(items, full)
+        closed = SK.inline_ski_defs(encoded)
+        for i, item in enumerate(items):
+            if full[: i + 1] not in distances:
+                probes = cfg.probes_for_arity(item.arity)
+                distances[full[: i + 1]] = MD.semantic_distance(item.inlined, closed[item.name], probes, cfg.fuel)
+        dist = max(distances[full[: i + 1]] for i in range(n))
+        text = SK.gael_print_program(encoded)
+        tokens = M.token_count(text, "gael")
+        scores[state] = (MD._objective(cfg, tokens, dist), tokens, dist)
+        return scores[state][0], tokens, text
+
+    beam: list[tuple[RuleSet, ...]] = [()]
+    for _ in range(n):
+        candidates = [state + (rs,) for state in beam for rs in cfg.rule_sets]
+        beam = sorted(candidates, key=score)[: cfg.beam_width]
+
+    best = beam[0]
+    objective, tokens, dist = scores[best]
+    encoded = _encode(items, best)
+    trace = [
+        (f"rules[{item.name or 'main'}]={rs.value}", scores[best[: i + 1]][0])
+        for i, (item, rs) in enumerate(zip(items, best))
+    ]
+    if cfg.extraction_enabled:
+        encoded, moves, tokens = MD._extract_with_trace(encoded, tokens)
+        objective = MD._objective(cfg, tokens, dist)
+        trace += [(f"extract[{name}]", objective) for name in moves]
+    return MD.CompressionPlan(encoded, objective, tokens, dist, tuple(trace))
+
+
+def gen_chain(rng: random.Random, n: int) -> str:
+    """A chain of n one- and two-argument definitions, each over earlier
+    ones, and a main that applies the last."""
+    lines, arities = [], []
+    for k in range(n):
+        arity = rng.choice((1, 1, 2))
+        params = ["x", "y"][:arity]
+
+        def operand() -> str:
+            if arities and rng.random() < 0.6:
+                j = rng.randrange(len(arities))
+                return f"(d{j} {' '.join(rng.choice(params) for _ in range(arities[j]))})"
+            return rng.choice(params + ["1", "2"])
+
+        op = rng.choice(("add", "mul", "sub"))
+        lines.append(f"d{k} := \\{' '.join(params)}. #{op} {operand()} {operand()};")
+        arities.append(arity)
+    return "\n".join(lines) + f"\nd{n - 1} {' '.join(['3'] * arities[-1])}"
+
+
+GENERATED_CHAINS = [gen_chain(random.Random(seed), n) for seed, n in ((1, 4), (2, 6), (3, 8))]
+REFERENCE_SOURCES = THREE_DEF_FIXTURES + [FIVE_DEF_CHAIN] + GENERATED_CHAINS
+RULE_ORDERS = [
+    MD.ALL_RULE_SETS,
+    (RuleSet.ETA_OPTIMIZED,),
+    (RuleSet.WITH_I, RuleSet.ETA_OPTIMIZED, RuleSet.NAIVE),
+]
+
+
+def _scrambled_distance(p: L.Term, s: L.Term, probes: ProbeConfig, fuel: int) -> float:
+    """A stand-in for semantic_distance that takes every value in
+    {0, 0.25, ..., 1}, fixed by the encoded side's text: correct encodings
+    only ever give 0 or 0.5, and the search must be exact for any distance."""
+    return zlib.crc32(SK.gael_print(s).encode()) % 5 / 4
+
+
+@pytest.fixture(params=["probed", "scrambled"])
+def shared_distance(request, monkeypatch):
+    """Both searches call MD.semantic_distance; a shared memo probes each
+    closed pair once across the whole grid."""
+    base = MD.semantic_distance if request.param == "probed" else _scrambled_distance
+    monkeypatch.setattr(MD, "semantic_distance", functools.lru_cache(maxsize=None)(base))
+
+
+@pytest.mark.parametrize("rules", RULE_ORDERS, ids=["all", "eta", "permuted"])
+def test_search_matches_eager_reference(rules, shared_distance):
+    # the lazy beam must choose what a full sort chooses, trace included,
+    # for every weight (0 and 1 leave only distance or only tokens) and
+    # width; fuel 60 makes some probes run out, so 0.5 distances occur
+    for source in REFERENCE_SOURCES:
+        prog = L.parse_program(source)
+        for w, width in itertools.product((0.0, 0.5, 0.9, 0.99, 1.0), (1, 2, 3, 8)):
+            cfg = MdlConfig(lambda_weight=w, beam_width=width, rule_sets=rules, fuel=60)
+            assert MD.compress_program(prog, cfg) == eager_compress(prog, cfg), (source, cfg)
+
+
+def test_search_matches_eager_reference_on_corpus(shared_distance):
+    programs = [L.parse_program(source) for _, source in corpus_sources()]
+    for w, (width, rules) in itertools.product((0.0, 0.5, 0.99, 1.0), ((8, MD.ALL_RULE_SETS), (2, RULE_ORDERS[2]))):
+        cfg = MdlConfig(lambda_weight=w, beam_width=width, rule_sets=rules)
+        for prog in programs:
+            assert MD.compress_program(prog, cfg) == eager_compress(prog, cfg), (prog, cfg)
+
+
+def test_search_probes_at_most_half_of_eager(monkeypatch):
+    calls = [0]
+    distance = MD.semantic_distance
+
+    def counted(*args):
+        calls[0] += 1
+        return distance(*args)
+
+    monkeypatch.setattr(MD, "semantic_distance", counted)
+    programs = [L.parse_program(source) for _, source in corpus_sources()]
+    for prog in programs:
+        eager_compress(prog, MdlConfig())
+    eager_calls, calls[0] = calls[0], 0
+    for prog in programs:
+        MD.compress_program(prog, MdlConfig())
+    assert calls[0] * 2 <= eager_calls, (calls[0], eager_calls)
 
 
 def test_lambda_sweep_token_length_non_increasing():
