@@ -105,32 +105,6 @@ class CorpusReport:
         }
 
 
-# --- type inference stage ---------------------------------------------------
-
-
-def _infer_and_specialize(prog: Program) -> tuple[Program, dict[str, dict[str, str]]]:
-    """MAP-specialize each definition and main under an environment that
-    types earlier definition names as functions."""
-    summary: dict[str, dict[str, str]] = {}
-    items: list[tuple[Optional[str], Term]] = []
-    for i, (name, body) in enumerate(prog.items()):
-        label = name or "main"
-        env = type_infer.ContextEnv(
-            bindings={dep: type_infer.TypeTag.FUNC for dep, _ in prog.defs[:i]}
-        )
-        variables, constraints = type_infer.build_constraints(body, env)
-        if not variables:
-            summary[label] = {}
-        elif len(variables) > type_infer.MAX_ENUM_VARIABLES:
-            summary[label] = {"_skipped": f"{len(variables)} variables exceed guard"}
-        else:
-            assignment = type_infer.map_assignment(type_infer.posterior(constraints, variables))
-            summary[label] = {v: assignment[v].name for v in variables}
-            body = type_infer.specialize_operators(body, assignment, env)
-        items.append((name, body))
-    return Program.of_items(items), summary
-
-
 # --- equivalence stage --------------------------------------------------------
 
 
@@ -224,7 +198,7 @@ def run_pipeline(
 
     try:
         t0 = time.perf_counter()
-        specialized, map_summary = _infer_and_specialize(prog)
+        specialized, map_summary = type_infer.specialize_program(prog)
         timings["infer_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -23,6 +23,7 @@ signed range.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -201,15 +202,6 @@ def term_size(t: Term) -> int:
 
 # --- lexer / parser ---------------------------------------------------
 
-# single-character punctuation of each dialect; both also have ":="
-_PUNCT = {"source": "\\.();", "gael": "();"}
-
-# ASCII character classes (str.isdigit and friends admit other scripts)
-_DIGITS = frozenset("0123456789")
-_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
-_IDENT_CHARS = _LOWER | _DIGITS | {"_"}
-_PRIM_CHARS = _IDENT_CHARS | frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
-
 
 class Token(NamedTuple):
     """One lexeme; `kind` is its token class."""
@@ -220,69 +212,39 @@ class Token(NamedTuple):
     col: int
 
 
+def _token_re(punct: str, comb: str = "") -> re.Pattern:
+    # ASCII classes spelled out: \d and \w admit other scripts
+    return re.compile(
+        rf"(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>--[^\n]*)|(?P<punct>:=|[{punct}]){comb}"
+        r"|(?P<int>-?[0-9]+)|(?P<prim>#[A-Za-z0-9_]+)|(?P<word>[a-z][a-z0-9_]*)"
+    )
+
+
+# one token table per dialect: the alternatives in priority order
+_TOKEN_RE = {"source": _token_re(r"\\.();"), "gael": _token_re("();", "|(?P<comb>[SKI])")}
+
+
 def _lex(source: str, dialect: str = "source") -> list[Token]:
     """Tokens of `source` in the "source" or "gael" dialect."""
-    if dialect not in _PUNCT:
+    if dialect not in _TOKEN_RE:
         raise ValueError(f"unknown dialect {dialect!r}")
-    punct = _PUNCT[dialect]
-    combs = "SKI" if dialect == "gael" else ""
+    match = _TOKEN_RE[dialect].match
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if source.startswith(":=", i):
-            toks.append(Token("punct", ":=", start_line, start_col))
-            i, col = i + 2, col + 2
-            continue
-        if c in punct:
-            toks.append(Token("punct", c, start_line, start_col))
-            i, col = i + 1, col + 1
-            continue
-        if c in combs:
-            toks.append(Token("comb", c, start_line, start_col))
-            i, col = i + 1, col + 1
-            continue
-        if c in _DIGITS or (c == "-" and i + 1 < n and source[i + 1] in _DIGITS):
-            j = i + 1
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            toks.append(Token("int", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == "#":
-            j = i + 1
-            while j < n and source[j] in _PRIM_CHARS:
-                j += 1
-            if j == i + 1:
-                raise ParseError("expected primitive name after '#'", line, col)
-            toks.append(Token("prim", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _LOWER:
-            j = i + 1
-            while j < n and source[j] in _IDENT_CHARS:
-                j += 1
-            word = source[i:j]
-            kind = "keyword" if word in ("true", "false") else "ident"
-            toks.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
+    i, line, line_start = 0, 1, 0
+    while i < len(source):
+        m = match(source, i)
+        if m is None:
+            c = source[i]
+            message = "expected primitive name after '#'" if c == "#" else f"unexpected character {c!r}"
+            raise ParseError(message, line, i - line_start + 1)
+        kind, text = m.lastgroup, m.group()
+        if kind == "word":
+            kind = "keyword" if text in ("true", "false") else "ident"
+        if kind == "newline":
+            line, line_start = line + 1, i + 1
+        elif kind != "blank" and kind != "comment":
+            toks.append(Token(kind, text, line, i - line_start + 1))
+        i = m.end()
     return toks
 
 
@@ -323,36 +285,23 @@ class _Parser:
             raise ParseError("expression nested too deeply", tok.line, tok.col) from None
 
     def _program(self) -> Program:
-        defs: list[tuple[str, Term]] = []
-        names: set[str] = set()
-        while True:
-            save = self.pos
-            tok = self.peek()
-            if tok is not None and tok.kind == "ident" and self._lookahead_is_def():
-                name_tok = self.next()
-                self.expect(":=")
-                body = self.parse_expr(scope=(), defs=names)
-                self.expect(";")
-                if name_tok.text in names:
-                    raise DuplicateDefinitionError(name_tok.text, name_tok.line, name_tok.col)
-                names.add(name_tok.text)
-                defs.append((name_tok.text, body))
-                continue
-            self.pos = save
-            break
-        main: Optional[Term] = None
-        if self.peek() is not None:
-            main = self.parse_expr(scope=(), defs=names)
+        defs: dict[str, Term] = {}  # also the scope of each later body
+        toks = self.toks
+        while self.pos + 1 < len(toks) and (toks[self.pos].kind, toks[self.pos + 1].text) == ("ident", ":="):
+            name_tok = self.next()
+            self.expect(":=")
+            body = self.parse_expr(scope=(), defs=defs)
+            self.expect(";")
+            if name_tok.text in defs:
+                raise DuplicateDefinitionError(name_tok.text, name_tok.line, name_tok.col)
+            defs[name_tok.text] = body
+        main = self.parse_expr(scope=(), defs=defs) if self.peek() is not None else None
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-        return Program(defs=tuple(defs), main=main)
+        return Program(defs=tuple(defs.items()), main=main)
 
-    def _lookahead_is_def(self) -> bool:
-        nxt = self.pos + 1
-        return nxt < len(self.toks) and self.toks[nxt].text == ":="
-
-    def parse_expr(self, scope: tuple[str, ...], defs: set[str]) -> Term:
+    def parse_expr(self, scope: tuple[str, ...], defs: dict[str, Term]) -> Term:
         if self.at("\\"):
             self.next()
             params: list[Token] = []
@@ -371,7 +320,7 @@ class _Parser:
             return body
         return self.parse_app(scope, defs)
 
-    def parse_app(self, scope: tuple[str, ...], defs: set[str]) -> Term:
+    def parse_app(self, scope: tuple[str, ...], defs: dict[str, Term]) -> Term:
         term = self.parse_atom(scope, defs)
         while True:
             tok = self.peek()
@@ -381,7 +330,7 @@ class _Parser:
                 return term
             term = App(term, self.parse_atom(scope, defs))
 
-    def parse_atom(self, scope: tuple[str, ...], defs: set[str]) -> Term:
+    def parse_atom(self, scope: tuple[str, ...], defs: dict[str, Term]) -> Term:
         tok = self.next()
         if tok.text == "(":
             inner = self.parse_expr(scope, defs)

@@ -143,10 +143,10 @@ def program_distance(source: Program, encoded: Program, cfg: MdlConfig) -> float
 
 @dataclass
 class _Candidate:
-    rules: tuple[RuleSet, ...]  # padded to every item
+    rules: tuple[int, ...]  # indices into `cfg.rule_sets`, padded to every item
     tokens: int
     text: str
-    unprobed: list[tuple[RuleSet, ...]]  # its rule prefixes not probed yet, shortest first
+    unprobed: list[tuple[int, ...]]  # its rule prefixes not probed yet, shortest first
     known_max: float = 0.0  # the largest distance among its probed prefixes
 
 
@@ -162,28 +162,28 @@ class _Search:
 
     def __init__(self, items: list[_Item], cfg: MdlConfig):
         self.items, self.cfg = items, cfg
-        self.encodings: dict[tuple[int, RuleSet], tuple[Term, str, int]] = {}
-        self.closings: dict[tuple[RuleSet, ...], Term] = {}
-        self.distances: dict[tuple[RuleSet, ...], float] = {}  # rule prefix -> its last item's distance
+        self.encodings: dict[tuple[int, int], tuple[Term, str, int]] = {}
+        self.closings: dict[tuple[int, ...], Term] = {}
+        self.distances: dict[tuple[int, ...], float] = {}  # rule prefix -> its last item's distance
 
-    def encode(self, i: int, rs: RuleSet) -> tuple[Term, str, int]:
-        """Item i under `rs`: its term, its GAEL line and the line's tokens."""
-        if (i, rs) not in self.encodings:
+    def encode(self, i: int, r: int) -> tuple[Term, str, int]:
+        """Item i under rule set r: its term, its GAEL line and the line's tokens."""
+        if (i, r) not in self.encodings:
             item = self.items[i]
-            term = ski_core.bracket_abstract(item.source, rs, constants=item.constants)
+            term = ski_core.bracket_abstract(item.source, self.cfg.rule_sets[r], constants=item.constants)
             line = gael_print_program(Program.of_items([(item.name, term)]))
-            self.encodings[i, rs] = term, line, metrics.token_count(line, "gael")
-        return self.encodings[i, rs]
+            self.encodings[i, r] = term, line, metrics.token_count(line, "gael")
+        return self.encodings[i, r]
 
-    def candidate(self, state: tuple[RuleSet, ...]) -> _Candidate:
+    def candidate(self, state: tuple[int, ...]) -> _Candidate:
         """A state padded with the first rule set; the program text joins
         the item lines, and no token spans a line."""
-        rules = state + (self.cfg.rule_sets[0],) * (len(self.items) - len(state))
-        lines = [self.encode(i, rs) for i, rs in enumerate(rules)]
+        rules = state + (0,) * (len(self.items) - len(state))
+        lines = [self.encode(i, r) for i, r in enumerate(rules)]
         prefixes = [rules[: i + 1] for i in range(len(rules))]
         return _Candidate(rules, sum(e[2] for e in lines), "\n".join(e[1] for e in lines), prefixes)
 
-    def closed(self, prefix: tuple[RuleSet, ...]) -> Term:
+    def closed(self, prefix: tuple[int, ...]) -> Term:
         """The prefix's last item, encoded under its rule set and closed
         over the prefix's earlier items, as `ski_core.inline_ski_defs`
         would close it; each shorter prefix is closed once."""
@@ -194,7 +194,7 @@ class _Search:
                 self.closings[prefix[:k]] = ski_core.substitute_free(body, earlier)
         return self.closings[prefix]
 
-    def probe(self, prefix: tuple[RuleSet, ...]) -> None:
+    def probe(self, prefix: tuple[int, ...]) -> None:
         item = self.items[len(prefix) - 1]
         probes = self.cfg.probes_for_arity(item.arity)
         self.distances[prefix] = semantic_distance(item.inlined, self.closed(prefix), probes, self.cfg.fuel)
@@ -253,9 +253,9 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
         raise ValueError("program has no definitions and no main expression")
     search = _Search(items, cfg)
     key = functools.cmp_to_key(search.compare)
-    beam: list[tuple[RuleSet, ...]] = [()]
+    beam: list[tuple[int, ...]] = [()]
     for step in range(1, len(items) + 1):
-        states = [state + (rs,) for state in beam for rs in cfg.rule_sets]
+        states = [state + (r,) for state in beam for r in range(len(cfg.rule_sets))]
         chosen = heapq.nsmallest(cfg.beam_width, map(search.candidate, states), key=key)
         beam = [c.rules[:step] for c in chosen]
 
@@ -264,10 +264,10 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
     for i, item in enumerate(items):
         state = search.candidate(best.rules[: i + 1])
         objective = _objective(cfg, state.tokens, search.distance(state))
-        trace.append((f"rules[{item.name or 'main'}]={best.rules[i].value}", objective))
+        trace.append((f"rules[{item.name or 'main'}]={cfg.rule_sets[best.rules[i]].value}", objective))
     dist, tokens, objective = search.distance(best), best.tokens, trace[-1][1]
     encoded = Program.of_items([
-        (item.name, search.encode(i, rs)[0]) for i, (item, rs) in enumerate(zip(items, best.rules))
+        (item.name, search.encode(i, r)[0]) for i, (item, r) in enumerate(zip(items, best.rules))
     ])
 
     if cfg.extraction_enabled:

@@ -22,10 +22,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union
 
 from . import lambda_ir
-from .lambda_ir import App, BoolLit, IntLit, Lam, Prim, Term, Var, spine
+from .lambda_ir import App, BoolLit, Comb, IntLit, Lam, Prim, Program, Term, Var, spine
 
 ARITH_FACTOR_WEIGHT = 1.0
 EQ_FACTOR_WEIGHT = 1.0
@@ -125,100 +125,70 @@ class TypePosterior:
 # --- constraint extraction ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Slot:
-    """Resolution of one leaf occurrence: fixed tag or inference variable."""
-
-    var: Optional[str]  # inference variable name, or None when fixed
-    tag: Optional[TypeTag]  # fixed tag, or None when inferred
+# a leaf occurrence's slot: its inference variable's name, or its fixed tag
+_Slot = Union[str, TypeTag]
 
 
 class _Extractor:
     def __init__(self, env: ContextEnv):
         self.env = env
-        self.leaf_slots: list[_Slot] = []
+        self.slots: list[_Slot] = []  # one per leaf occurrence, left to right
         self.variables: list[str] = []
         self.groups: dict[tuple, list[str]] = {}
         self.factors: list[Factor] = []
         self.lam_counter = 0
 
-    def walk(self, t: Term, binders: tuple[tuple[str, int], ...]) -> None:
+    def walk(self, t: Term, binders: dict[str, int]) -> Optional[_Slot]:
+        """Record `t`'s leaves and usage sites; a leaf's slot, None for a
+        compound term."""
+        if isinstance(t, Lam):
+            self.lam_counter += 1
+            self.walk(t.body, {**binders, t.param: self.lam_counter})
+            return None
+        if isinstance(t, App):
+            head, args = spine(t)
+            self.walk(head, binders)
+            operand_slots = [self.walk(a, binders) for a in args]
+            if isinstance(head, Prim):
+                self._emit_site(head.op, operand_slots)
+            return None
         match t:
-            case Lam(param, body):
-                self.lam_counter += 1
-                self.walk(body, ((param, self.lam_counter),) + binders)
-            case App():
-                head, args = spine(t)
-                self._leaf_or_walk(head, binders)
-                slots_before = [len(self.leaf_slots)]
-                for a in args:
-                    self._leaf_or_walk(a, binders)
-                    slots_before.append(len(self.leaf_slots))
-                if isinstance(head, Prim):
-                    operand_slots = [
-                        self.leaf_slots[slots_before[i]] if self._is_leaf(args[i]) else None
-                        for i in range(len(args))
-                    ]
-                    self._emit_site(head.op, args, operand_slots)
-            case _:
-                self._leaf_or_walk(t, binders)
-
-    def _is_leaf(self, t: Term) -> bool:
-        return isinstance(t, (Var, IntLit, BoolLit, Prim))
-
-    def _leaf_or_walk(self, t: Term, binders: tuple[tuple[str, int], ...]) -> None:
-        if not self._is_leaf(t):
-            self.walk(t, binders)
-            return
-        idx = len(self.leaf_slots)
-        match t:
+            case Var(name) if name in binders:
+                slot: _Slot = self._add_variable(name, group=("lam", name, binders[name]))
+            case Var(name) if name in self.env.bindings:
+                slot = self.env.bindings[name]
             case Var(name):
-                bound = next((b for b in binders if b[0] == name), None)
-                if bound is not None:
-                    self._add_variable(name, idx, group=("lam", name, bound[1]))
-                elif name in self.env.bindings:
-                    self.leaf_slots.append(_Slot(var=None, tag=self.env.bindings[name]))
-                else:
-                    self._add_variable(name, idx, group=("free", name))
+                slot = self._add_variable(name, group=("free", name))
             case IntLit(v):
-                self._add_variable(str(v), idx, group=None)
-            case BoolLit(_):
-                self.leaf_slots.append(_Slot(var=None, tag=TypeTag.BOOL))
-            case Prim(_):
-                self.leaf_slots.append(_Slot(var=None, tag=TypeTag.FUNC))
+                slot = self._add_variable(str(v), group=None)
+            case BoolLit():
+                slot = TypeTag.BOOL
+            case Prim() | Comb():
+                slot = TypeTag.FUNC
+            case _:
+                raise TypeError(f"not a Term: {t!r}")
+        self.slots.append(slot)
+        return slot
 
-    def _add_variable(self, display: str, idx: int, group: Optional[tuple]) -> None:
-        name = f"{display}@{idx}"
+    def _add_variable(self, display: str, group: Optional[tuple]) -> str:
+        name = f"{display}@{len(self.slots)}"  # numbered by leaf index
         self.variables.append(name)
-        self.leaf_slots.append(_Slot(var=name, tag=None))
         if group is not None:
             self.groups.setdefault(group, []).append(name)
+        return name
 
-    def _emit_site(self, op: str, args: list[Term], operand_slots: list[Optional[_Slot]]) -> None:
-        if op in ("add", "sub", "mul") and len(args) >= 2:
-            self._agreement_factor("numeric", operand_slots[:2], ARITH_FACTOR_WEIGHT)
-        elif op == "eq" and len(args) >= 2:
-            self._agreement_factor("agree", operand_slots[:2], EQ_FACTOR_WEIGHT)
-        elif op == "if" and len(args) >= 3:
-            cond = operand_slots[0]
-            if cond is not None and cond.var is not None:
-                self.factors.append(Factor("bool_cond", (cond.var,), COND_FACTOR_WEIGHT))
-
-    def _agreement_factor(self, kind: str, slots: list[Optional[_Slot]], weight: float) -> None:
-        present = [s for s in slots if s is not None]
-        clique = tuple(s.var for s in present if s.var is not None)
-        fixed = tuple(s.tag for s in present if s.var is None)
-        if not clique:
+    def _emit_site(self, op: str, operand_slots: list[Optional[_Slot]]) -> None:
+        if op == "if" and len(operand_slots) >= 3 and isinstance(operand_slots[0], str):
+            self.factors.append(Factor("bool_cond", (operand_slots[0],), COND_FACTOR_WEIGHT))
+        if op not in ("add", "sub", "mul", "eq") or len(operand_slots) < 2:
             return
-        if kind == "agree" and len(clique) + len(fixed) < 2:
-            return  # single-operand agreement is vacuous
-        self.factors.append(Factor(kind, clique, weight, fixed))
-
-    def finish(self) -> None:
-        for key in self.groups:
-            members = self.groups[key]
-            for a, b in zip(members, members[1:]):
-                self.factors.append(Factor("binding", (a, b), BINDING_FACTOR_WEIGHT))
+        clique = tuple(s for s in operand_slots[:2] if isinstance(s, str))
+        fixed = tuple(s for s in operand_slots[:2] if isinstance(s, TypeTag))
+        # a numeric factor holds one operand to a numeric tag; agreement
+        # with a single operand is vacuous
+        if clique and (op != "eq" or len(clique) + len(fixed) == 2):
+            kind, weight = ("agree", EQ_FACTOR_WEIGHT) if op == "eq" else ("numeric", ARITH_FACTOR_WEIGHT)
+            self.factors.append(Factor(kind, clique, weight, fixed))
 
 
 def build_constraints(t: Term, env: Optional[ContextEnv] = None) -> tuple[list[str], ConstraintSet]:
@@ -228,9 +198,13 @@ def build_constraints(t: Term, env: Optional[ContextEnv] = None) -> tuple[list[s
     order.
     """
     ex = _Extractor(env if env is not None else ContextEnv())
-    ex.walk(t, ())
-    ex.finish()
-    return ex.variables, ConstraintSet(factors=tuple(ex.factors))
+    ex.walk(t, {})
+    binding = [
+        Factor("binding", pair, BINDING_FACTOR_WEIGHT)
+        for members in ex.groups.values()
+        for pair in zip(members, members[1:])
+    ]
+    return ex.variables, ConstraintSet(factors=tuple(ex.factors + binding))
 
 
 # --- energy and posterior -------------------------------------------------
@@ -297,56 +271,59 @@ def specialize_operators(
     Anything unresolved leaves the operator unchanged.
     """
     ex = _Extractor(env if env is not None else ContextEnv())
-    ex.walk(t, ())
-    slots = ex.leaf_slots
+    ex.walk(t, {})
     counter = itertools.count()
 
     def resolve(idx: int) -> Optional[TypeTag]:
-        slot = slots[idx]
-        if slot.var is None:
-            return slot.tag
-        return assignment.get(slot.var)
+        slot = ex.slots[idx]
+        return slot if isinstance(slot, TypeTag) else assignment.get(slot)
 
     def go(node: Term) -> tuple[Term, Optional[TypeTag]]:
-        match node:
-            case Lam(param, body):
-                new_body, _ = go(body)
-                return Lam(param, new_body), TypeTag.FUNC
-            case App():
-                head, args = spine(node)
-                if isinstance(head, (Var, IntLit, BoolLit, Prim)):
-                    next(counter)
-                    new_head: Term = head
-                else:
-                    new_head, _ = go(head)
-                results = [go(a) for a in args]
-                new_args = [r[0] for r in results]
-                tags = [r[1] for r in results]
-                derived: Optional[TypeTag] = None
-                if isinstance(head, Prim):
-                    if head.op in lambda_ir.ARITH_OPS and len(args) == 2:
-                        if tags[0] is TypeTag.INT and tags[1] is TypeTag.INT:
-                            derived = TypeTag.INT
-                        elif tags[0] is TypeTag.REAL and tags[1] is TypeTag.REAL:
-                            derived = TypeTag.REAL
-                        if head.op == "add" and derived is TypeTag.INT:
-                            new_head = Prim("addZ")
-                        elif head.op == "add" and derived is TypeTag.REAL:
-                            new_head = Prim("addR")
-                    elif head.op == "eq" and len(args) == 2:
-                        derived = TypeTag.BOOL
-                    elif head.op == "if" and len(args) == 3:
-                        derived = tags[1] if tags[1] is tags[2] else None
-                return lambda_ir.apply_spine(new_head, *new_args), derived
-            case IntLit() | Var():
-                return node, resolve(next(counter))
-            case BoolLit():
-                next(counter)
-                return node, TypeTag.BOOL
-            case Prim():
-                next(counter)
-                return node, TypeTag.FUNC
-        raise TypeError(f"not a Term: {node!r}")
+        if isinstance(node, Lam):
+            return Lam(node.param, go(node.body)[0]), TypeTag.FUNC
+        if not isinstance(node, App):
+            return node, resolve(next(counter))
+        head, args = spine(node)
+        new_head, _ = go(head)
+        new_args, tags = zip(*(go(a) for a in args))
+        derived: Optional[TypeTag] = None
+        if isinstance(head, Prim):
+            if head.op in lambda_ir.ARITH_OPS and len(args) == 2:
+                if tags[0] is tags[1] and tags[0] in NUMERIC_TAGS:
+                    derived = tags[0]
+                    if head.op == "add":
+                        new_head = Prim("addZ" if derived is TypeTag.INT else "addR")
+            elif head.op == "eq" and len(args) == 2:
+                derived = TypeTag.BOOL
+            elif head.op == "if" and len(args) == 3:
+                derived = tags[1] if tags[1] is tags[2] else None
+        return lambda_ir.apply_spine(new_head, *new_args), derived
 
     rewritten, _ = go(t)
     return rewritten
+
+
+def specialize_program(prog: Program) -> tuple[Program, dict[str, dict[str, str]]]:
+    """MAP-specialize each definition and main under an environment that
+    types earlier definition names as functions.
+
+    The summary maps each item's label ("main" for main) to its MAP tag
+    names; an item with more than MAX_ENUM_VARIABLES variables is left
+    as it is and noted under "_skipped".
+    """
+    summary: dict[str, dict[str, str]] = {}
+    items: list[tuple[Optional[str], Term]] = []
+    for i, (name, body) in enumerate(prog.items()):
+        label = name or "main"
+        env = ContextEnv(bindings={dep: TypeTag.FUNC for dep, _ in prog.defs[:i]})
+        variables, constraints = build_constraints(body, env)
+        if not variables:
+            summary[label] = {}
+        elif len(variables) > MAX_ENUM_VARIABLES:
+            summary[label] = {"_skipped": f"{len(variables)} variables exceed guard"}
+        else:
+            assignment = map_assignment(posterior(constraints, variables))
+            summary[label] = {v: assignment[v].name for v in variables}
+            body = specialize_operators(body, assignment, env)
+        items.append((name, body))
+    return Program.of_items(items), summary

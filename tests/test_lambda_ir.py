@@ -1,7 +1,8 @@
 import random
+import string
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skic import lambda_ir as L
@@ -77,6 +78,101 @@ def test_parse_integer_literal_range():
         with pytest.raises(L.ParseError) as exc:
             L.parse_program(f"#add {value} 1")
         assert str(exc.value) == f"1:6: integer literal {value} exceeds 64-bit signed range"
+
+
+# --- the lexer against a reference copy ---------------------------------------
+
+
+_REF_PUNCT = {"source": "\\.();", "gael": "();"}
+_REF_DIGITS = frozenset("0123456789")
+_REF_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
+_REF_IDENT_CHARS = _REF_LOWER | _REF_DIGITS | {"_"}
+_REF_PRIM_CHARS = _REF_IDENT_CHARS | frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+
+def reference_lex(source: str, dialect: str) -> list[L.Token]:
+    """The character-by-character scanner the token table replaced: one
+    loop per token class, line and column counted as it goes."""
+    punct = _REF_PUNCT[dialect]
+    combs = "SKI" if dialect == "gael" else ""
+    toks: list[L.Token] = []
+    i, line, col = 0, 1, 1
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if c in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if source.startswith("--", i):
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if source.startswith(":=", i):
+            toks.append(L.Token("punct", ":=", line, col))
+            i, col = i + 2, col + 2
+            continue
+        if c in punct:
+            toks.append(L.Token("punct", c, line, col))
+            i, col = i + 1, col + 1
+            continue
+        if c in combs:
+            toks.append(L.Token("comb", c, line, col))
+            i, col = i + 1, col + 1
+            continue
+        if c in _REF_DIGITS or (c == "-" and i + 1 < n and source[i + 1] in _REF_DIGITS):
+            j = i + 1
+            while j < n and source[j] in _REF_DIGITS:
+                j += 1
+            toks.append(L.Token("int", source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c == "#":
+            j = i + 1
+            while j < n and source[j] in _REF_PRIM_CHARS:
+                j += 1
+            if j == i + 1:
+                raise L.ParseError("expected primitive name after '#'", line, col)
+            toks.append(L.Token("prim", source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c in _REF_LOWER:
+            j = i + 1
+            while j < n and source[j] in _REF_IDENT_CHARS:
+                j += 1
+            word = source[i:j]
+            toks.append(L.Token("keyword" if word in ("true", "false") else "ident", word, line, col))
+            col += j - i
+            i = j
+            continue
+        raise L.ParseError(f"unexpected character {c!r}", line, col)
+    return toks
+
+
+# mostly characters some token starts with, plus every other ASCII letter
+# and digit and a few characters outside both dialects
+_LEX_COMMON = list("abcxyz019_-#:=\\.();SKI \t\r\n") + ["--", "true", "false"]
+_LEX_ALL = list(string.ascii_letters + string.digits) + ["é", "²", "\f", "\v", "\u00a0"]
+lex_texts = st.lists(
+    st.one_of(st.sampled_from(_LEX_COMMON), st.sampled_from(_LEX_ALL)), max_size=30
+).map("".join)
+
+
+def _lex_outcome(lex, text: str, dialect: str):
+    try:
+        return lex(text, dialect)
+    except L.ParseError as exc:
+        return (exc.message, exc.line, exc.column)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lex_texts, st.sampled_from(["source", "gael"]))
+def test_lexer_matches_reference_scanner(text, dialect):
+    assert _lex_outcome(L._lex, text, dialect) == _lex_outcome(reference_lex, text, dialect)
 
 
 # --- beta reduction -----------------------------------------------------------

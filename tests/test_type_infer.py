@@ -1,9 +1,14 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skic import cli_pipeline as CP
 from skic import lambda_ir as L
 from skic import ski_core as SK
 from skic import type_infer as TI
@@ -294,3 +299,238 @@ def test_specialization_preserves_behavior():
         res = SK.behavioral_equal(out, t, SK.ProbeConfig(arity=L.leading_lambda_count(t)), fuel=50000)
         assert res.verdict is SK.Verdict.EQUAL
         checked += 1
+
+
+# --- combinators are fixed function leaves -------------------------------------------
+
+
+def test_combinator_alone_gives_no_variables():
+    variables, cs = TI.build_constraints(L.S)
+    assert variables == [] and cs.factors == ()
+
+
+def test_combinator_operand_is_a_fixed_func_tag():
+    t = SK.parse_gael_program("#add K 1").main
+    variables, cs = TI.build_constraints(t)
+    assert variables == ["1@2"]
+    assert cs.factors == (TI.Factor("numeric", ("1@2",), TI.ARITH_FACTOR_WEIGHT, (TypeTag.FUNC,)),)
+    assert TI.specialize_operators(t, {"1@2": TypeTag.INT}) == t
+    assert TI.specialize_operators(L.App(L.Prim("add"), L.K), {}) == L.App(L.Prim("add"), L.K)
+
+
+# --- the pipeline's per-program inference ----------------------------------------------
+
+
+def test_specialize_program_types_earlier_definitions_as_functions():
+    prog = L.parse_program("inc := \\x. #add x 1;\ninc 2")
+    specialized, summary = TI.specialize_program(prog)
+    assert specialized.defs[0][1] == L.parse_term("\\x. #addZ x 1")
+    assert specialized.main == prog.main
+    assert summary == {"inc": {"x@1": "INT", "1@2": "INT"}, "main": {"2@1": "INT"}}
+
+
+def test_specialize_program_skips_items_past_the_guard():
+    src = "#add 8 9"
+    for k in range(7, 0, -1):
+        src = f"#add {k} ({src})"
+    prog = L.parse_program(src)
+    assert len(TI.build_constraints(prog.main)[0]) == 9 > TI.MAX_ENUM_VARIABLES
+    specialized, summary = TI.specialize_program(prog)
+    assert specialized == prog
+    assert summary == {"main": {"_skipped": "9 variables exceed guard"}}
+    report = CP.run_pipeline(src).report
+    assert report.map_types == summary
+    assert report.equivalence == "equal"
+
+
+# --- the extractor against a reference copy --------------------------------------------
+
+
+@dataclass(frozen=True)
+class _RefSlot:
+    var: Optional[str]
+    tag: Optional[TypeTag]
+
+
+class _RefExtractor:
+    """The two mutually recursive walks the single `walk` replaced."""
+
+    def __init__(self, env: TI.ContextEnv):
+        self.env = env
+        self.leaf_slots: list[_RefSlot] = []
+        self.variables: list[str] = []
+        self.groups: dict[tuple, list[str]] = {}
+        self.factors: list[TI.Factor] = []
+        self.lam_counter = 0
+
+    def walk(self, t, binders):
+        match t:
+            case L.Lam(param, body):
+                self.lam_counter += 1
+                self.walk(body, ((param, self.lam_counter),) + binders)
+            case L.App():
+                head, args = L.spine(t)
+                self._leaf_or_walk(head, binders)
+                slots_before = [len(self.leaf_slots)]
+                for a in args:
+                    self._leaf_or_walk(a, binders)
+                    slots_before.append(len(self.leaf_slots))
+                if isinstance(head, L.Prim):
+                    operand_slots = [
+                        self.leaf_slots[slots_before[i]] if self._is_leaf(args[i]) else None
+                        for i in range(len(args))
+                    ]
+                    self._emit_site(head.op, args, operand_slots)
+            case _:
+                self._leaf_or_walk(t, binders)
+
+    def _is_leaf(self, t) -> bool:
+        return isinstance(t, (L.Var, L.IntLit, L.BoolLit, L.Prim))
+
+    def _leaf_or_walk(self, t, binders) -> None:
+        if not self._is_leaf(t):
+            self.walk(t, binders)
+            return
+        idx = len(self.leaf_slots)
+        match t:
+            case L.Var(name):
+                bound = next((b for b in binders if b[0] == name), None)
+                if bound is not None:
+                    self._add_variable(name, idx, group=("lam", name, bound[1]))
+                elif name in self.env.bindings:
+                    self.leaf_slots.append(_RefSlot(var=None, tag=self.env.bindings[name]))
+                else:
+                    self._add_variable(name, idx, group=("free", name))
+            case L.IntLit(v):
+                self._add_variable(str(v), idx, group=None)
+            case L.BoolLit(_):
+                self.leaf_slots.append(_RefSlot(var=None, tag=TypeTag.BOOL))
+            case L.Prim(_):
+                self.leaf_slots.append(_RefSlot(var=None, tag=TypeTag.FUNC))
+
+    def _add_variable(self, display, idx, group) -> None:
+        name = f"{display}@{idx}"
+        self.variables.append(name)
+        self.leaf_slots.append(_RefSlot(var=name, tag=None))
+        if group is not None:
+            self.groups.setdefault(group, []).append(name)
+
+    def _emit_site(self, op, args, operand_slots) -> None:
+        if op in ("add", "sub", "mul") and len(args) >= 2:
+            self._agreement_factor("numeric", operand_slots[:2], TI.ARITH_FACTOR_WEIGHT)
+        elif op == "eq" and len(args) >= 2:
+            self._agreement_factor("agree", operand_slots[:2], TI.EQ_FACTOR_WEIGHT)
+        elif op == "if" and len(args) >= 3:
+            cond = operand_slots[0]
+            if cond is not None and cond.var is not None:
+                self.factors.append(TI.Factor("bool_cond", (cond.var,), TI.COND_FACTOR_WEIGHT))
+
+    def _agreement_factor(self, kind, slots, weight) -> None:
+        present = [s for s in slots if s is not None]
+        clique = tuple(s.var for s in present if s.var is not None)
+        fixed = tuple(s.tag for s in present if s.var is None)
+        if not clique:
+            return
+        if kind == "agree" and len(clique) + len(fixed) < 2:
+            return
+        self.factors.append(TI.Factor(kind, clique, weight, fixed))
+
+    def finish(self) -> None:
+        for members in self.groups.values():
+            for a, b in zip(members, members[1:]):
+                self.factors.append(TI.Factor("binding", (a, b), TI.BINDING_FACTOR_WEIGHT))
+
+
+def reference_build_constraints(t, env):
+    ex = _RefExtractor(env)
+    ex.walk(t, ())
+    ex.finish()
+    return ex.variables, tuple(ex.factors)
+
+
+def reference_specialize(t, assignment, env):
+    ex = _RefExtractor(env)
+    ex.walk(t, ())
+    slots = ex.leaf_slots
+    counter = itertools.count()
+
+    def resolve(idx):
+        slot = slots[idx]
+        return slot.tag if slot.var is None else assignment.get(slot.var)
+
+    def go(node):
+        match node:
+            case L.Lam(param, body):
+                return L.Lam(param, go(body)[0]), TypeTag.FUNC
+            case L.App():
+                head, args = L.spine(node)
+                if isinstance(head, (L.Var, L.IntLit, L.BoolLit, L.Prim)):
+                    next(counter)
+                    new_head = head
+                else:
+                    new_head, _ = go(head)
+                results = [go(a) for a in args]
+                new_args = [r[0] for r in results]
+                tags = [r[1] for r in results]
+                derived = None
+                if isinstance(head, L.Prim):
+                    if head.op in L.ARITH_OPS and len(args) == 2:
+                        if tags[0] is TypeTag.INT and tags[1] is TypeTag.INT:
+                            derived = TypeTag.INT
+                        elif tags[0] is TypeTag.REAL and tags[1] is TypeTag.REAL:
+                            derived = TypeTag.REAL
+                        if head.op == "add" and derived is TypeTag.INT:
+                            new_head = L.Prim("addZ")
+                        elif head.op == "add" and derived is TypeTag.REAL:
+                            new_head = L.Prim("addR")
+                    elif head.op == "eq" and len(args) == 2:
+                        derived = TypeTag.BOOL
+                    elif head.op == "if" and len(args) == 3:
+                        derived = tags[1] if tags[1] is tags[2] else None
+                return L.apply_spine(new_head, *new_args), derived
+            case L.IntLit() | L.Var():
+                return node, resolve(next(counter))
+            case L.BoolLit():
+                next(counter)
+                return node, TypeTag.BOOL
+            case L.Prim():
+                next(counter)
+                return node, TypeTag.FUNC
+
+    return go(t)[0]
+
+
+# few names, so binders shadow free and environment-typed names often
+_NAMES = ("x", "y", "f")
+_leaves = st.one_of(
+    st.sampled_from(_NAMES).map(L.Var),
+    st.integers(-2, 2).map(L.IntLit),
+    st.booleans().map(L.BoolLit),
+    st.sampled_from(L.PRIM_OPS).map(L.Prim),
+)
+inference_terms = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda fa: L.App(*fa)),
+        st.tuples(st.sampled_from(_NAMES), sub).map(lambda pb: L.Lam(*pb)),
+        st.tuples(st.sampled_from(L.PRIM_OPS), st.lists(sub, min_size=1, max_size=3)).map(
+            lambda oa: L.apply_spine(L.Prim(oa[0]), *oa[1])
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inference_terms, st.dictionaries(st.sampled_from(_NAMES), st.sampled_from(TypeTag)), st.data())
+def test_extractor_matches_reference_walks(t, bindings, data):
+    env = TI.ContextEnv(bindings=bindings)
+    variables, cs = TI.build_constraints(t, env)
+    assert (variables, cs.factors) == reference_build_constraints(t, env)
+    drawn = {v: data.draw(st.sampled_from(TypeTag), label=v) for v in variables}
+    assert TI.specialize_operators(t, drawn, env) == reference_specialize(t, drawn, env)
+    if len(variables) <= 5:
+        assignment = TI.map_assignment(TI.posterior(cs, variables))
+        ref_vars, ref_factors = reference_build_constraints(t, env)
+        assert assignment == TI.map_assignment(TI.posterior(TI.ConstraintSet(ref_factors), ref_vars))
+        assert TI.specialize_operators(t, assignment, env) == reference_specialize(t, assignment, env)
