@@ -299,23 +299,18 @@ def corpus_csv(report: CorpusReport) -> str:
 # --- CLI ------------------------------------------------------------------------
 
 
-_RULE_FLAGS = {
-    "naive": RuleSet.NAIVE,
-    "i": RuleSet.WITH_I,
-    "eta": RuleSet.ETA_OPTIMIZED,
-}
+def _rule_set(flag: str) -> RuleSet:
+    try:
+        return RuleSet(flag.strip())
+    except ValueError:
+        expected = "|".join(r.value for r in RuleSet)
+        raise ValueError(f"unknown rule set {flag.strip()!r} (expected {expected})") from None
 
 
 def _config_from_args(args: argparse.Namespace) -> MdlConfig:
     rule_sets = mdl_opt.ALL_RULE_SETS
     if args.rules:
-        chosen = []
-        for flag in args.rules.split(","):
-            flag = flag.strip()
-            if flag not in _RULE_FLAGS:
-                raise ValueError(f"unknown rule set {flag!r} (expected naive|i|eta)")
-            chosen.append(_RULE_FLAGS[flag])
-        rule_sets = tuple(chosen)
+        rule_sets = tuple(map(_rule_set, args.rules.split(",")))
     if not 0 <= args.density_c < math.inf:
         raise ValueError("density bound constant must be finite and nonnegative")
     return MdlConfig(
@@ -401,6 +396,8 @@ def _cmd_compress(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> dict[str, str]:
+    if Path(args.report).suffix == ".csv":
+        raise ValueError("corpus --report path must not end in .csv: the CSV summary is written next to it")
     cfg = _config_from_args(args)
     report = run_corpus(args.dir, cfg, density_c=args.density_c)
     if args.report:

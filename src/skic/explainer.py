@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .lambda_ir import App, BoolLit, Comb, I, IntLit, K, Prim, S, Term, Var, spine
+from .lambda_ir import INT64_MAX, INT64_MIN, App, BoolLit, Comb, I, IntLit, K, Prim, S, Term, Var, spine
 
 Path = tuple[int, ...]
 
@@ -100,13 +100,15 @@ def _leaf_text(t: Term) -> str:
 
 
 def _parse_leaf_text(text: str) -> Term | None:
+    """The GAEL leaf `text` names: an integer in the 64-bit range, and a
+    reference that is not a literal keyword."""
     if text in _FIXED_LEAVES:
         return _FIXED_LEAVES[text]
-    if m := _INT_RE.fullmatch(text):
+    if (m := _INT_RE.fullmatch(text)) and INT64_MIN <= int(m.group(1)) <= INT64_MAX:
         return IntLit(int(m.group(1)))
     if m := _BOOL_RE.fullmatch(text):
         return BoolLit(m.group(1) == "true")
-    if m := _REF_RE.fullmatch(text):
+    if (m := _REF_RE.fullmatch(text)) and m.group(1) not in ("true", "false"):
         return Var(m.group(1))
     return None
 

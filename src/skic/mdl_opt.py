@@ -57,17 +57,17 @@ class MdlConfig:
 
 @dataclass(frozen=True)
 class CompressionPlan:
-    """Chosen encoding with its objective decomposition and search trace.
+    """Chosen encoding with its objective decomposition.
 
-    token_length counts GAEL tokens; trace pairs each decision with the
-    objective after it.
+    token_length counts GAEL tokens.  The search resolves `distance`
+    exactly for the chosen candidate alone: after the last beam step it
+    probes only that candidate's rule prefixes.
     """
 
     encoded: Program
     objective: float
     token_length: int
     distance: float
-    trace: tuple[tuple[str, float], ...]
 
 
 _PENALTY = {True: 0.0, False: 1.0, None: 0.5}
@@ -247,6 +247,7 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
     `sorted(...)[:beam_width]`, stable too.  Item i's distance
     depends only on the rules of items 0..i, so it is probed once per such
     prefix, and only where two candidates' objective intervals overlap.
+    After the last step only the chosen candidate's prefixes are probed.
     """
     items = _items_of(prog)
     if not items:
@@ -260,29 +261,15 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
         beam = [c.rules[:step] for c in chosen]
 
     best = chosen[0]
-    trace = []
-    for i, item in enumerate(items):
-        state = search.candidate(best.rules[: i + 1])
-        objective = _objective(cfg, state.tokens, search.distance(state))
-        trace.append((f"rules[{item.name or 'main'}]={cfg.rule_sets[best.rules[i]].value}", objective))
-    dist, tokens, objective = search.distance(best), best.tokens, trace[-1][1]
     encoded = Program.of_items([
         (item.name, search.encode(i, r)[0]) for i, (item, r) in enumerate(zip(items, best.rules))
     ])
-
+    tokens = best.tokens
     if cfg.extraction_enabled:
-        # extraction leaves every closed item as it was, so `dist` stands
-        encoded, moves, tokens = _extract_with_trace(encoded, tokens)
-        objective = _objective(cfg, tokens, dist)
-        trace += [(f"extract[{name}]", objective) for name in moves]
-
-    return CompressionPlan(
-        encoded=encoded,
-        objective=objective,
-        token_length=tokens,
-        distance=dist,
-        trace=tuple(trace),
-    )
+        # extraction leaves every closed item as it was, so the distance stands
+        encoded, _, tokens = _extract_with_trace(encoded, tokens)
+    dist = search.distance(best)
+    return CompressionPlan(encoded, _objective(cfg, tokens, dist), tokens, dist)
 
 
 # --- common-subterm extraction ---------------------------------------------

@@ -245,6 +245,7 @@ C_ERROR = "density bound constant must be finite and nonnegative"
     (["compress", "{dir}/prog.lam", "--probes", "0"], "probe tuple count must be positive"),
     (["corpus", "{dir}", "--probes", "0"], "probe tuple count must be positive"),
     (["compress", "{dir}/prog.lam", "--rules", "eta,eta"], "rule_sets must not repeat"),
+    (["corpus", "{dir}", "--rules", "eta, bogus"], "unknown rule set 'bogus' (expected naive|i|eta)"),
 ])
 def test_cli_invalid_values_exit_1_before_compiling(tmp_path, capsys, argv, message):
     (tmp_path / "prog.lam").write_text("inc := \\x. #add x 1;\ninc 3")
@@ -305,6 +306,19 @@ def test_cli_corpus_csv_and_json(tmp_path, capsys):
     assert report_file.with_suffix(".csv").exists()
     doc = json.loads(report_file.read_text())
     assert doc["aggregates"]["count"] == 2
+
+
+def test_cli_corpus_csv_report_path_exits_1_before_compiling(tmp_path, capsys, monkeypatch):
+    # the CSV summary goes to the report path with a .csv suffix, which
+    # would overwrite a JSON report written to a .csv path
+    (tmp_path / "one.lam").write_text(r"\x. x")
+    monkeypatch.setattr(CP, "run_corpus", None)  # compiling would raise TypeError
+    report_file = tmp_path / "r.csv"
+    assert CP.main(["corpus", str(tmp_path), "--report", str(report_file)]) == 1
+    out, err = capsys.readouterr()
+    message = "corpus --report path must not end in .csv: the CSV summary is written next to it"
+    assert (out, err) == ("", f"skic: error: {message}\n")
+    assert not report_file.exists()
 
 
 def test_cli_explain_round_trip(tmp_path, capsys):

@@ -52,7 +52,8 @@ def test_nested_argument_parenthesized():
 
 
 def test_round_trip_atoms_and_small():
-    for src in ["I", "K", "S", "I 5", "S K K", "S (K I)", "#addZ 1 2", "q0 true -3"]:
+    for src in ["I", "K", "S", "I 5", "S K K", "S (K I)", "#addZ 1 2", "q0 true -3",
+                "I 9223372036854775807 (-9223372036854775808) truth"]:
         term = g(src)
         assert EX.parse_explanation(EX.explain_term(term)) == term
 
@@ -146,3 +147,20 @@ def test_empty_doc_is_an_error():
 def test_malformed_line_rejected():
     with pytest.raises(EX.TemplateParseError):
         EX.ExplanationDoc.from_text("not a doc line")
+
+
+@pytest.mark.parametrize("text", [
+    "the integer 9223372036854775808",
+    "the integer -9223372036854775809",
+    "the integer 100000000000000000000",
+    "the reference true",
+    "the reference false",
+])
+def test_leaf_outside_gael_is_an_unknown_template(text):
+    # IntLit(10**20) and Var("true") print as GAEL text that fails to
+    # parse or parses to another term, so the inverse rejects them
+    doc = EX.explain_term(g("I 5"))
+    bad = EX.ExplanationDoc(sentences=(doc.sentences[0], doc.sentences[1], EX.Sentence((1,), text)))
+    with pytest.raises(EX.TemplateParseError, match="unknown template") as exc:
+        EX.parse_explanation(bad)
+    assert exc.value.index == 2

@@ -133,13 +133,6 @@ def test_objective_recomputable_from_fields():
         assert abs(plan.objective - recomputed) < 1e-12
 
 
-def test_trace_objectives_non_increasing():
-    for _, source in corpus_sources():
-        plan = MD.compress_program(L.parse_program(source))
-        objectives = [obj for _, obj in plan.trace]
-        assert all(a >= b - 1e-12 for a, b in zip(objectives, objectives[1:]))
-
-
 def test_dominance_over_single_shot_eta():
     cfg = MdlConfig()
     for _, source in corpus_sources():
@@ -212,7 +205,6 @@ def test_search_closing_matches_whole_program_inlining():
             prog = L.parse_program(source)
             plan = MD.compress_program(prog, cfg)
             assert plan.distance == MD.program_distance(prog, plan.encoded, cfg)
-            assert plan.trace[-1][1] == plan.objective
 
 
 def eager_compress(prog: L.Program, cfg: MdlConfig) -> MD.CompressionPlan:
@@ -246,15 +238,10 @@ def eager_compress(prog: L.Program, cfg: MdlConfig) -> MD.CompressionPlan:
     best = beam[0]
     objective, tokens, dist = scores[best]
     encoded = _encode(items, best)
-    trace = [
-        (f"rules[{item.name or 'main'}]={rs.value}", scores[best[: i + 1]][0])
-        for i, (item, rs) in enumerate(zip(items, best))
-    ]
     if cfg.extraction_enabled:
-        encoded, moves, tokens = MD._extract_with_trace(encoded, tokens)
+        encoded, _, tokens = MD._extract_with_trace(encoded, tokens)
         objective = MD._objective(cfg, tokens, dist)
-        trace += [(f"extract[{name}]", objective) for name in moves]
-    return MD.CompressionPlan(encoded, objective, tokens, dist, tuple(trace))
+    return MD.CompressionPlan(encoded, objective, tokens, dist)
 
 
 def gen_chain(rng: random.Random, n: int) -> str:
@@ -303,7 +290,7 @@ def shared_distance(request, monkeypatch):
 
 @pytest.mark.parametrize("rules", RULE_ORDERS, ids=["all", "eta", "permuted"])
 def test_search_matches_eager_reference(rules, shared_distance):
-    # the lazy beam must choose what a full sort chooses, trace included,
+    # the lazy beam must choose what a full sort chooses, objective included,
     # for every weight (0 and 1 leave only distance or only tokens) and
     # width; fuel 60 makes some probes run out, so 0.5 distances occur
     for source in REFERENCE_SOURCES:
@@ -321,7 +308,9 @@ def test_search_matches_eager_reference_on_corpus(shared_distance):
             assert MD.compress_program(prog, cfg) == eager_compress(prog, cfg), (prog, cfg)
 
 
-def test_search_probes_at_most_half_of_eager(monkeypatch):
+@pytest.fixture
+def distance_calls(monkeypatch) -> list[int]:
+    """Counts MD.semantic_distance calls in its one element."""
     calls = [0]
     distance = MD.semantic_distance
 
@@ -330,13 +319,25 @@ def test_search_probes_at_most_half_of_eager(monkeypatch):
         return distance(*args)
 
     monkeypatch.setattr(MD, "semantic_distance", counted)
+    return calls
+
+
+def test_search_probes_at_most_half_of_eager(distance_calls):
     programs = [L.parse_program(source) for _, source in corpus_sources()]
     for prog in programs:
         eager_compress(prog, MdlConfig())
-    eager_calls, calls[0] = calls[0], 0
+    eager_calls, distance_calls[0] = distance_calls[0], 0
     for prog in programs:
         MD.compress_program(prog, MdlConfig())
-    assert calls[0] * 2 <= eager_calls, (calls[0], eager_calls)
+    assert distance_calls[0] * 2 <= eager_calls, (distance_calls[0], eager_calls)
+
+
+def test_search_probes_only_the_chosen_candidates_prefixes_after_the_beam(distance_calls):
+    # past the last beam step only the chosen candidate's own rule
+    # prefixes are probed, never prefixes padded with the first rule set
+    for _, source in corpus_sources():
+        MD.compress_program(L.parse_program(source), MdlConfig())
+    assert distance_calls[0] <= 46, distance_calls[0]
 
 
 def test_lambda_sweep_token_length_non_increasing():
