@@ -267,7 +267,7 @@ def run_corpus(
                 density_c=density_c,
             )
             reports.append(result.report)
-        except Exception as exc:  # record and continue the sweep
+        except (OSError, ValueError, lambda_ir.LambdaError) as exc:  # record and continue the sweep
             errors.append((program_id, f"{type(exc).__name__}: {exc}"))
 
     def mean(values: list) -> float:

@@ -440,64 +440,96 @@ _BINARY = {
 }
 
 
-def _delta(op: str, args: list[Term], fuel: Fuel) -> Optional[tuple[Term, list[Term]]]:
-    """Try a primitive step on a spine head `#op args...`.
+# operands a primitive's rule consumes
+_PRIM_ARITY = {op: 3 if op == "if" else 2 for op in PRIM_OPS}
 
-    Returns (replacement, leftover args) or None when the rule cannot
-    fire.  Operands are brought to WHNF first; non-literal operands
-    leave the application stuck.
-    """
-    if op in _BINARY and len(args) >= 2:
-        a = _whnf(args[0], fuel)
-        b = _whnf(args[1], fuel)
-        args[0], args[1] = a, b
-        if isinstance(a, IntLit) and isinstance(b, IntLit):
-            fuel.spend()
-            v = _BINARY[op](a.value, b.value)
-            return (BoolLit(v) if op == "eq" else IntLit(_check_range(op, v))), args[2:]
-    elif op == "if" and len(args) >= 3:
-        c = _whnf(args[0], fuel)
-        args[0] = c
-        if isinstance(c, BoolLit):
-            fuel.spend()
-            return (args[1] if c.value else args[2]), args[3:]
-    return None
-
-
-def _whnf(t: Term, fuel: Fuel) -> Term:
-    """Reduce to weak head normal form (leftmost-outermost).
-
-    A beta step and a combinator step each spend one unit of fuel.
-    """
-    head, args = spine(t)
-    while True:
-        if isinstance(head, Lam) and args:
-            fuel.spend()
-            replacement, rest = substitute(head.body, head.param, args[0]), args[1:]
-        elif isinstance(head, Comb) and len(args) >= _COMB_ARITY[head.name]:
-            fuel.spend()
-            if head.name == "S":
-                x, y, z = args[0], args[1], args[2]
-                replacement, rest = App(App(x, z), App(y, z)), args[3:]
-            else:  # K x y -> x, I x -> x
-                replacement, rest = args[0], args[_COMB_ARITY[head.name]:]
-        elif isinstance(head, Prim) and (fired := _delta(head.op, args, fuel)) is not None:
-            replacement, rest = fired
-        else:
-            return apply_spine(head, *args)
-        head, inner_args = spine(replacement)
-        args = inner_args + rest
+# continuation frames of `_normalize`
+_OPERAND, _BODY, _ARGS = range(3)
 
 
 def _normalize(t: Term, fuel: Fuel) -> Term:
-    t = _whnf(t, fuel)
-    if isinstance(t, Lam):
-        return Lam(t.param, _normalize(t.body, fuel))
-    head, args = spine(t)
-    if not args:
-        return head
-    # head is stuck (Var, literal, or under-applied Prim); finish the args
-    return apply_spine(head, *(_normalize(a, fuel) for a in args))
+    """Reduce to beta-delta normal form, leftmost-outermost.
+
+    A stack machine with no recursion: `t` unwinds onto `args`, whose
+    last element is the first argument.  A primitive's operand, a lambda
+    body and each argument of a stuck spine are reduced under a frame on
+    `frames`.  A beta, combinator or delta step spends one unit of fuel,
+    a delta step after its operands reach weak head normal form;
+    operands that are not literals leave the application stuck.
+    """
+    spend = fuel.spend
+    args: list[Term] = []
+    frames: list[tuple] = []
+    while True:
+        kind = type(t)
+        while kind is App:
+            args.append(t.arg)
+            t = t.fun
+            kind = type(t)
+        if kind is Lam and args:
+            spend()
+            t = substitute(t.body, t.param, args.pop())
+            continue
+        if kind is Comb and len(args) >= _COMB_ARITY[t.name]:
+            spend()
+            name, t = t.name, args.pop()
+            if name == "K":
+                args.pop()
+            elif name == "S":  # S x y z -> x z (y z)
+                y, z = args.pop(), args[-1]
+                args[-1] = App(y, z)
+                args.append(z)
+            continue
+        if kind is Prim and len(args) >= _PRIM_ARITY[t.op]:
+            frames.append((_OPERAND, t, args, 1))
+            t, args = args[-1], []
+            continue
+        # (t, args) is a weak head normal form; an operand frame takes it back
+        while frames and frames[-1][0] == _OPERAND:
+            _, prim, outer, i = frames.pop()
+            outer[-i] = apply_spine(t, *reversed(args))
+            op = prim.op
+            if i == 1 and op != "if":
+                frames.append((_OPERAND, prim, outer, 2))
+                t, args = outer[-2], []
+                break
+            if op == "if":
+                if type(outer[-1]) is BoolLit:
+                    spend()
+                    cond, x, y = outer.pop(), outer.pop(), outer.pop()
+                    t, args = (x if cond.value else y), outer
+                    break
+            elif type(outer[-1]) is IntLit and type(outer[-2]) is IntLit:
+                spend()
+                v = _BINARY[op](outer.pop().value, outer.pop().value)
+                t, args = (BoolLit(v) if op == "eq" else IntLit(_check_range(op, v))), outer
+                break
+            t, args = prim, outer  # stuck: the primitive's spine is a WHNF too
+        else:
+            # no operand waits: normalise a stuck head's arguments, first to last
+            if args:
+                frames.append((_ARGS, t, [], args))
+                t, args = args.pop(), []
+                continue
+            if type(t) is Lam:
+                frames.append((_BODY, t.param))
+                t = t.body
+                continue
+            # t is a normal form: close the frames it completes
+            while frames:
+                frame = frames[-1]
+                if frame[0] == _BODY:
+                    t = Lam(frame[1], t)
+                else:
+                    _, head, done, todo = frame
+                    done.append(t)
+                    if todo:  # reduce the next argument
+                        t = todo.pop()
+                        break
+                    t = apply_spine(head, *done)
+                frames.pop()
+            else:
+                return t
 
 
 def is_normal_form(t: Term) -> bool:

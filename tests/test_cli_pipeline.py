@@ -205,6 +205,19 @@ def test_cli_deep_nesting_is_an_input_error(tmp_path, capsys):
     assert report.errors == (("power", message), ("wide", message))
 
 
+def test_run_corpus_propagates_a_pass_bug(tmp_path, monkeypatch):
+    # only the documented input errors become corpus rows; a programming
+    # error in a pass is a traceback, not a recorded program error
+    (tmp_path / "one.lam").write_text("#add 1 2")
+
+    def broken(*args, **kwargs):
+        raise TypeError("a bug in a pass")
+
+    monkeypatch.setattr(CP.mdl_opt, "compress_program", broken)
+    with pytest.raises(TypeError, match="a bug in a pass"):
+        CP.run_corpus(tmp_path)
+
+
 @pytest.mark.parametrize("source, verdict", [
     ("#add 9223372036854775807 1", "equal"),
     ("(\\x. #add x 1) (\\z. z)", "equal"),

@@ -1,8 +1,10 @@
+import operator
 import random
 import string
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from skic import lambda_ir as L
@@ -227,6 +229,132 @@ def test_stuck_primitive_is_normal():
     t = SK.ski_reduce(p(r"(\x. #add x 1) true"))
     assert t == L.apply_spine(L.Prim("add"), L.BoolLit(True), L.IntLit(1))
     assert L.is_normal_form(t)
+
+
+# --- the reducer against the recursive reference --------------------------------
+#
+# A copy of the recursive reducer the stack machine replaced: `_whnf`
+# unwinds a spine and rebuilds its argument list at every step, `_delta`
+# brings operands to WHNF by recursion, and `_normalize` recurses into
+# lambda bodies and stuck arguments.  Its step order and fuel are the
+# contract the machine keeps.
+
+_REF_BINARY = {
+    "add": operator.add, "addZ": operator.add, "addR": operator.add,
+    "sub": operator.sub, "mul": operator.mul, "eq": operator.eq,
+}
+
+
+def _ref_delta(op, args, fuel):
+    if op in _REF_BINARY and len(args) >= 2:
+        a = _ref_whnf(args[0], fuel)
+        b = _ref_whnf(args[1], fuel)
+        args[0], args[1] = a, b
+        if isinstance(a, L.IntLit) and isinstance(b, L.IntLit):
+            fuel.spend()
+            v = _REF_BINARY[op](a.value, b.value)
+            if op != "eq" and not L.INT64_MIN <= v <= L.INT64_MAX:
+                raise L.EvalOverflowError(op, v)
+            return (L.BoolLit(v) if op == "eq" else L.IntLit(v)), args[2:]
+    elif op == "if" and len(args) >= 3:
+        c = _ref_whnf(args[0], fuel)
+        args[0] = c
+        if isinstance(c, L.BoolLit):
+            fuel.spend()
+            return (args[1] if c.value else args[2]), args[3:]
+    return None
+
+
+def _ref_whnf(t, fuel):
+    arity = {"I": 1, "K": 2, "S": 3}
+    head, args = L.spine(t)
+    while True:
+        if isinstance(head, L.Lam) and args:
+            fuel.spend()
+            replacement, rest = L.substitute(head.body, head.param, args[0]), args[1:]
+        elif isinstance(head, L.Comb) and len(args) >= arity[head.name]:
+            fuel.spend()
+            if head.name == "S":
+                x, y, z = args[0], args[1], args[2]
+                replacement, rest = L.App(L.App(x, z), L.App(y, z)), args[3:]
+            else:
+                replacement, rest = args[0], args[arity[head.name]:]
+        elif isinstance(head, L.Prim) and (fired := _ref_delta(head.op, args, fuel)) is not None:
+            replacement, rest = fired
+        else:
+            return L.apply_spine(head, *args)
+        head, inner_args = L.spine(replacement)
+        args = inner_args + rest
+
+
+def _ref_normalize(t, fuel):
+    t = _ref_whnf(t, fuel)
+    if isinstance(t, L.Lam):
+        return L.Lam(t.param, _ref_normalize(t.body, fuel))
+    head, args = L.spine(t)
+    if not args:
+        return head
+    return L.apply_spine(head, *(_ref_normalize(a, fuel) for a in args))
+
+
+def _reduction_outcome(normalize, t, budget):
+    """(normal form or exception class, overflow value, fuel left)."""
+    fuel = L.Fuel(budget)
+    try:
+        return normalize(t, fuel), None, fuel.remaining
+    except L.EvalOverflowError as e:
+        return L.EvalOverflowError, e.value, fuel.remaining
+    except L.LambdaError as e:
+        return type(e), None, fuel.remaining
+
+
+_NAMES = ("x", "y", "z")
+_reducer_leaves = st.one_of(
+    st.sampled_from([L.S, L.K, L.I]),
+    st.sampled_from(_NAMES).map(L.Var),
+    st.sampled_from([-2, -1, 0, 1, 2, 2**62, L.INT64_MAX, L.INT64_MIN]).map(L.IntLit),
+    st.booleans().map(L.BoolLit),
+    st.sampled_from(L.PRIM_OPS).map(L.Prim),
+)
+reducer_terms = st.recursive(
+    _reducer_leaves,
+    lambda sub: st.one_of(
+        st.builds(L.App, sub, sub),
+        st.builds(L.Lam, st.sampled_from(_NAMES), sub),
+        st.builds(lambda head, args: L.apply_spine(head, *args),
+                  st.sampled_from([L.S, L.K, L.I, *map(L.Prim, L.PRIM_OPS)]), st.lists(sub, min_size=1, max_size=4)),
+        st.builds(lambda name, body, arg: L.App(L.Lam(name, body), arg), st.sampled_from(_NAMES), sub, sub),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(reducer_terms, st.one_of(st.integers(0, 50), st.just(L.DEFAULT_FUEL)))
+# the delta step spends after its operands and before the range check
+@example(p(f"#add {L.INT64_MAX} 1"), 0)
+# the second operand reaches WHNF (and overflows) before a stuck first
+# operand's body is normalised (and exhausts the fuel)
+@example(p(rf"#add (\y. (\x. x x) (\x. x x)) (#add {L.INT64_MAX} 1)"), L.DEFAULT_FUEL)
+def test_normalize_matches_recursive_reference(t, budget):
+    try:
+        expected = _reduction_outcome(_ref_normalize, t, budget)
+    except RecursionError:
+        assume(False)  # the reference cannot decide terms nested this deep
+    assert _reduction_outcome(L._normalize, t, budget) == expected
+
+
+def test_deep_operand_chain_and_spine_reduce_without_recursion():
+    depth = 5_000
+    assert depth > sys.getrecursionlimit()
+    chain = L.IntLit(0)
+    for _ in range(depth):
+        chain = L.apply_spine(L.Prim("add"), chain, L.IntLit(1))
+    assert SK.ski_reduce(chain, fuel=depth) == L.IntLit(depth)
+    spine = L.IntLit(7)
+    for i in range(depth):
+        spine = L.App(L.I, spine) if i % 2 else L.apply_spine(L.K, spine, L.Var("x"))
+    assert SK.ski_reduce(spine, fuel=depth) == L.IntLit(7)
 
 
 # --- alpha equivalence ----------------------------------------------------------
