@@ -14,6 +14,8 @@ provably disagrees with its source on some probe).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import statistics
@@ -286,14 +288,13 @@ def run_corpus(
 
 
 def corpus_csv(report: CorpusReport) -> str:
-    lines = ["program_id,p_tokens,s_tokens,cr,equivalence,objective,rho_source,rho_gael"]
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow("program_id p_tokens s_tokens cr equivalence objective rho_source rho_gael".split())
     for r in report.reports:
-        lines.append(
-            f"{r.program_id},{r.p_tokens},{r.s_tokens},{float(r.cr):.6f},"
-            f"{r.equivalence},{r.objective:.6f},"
-            f"{float(r.density_source.rho):.6f},{float(r.density_gael.rho):.6f}"
-        )
-    return "\n".join(lines) + "\n"
+        rows.writerow([r.program_id, r.p_tokens, r.s_tokens, f"{float(r.cr):.6f}", r.equivalence, f"{r.objective:.6f}",
+                       f"{float(r.density_source.rho):.6f}", f"{float(r.density_gael.rho):.6f}"])
+    return out.getvalue()
 
 
 # --- CLI ------------------------------------------------------------------------

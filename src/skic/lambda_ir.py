@@ -287,6 +287,7 @@ class _Parser:
     def _program(self) -> Program:
         defs: dict[str, Term] = {}  # also the scope of each later body
         toks = self.toks
+        main_def: Optional[Token] = None
         while self.pos + 1 < len(toks) and (toks[self.pos].kind, toks[self.pos + 1].text) == ("ident", ":="):
             name_tok = self.next()
             self.expect(":=")
@@ -295,6 +296,9 @@ class _Parser:
             if name_tok.text in defs:
                 raise DuplicateDefinitionError(name_tok.text, name_tok.line, name_tok.col)
             defs[name_tok.text] = body
+            main_def = name_tok if name_tok.text == "main" else main_def
+        if main_def is not None and self.peek() is not None:
+            raise ParseError("definition 'main' clashes with the main expression", main_def.line, main_def.col)
         main = self.parse_expr(scope=(), defs=defs) if self.peek() is not None else None
         tok = self.peek()
         if tok is not None:
@@ -439,6 +443,10 @@ _BINARY = {
     "sub": operator.sub, "mul": operator.mul, "eq": operator.eq,
 }
 
+# `#addZ`/`#addR` are `#add` tagged Int/Real: they evaluate alike, and a
+# canonical normal form reads them as `#add`
+_UNTAGGED = {Prim("addZ"): Prim("add"), Prim("addR"): Prim("add")}
+
 
 # operands a primitive's rule consumes
 _PRIM_ARITY = {op: 3 if op == "if" else 2 for op in PRIM_OPS}
@@ -551,7 +559,7 @@ def is_normal_form(t: Term) -> bool:
     return all(is_normal_form(a) for a in args)
 
 
-# --- alpha equivalence and eta ----------------------------------------
+# --- alpha equivalence and the canonical form ------------------------
 
 
 def _debruijn(t: Term, env: tuple[str, ...]) -> object:
@@ -572,83 +580,55 @@ def alpha_equivalent(a: Term, b: Term) -> bool:
     return _debruijn(a, ()) == _debruijn(b, ())
 
 
-def saturate_conditionals(t: Term) -> Term:
-    """Rewrite under-applied conditionals with literal conditions into
-    their lambda meaning: #if true x == \\b. x, #if false x == \\b. b,
-    #if true == \\a.\\b. a, #if false == \\a.\\b. b.
+def canonical_pass(t: Term) -> Term:
+    """One bottom-up walk: `#addZ`/`#addR` read as `#add`, under-applied
+    conditionals with literal conditions take their lambda meaning
+    (#if true x == \\b. x, #if false x == \\b. b, #if true == \\a.\\b. a,
+    #if false == \\a.\\b. b), and every lambda eta-contracts
+    (\\x. M x -> M wherever x is not free in M).
 
-    On beta-delta normal forms this closes the gap between delta and
-    eta: eta-expanding such a spine would let the conditional fire, so
-    structural comparison must not distinguish the two shapes.  The
+    On beta-delta normal forms saturation closes the gap between delta
+    and eta: eta-expanding such a spine would let the conditional fire,
+    so structural comparison must not distinguish the two shapes.  The
     conditional is the only primitive whose rule can fire through
     eta-expansion (arithmetic needs literal operands, and an expansion
-    variable never is one).
+    variable never is one).  A condition is read as it stands before the
+    walk, which may eta-contract it into a literal.
     """
-    match t:
-        case Lam(param, body):
-            return Lam(param, saturate_conditionals(body))
-        case App():
-            head, args = spine(t)
-            new_args = [saturate_conditionals(a) for a in args]
-            new_head = saturate_conditionals(head) if isinstance(head, Lam) else head
-            if (
-                isinstance(head, Prim)
-                and head.op == "if"
-                and 1 <= len(new_args) <= 2
-                and isinstance(new_args[0], BoolLit)
-            ):
-                cond = new_args[0].value
-                if len(new_args) == 1:
-                    return Lam("sat_a", Lam("sat_b", Var("sat_a" if cond else "sat_b")))
-                taken = new_args[1]
-                if not cond:
-                    return Lam("sat_b", Var("sat_b"))
-                binder = "sat_b"
-                if binder in free_vars(taken):
-                    binder = _fresh(binder, free_vars(taken))
-                return Lam(binder, taken)
-            return apply_spine(new_head, *new_args)
-        case _:
-            return t
+    if isinstance(t, Lam):
+        body = canonical_pass(t.body)
+        if isinstance(body, App) and body.arg == Var(t.param) and t.param not in free_vars(body.fun):
+            return body.fun
+        return Lam(t.param, body)
+    if not isinstance(t, App):
+        return _UNTAGGED.get(t, t)
+    head, args = spine(t)
+    if isinstance(head, Prim) and head.op == "if" and len(args) <= 2 and isinstance(args[0], BoolLit):
+        cond = args[0].value
+        if len(args) == 1:
+            return Lam("sat_a", Lam("sat_b", Var("sat_a" if cond else "sat_b")))
+        if not cond:
+            return Lam("sat_b", Var("sat_b"))
+        taken = canonical_pass(args[1])
+        avoid = free_vars(taken)
+        return Lam(_fresh("sat_b", avoid) if "sat_b" in avoid else "sat_b", taken)
+    return apply_spine(canonical_pass(head), *map(canonical_pass, args))
 
 
 def canonical_normal_form(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    """Beta-delta normal form closed under conditional saturation and
-    eta contraction.
+    """Beta-delta normal form closed under `canonical_pass`.
 
     Eta contraction can expose fresh delta redexes (a contracted
-    argument may become a literal), so the three passes iterate to a
-    fixpoint; every pass is meaning-preserving and strictly shrinks the
-    term when it changes anything, so the loop terminates.
+    argument may become a literal), so normalisation and the pass
+    iterate to a fixpoint; each is meaning-preserving, and a change the
+    pass makes removes an eta-redex, an under-applied `#if` or a type tag.
     """
     t = _normalize(t, Fuel(fuel))
     while True:
-        contracted = eta_contract(saturate_conditionals(t))
-        if contracted == t:
+        passed = canonical_pass(t)
+        if passed == t:
             return t
-        t = _normalize(contracted, Fuel(fuel))
-
-
-def eta_contract(t: Term) -> Term:
-    """Fully eta-contract: \\x. M x -> M wherever x is not free in M.
-
-    Applied to beta-normal forms this yields the beta-eta normal form.
-    """
-    match t:
-        case Lam(param, body):
-            body = eta_contract(body)
-            if (
-                isinstance(body, App)
-                and isinstance(body.arg, Var)
-                and body.arg.name == param
-                and param not in free_vars(body.fun)
-            ):
-                return eta_contract(body.fun)
-            return Lam(param, body)
-        case App(fun, arg):
-            return App(eta_contract(fun), eta_contract(arg))
-        case _:
-            return t
+        t = _normalize(passed, Fuel(fuel))
 
 
 # --- printing ----------------------------------------------------------

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import lambda_ir, metrics, ski_core
-from .lambda_ir import DEFAULT_FUEL, App, Program, Term, Var, term_size
-from .ski_core import ProbeConfig, RuleSet, gael_print, gael_print_program
+from .lambda_ir import DEFAULT_FUEL, App, Program, Term, Var, pretty_print, term_size
+from .ski_core import ProbeConfig, RuleSet, gael_print_program
 
 MIN_EXTRACT_NODES = 3
 
@@ -90,7 +90,7 @@ def _objective(cfg: MdlConfig, length: int, dist: float) -> float:
 
 def mdl_objective(s: Term, p: Term, cfg: MdlConfig) -> float:
     """Scalarized objective for a single encoded term."""
-    length = metrics.token_count(gael_print(s), "gael")
+    length = metrics.token_count(pretty_print(s), "gael")
     probes = cfg.probes_for_arity(lambda_ir.leading_lambda_count(p))
     return _objective(cfg, length, semantic_distance(p, s, probes, cfg.fuel))
 
@@ -324,8 +324,6 @@ def _apply_extraction(prog: Program, target: Term, name: str) -> Program:
             new_items.append((name, target))
             inserted = True
         new_items.append((item_name, replaced))
-    if not inserted:  # target occurs nowhere; caller guarantees otherwise
-        return prog
     return Program.of_items(new_items)
 
 
@@ -338,7 +336,7 @@ def _extract_with_trace(prog: Program, tokens: int) -> tuple[Program, list[str],
         candidates = [
             (term, count) for term, count in counts.items() if count >= 2
         ]
-        candidates.sort(key=lambda tc: (-tc[1], -term_size(tc[0]), gael_print(tc[0])))
+        candidates.sort(key=lambda tc: (-tc[1], -term_size(tc[0]), pretty_print(tc[0])))
         name = _fresh_def_name(prog)
         for term, _count in candidates:
             replaced = _apply_extraction(prog, term, name)

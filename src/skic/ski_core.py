@@ -161,8 +161,6 @@ class ProbeConfig:
             raise ValueError("probe tuple count must be positive")
 
     def tuples(self) -> list[tuple[int, ...]]:
-        if self.arity == 0:
-            return [()]
         product = itertools.product(self.values, repeat=self.arity)
         return list(itertools.islice(product, self.max_tuples))
 
@@ -182,33 +180,20 @@ class EquivalenceResult:
         return self.verdict is Verdict.EQUAL
 
 
-def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> Term:
-    """Apply integer probes, reduce, and land in a comparable lambda form.
+def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> object:
+    """What one probe of `side` compares by: the de Bruijn form of the
+    applied side's canonical normal form, so results compare up to alpha,
+    or the EvalOverflowError its reduction raises.
 
-    The applied term is reduced with combinators as constants first,
-    then decoded; the result finishes in the canonical normal form
-    (beta-delta normalization closed under conditional saturation and
-    eta contraction), so results compare up to alpha.
+    The applied term is reduced with combinators as constants first, then
+    decoded and finished in `lambda_ir.canonical_normal_form`.
     """
     applied = apply_spine(side, *(IntLit(v) for v in args))
-    return lambda_ir.canonical_normal_form(ski_decode(ski_reduce(applied, fuel)), fuel)
-
-
-def _probe_key(side: Term, args: tuple[int, ...], fuel: int) -> object:
-    """What one probe of `side` compares by: its comparison form up to alpha
-    with `#addZ`/`#addR` read as the `#add` they evaluate like, or its overflow."""
     try:
-        return lambda_ir._debruijn(_read_adds(comparison_form(side, args, fuel)), ())
+        nf = lambda_ir.canonical_normal_form(ski_decode(ski_reduce(applied, fuel)), fuel)
     except lambda_ir.EvalOverflowError as exc:
         return exc
-
-
-def _read_adds(t: Term) -> Term:
-    if isinstance(t, App):
-        return App(_read_adds(t.fun), _read_adds(t.arg))
-    if isinstance(t, Lam):
-        return Lam(t.param, _read_adds(t.body))
-    return lambda_ir.Prim("add") if isinstance(t, lambda_ir.Prim) and t.op in ("addZ", "addR") else t
+    return lambda_ir._debruijn(nf, ())
 
 
 def probe_outcomes(
@@ -220,7 +205,7 @@ def probe_outcomes(
     redex overflows first follows a side's own reduction order."""
     for tup in probes.tuples():
         try:
-            ka, kb = _probe_key(a, tup, fuel), _probe_key(b, tup, fuel)
+            ka, kb = comparison_form(a, tup, fuel), comparison_form(b, tup, fuel)
         except FuelExhausted:
             yield tup, None
             continue
@@ -245,10 +230,6 @@ def behavioral_equal(
 
 
 # --- GAEL text ----------------------------------------------------------
-
-
-def gael_print(t: Term) -> str:
-    return lambda_ir.pretty_print(t)
 
 
 def gael_print_program(prog: Program) -> str:

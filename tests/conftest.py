@@ -107,3 +107,69 @@ def gen_normalizing_ski(rng: random.Random, max_depth: int = 4, fuel: int = 2000
         except (L.FuelExhausted, L.EvalError):
             continue
         return t
+
+
+# --- reference canonical form: the separate passes it was built from ---------------
+# Saturation, eta contraction and the `#addZ`/`#addR` reading as three
+# walks, and the probe key assembled from them, kept as the oracle for
+# `lambda_ir.canonical_pass` and `ski_core.comparison_form`.
+
+
+def ref_saturate_conditionals(t: L.Term) -> L.Term:
+    if isinstance(t, L.Lam):
+        return L.Lam(t.param, ref_saturate_conditionals(t.body))
+    if not isinstance(t, L.App):
+        return t
+    head, args = L.spine(t)
+    new_args = [ref_saturate_conditionals(a) for a in args]
+    new_head = ref_saturate_conditionals(head) if isinstance(head, L.Lam) else head
+    if isinstance(head, L.Prim) and head.op == "if" and len(new_args) <= 2 and isinstance(new_args[0], L.BoolLit):
+        cond = new_args[0].value
+        if len(new_args) == 1:
+            return L.Lam("sat_a", L.Lam("sat_b", L.Var("sat_a" if cond else "sat_b")))
+        taken = new_args[1]
+        if not cond:
+            return L.Lam("sat_b", L.Var("sat_b"))
+        binder = "sat_b"
+        if binder in L.free_vars(taken):
+            binder = L._fresh(binder, L.free_vars(taken))
+        return L.Lam(binder, taken)
+    return L.apply_spine(new_head, *new_args)
+
+
+def ref_eta_contract(t: L.Term) -> L.Term:
+    if isinstance(t, L.Lam):
+        body = ref_eta_contract(t.body)
+        if (isinstance(body, L.App) and isinstance(body.arg, L.Var) and body.arg.name == t.param
+                and t.param not in L.free_vars(body.fun)):
+            return ref_eta_contract(body.fun)
+        return L.Lam(t.param, body)
+    if isinstance(t, L.App):
+        return L.App(ref_eta_contract(t.fun), ref_eta_contract(t.arg))
+    return t
+
+
+def ref_read_adds(t: L.Term) -> L.Term:
+    if isinstance(t, L.App):
+        return L.App(ref_read_adds(t.fun), ref_read_adds(t.arg))
+    if isinstance(t, L.Lam):
+        return L.Lam(t.param, ref_read_adds(t.body))
+    return L.Prim("add") if isinstance(t, L.Prim) and t.op in ("addZ", "addR") else t
+
+
+def ref_canonical_normal_form(t: L.Term, fuel: int) -> L.Term:
+    t = L._normalize(t, L.Fuel(fuel))
+    while True:
+        contracted = ref_eta_contract(ref_saturate_conditionals(t))
+        if contracted == t:
+            return t
+        t = L._normalize(contracted, L.Fuel(fuel))
+
+
+def ref_probe_key(side: L.Term, args: tuple[int, ...], fuel: int) -> object:
+    applied = L.apply_spine(side, *(L.IntLit(v) for v in args))
+    try:
+        nf = ref_canonical_normal_form(SK.ski_decode(SK.ski_reduce(applied, fuel)), fuel)
+        return L._debruijn(ref_read_adds(nf), ())
+    except L.EvalOverflowError as exc:
+        return exc

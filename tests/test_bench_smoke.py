@@ -4,6 +4,8 @@ Not a timing gate.  It fails when the harness no longer runs against
 this tree, for instance when a function its tracer wraps is renamed.
 """
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -37,3 +39,23 @@ def test_traced_run_feeds_every_per_layer_metric():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert list(result["metrics"]) == [m["name"] for m in SPEC["per_layer"]]
+
+
+# hooks whose functions were deleted before this guard; dropping them is
+# harness upkeep, so the guard allows them but does not require them
+STALE_HOOKS = {"lambda_ir.beta_reduce", "lambda_ir.inline_defs", "lambda_ir.inline_main", "mdl_opt._inline_item"}
+
+
+def test_every_tracer_hook_target_exists():
+    # a renamed hooked function would silently zero the metrics its hook feeds
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = set()
+    for hook in tracing.HOOKS:
+        owner = importlib.import_module(f"skic.{hook.module}")
+        for part in hook.owner_path:
+            owner = getattr(owner, part, None)
+        if not callable(getattr(owner, hook.attr, None)):
+            missing.add(hook.name)
+    assert missing <= STALE_HOOKS

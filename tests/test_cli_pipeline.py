@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -184,6 +185,17 @@ def test_cli_compress_malformed_input_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_main_definition_with_a_main_expression_exit_1(tmp_path, capsys):
+    # both items would be labelled "main" in map_types and the pseudocode
+    src_file = tmp_path / "prog.lam"
+    src_file.write_text("main := \\x. #add x 1;\n#add (main 2) 1")
+    assert CP.main(["compress", str(src_file)]) == 1
+    message = "1:1: definition 'main' clashes with the main expression"
+    assert capsys.readouterr() == ("", f"skic: error: {message}\n")
+    src_file.write_text("main := \\x. #add x 1;")
+    assert CP.main(["compress", str(src_file)]) == 0
+
+
 def test_cli_deep_nesting_is_an_input_error(tmp_path, capsys):
     # 3,000 nested parentheses exceed the recursive-descent parser's depth;
     # a 3,000-argument application parses but is too deep for later passes,
@@ -319,6 +331,22 @@ def test_cli_corpus_csv_and_json(tmp_path, capsys):
     assert report_file.with_suffix(".csv").exists()
     doc = json.loads(report_file.read_text())
     assert doc["aggregates"]["count"] == 2
+
+
+def test_cli_corpus_csv_quotes_program_ids(tmp_path, capsys):
+    ids = ["a,b", 'say "hi"', "plain"]
+    for pid in ids:
+        (tmp_path / f"{pid}.lam").write_text(r"\x. x")
+    report_file = tmp_path / "out" / "corpus.json"
+    report_file.parent.mkdir()
+    assert CP.main(["corpus", str(tmp_path), "--report", str(report_file)]) == 0
+    out = capsys.readouterr().out
+    assert report_file.with_suffix(".csv").read_text() == out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(row) for row in rows] == [8] * 4
+    assert sorted(row[0] for row in rows[1:]) == sorted(ids)
+    # an ordinary id is written as before: unquoted
+    assert "plain,4,1,0.750000,equal,0.990000,1.400000,3.000000" in out.splitlines()
 
 
 def test_cli_corpus_csv_report_path_exits_1_before_compiling(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from skic import lambda_ir as L
 from skic import ski_core as SK
 
-from conftest import gen_closed_term, gen_normalizing_term
+from conftest import (
+    gen_closed_term,
+    gen_normalizing_term,
+    ref_eta_contract,
+    ref_read_adds,
+    ref_saturate_conditionals,
+)
 
 
 def p(src: str) -> L.Term:
@@ -439,8 +445,47 @@ def test_inline_main_substitutes_defs():
     assert SK.ski_reduce(SK.inline_ski_defs(prog)[None]) == L.IntLit(5)
 
 
-def test_eta_contract():
+def test_canonical_pass_eta_contracts():
     t = L.Lam("x", L.App(L.Prim("add"), L.Var("x")))
-    assert L.eta_contract(t) == L.Prim("add")
+    assert L.canonical_pass(t) == L.Prim("add")
     keeps = L.Lam("x", L.App(L.Var("x"), L.Var("x")))
-    assert L.eta_contract(keeps) == keeps
+    assert L.canonical_pass(keeps) == keeps
+
+
+_PASS_NAMES = ("x", "y", "sat_b", "sat_b_1")
+_pass_conditions = st.one_of(
+    st.booleans().map(L.BoolLit),
+    # an eta-redex that contracts to a literal
+    st.builds(lambda b, v: L.Lam(v, L.App(L.BoolLit(b), L.Var(v))), st.booleans(), st.sampled_from(_PASS_NAMES)),
+)
+pass_terms = st.recursive(
+    st.one_of(
+        st.sampled_from(_PASS_NAMES).map(L.Var),
+        st.sampled_from([0, 1]).map(L.IntLit),
+        st.booleans().map(L.BoolLit),
+        st.sampled_from(L.PRIM_OPS).map(L.Prim),
+        st.sampled_from([L.S, L.K, L.I]),
+    ),
+    lambda sub: st.one_of(
+        st.builds(L.App, sub, sub),
+        st.builds(L.Lam, st.sampled_from(_PASS_NAMES), sub),
+        st.builds(lambda v, fun: L.Lam(v, L.App(fun, L.Var(v))), st.sampled_from(_PASS_NAMES), sub),
+        st.builds(lambda cond, rest: L.apply_spine(L.Prim("if"), cond, *rest), _pass_conditions,
+                  st.lists(sub, max_size=1)),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pass_terms)
+# a condition that only the walk makes a literal does not saturate
+@example(L.apply_spine(L.Prim("if"), L.Lam("z", L.App(L.BoolLit(True), L.Var("z"))), L.Var("x")))
+# the binder avoids the walked branch's free variables, not the original's
+@example(L.apply_spine(L.Prim("if"), L.BoolLit(True),
+                       L.apply_spine(L.Prim("if"), L.BoolLit(False), L.Var("sat_b"))))
+@example(L.apply_spine(L.Prim("if"), L.BoolLit(True), L.Var("sat_b")))
+# a lambda head is saturated and contracted, a tagged head read as #add
+@example(L.App(L.Lam("x", L.App(L.Prim("addZ"), L.Var("x"))), L.App(L.Prim("if"), L.BoolLit(False))))
+def test_canonical_pass_matches_separate_passes(t):
+    assert L.canonical_pass(t) == ref_read_adds(ref_eta_contract(ref_saturate_conditionals(t)))

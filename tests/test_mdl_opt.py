@@ -68,7 +68,7 @@ def test_objective_lambda_one_is_token_count():
     t = L.parse_term(r"\x.\y. #add x y")
     s = SK.bracket_abstract(t, RuleSet.NAIVE)
     cfg = MdlConfig(lambda_weight=1.0)
-    assert MD.mdl_objective(s, t, cfg) == M.token_count(SK.gael_print(s), "gael")
+    assert MD.mdl_objective(s, t, cfg) == M.token_count(L.pretty_print(s), "gael")
 
 
 def test_objective_lambda_zero_is_distance():
@@ -277,7 +277,7 @@ def _scrambled_distance(p: L.Term, s: L.Term, probes: ProbeConfig, fuel: int) ->
     """A stand-in for semantic_distance that takes every value in
     {0, 0.25, ..., 1}, fixed by the encoded side's text: correct encodings
     only ever give 0 or 0.5, and the search must be exact for any distance."""
-    return zlib.crc32(SK.gael_print(s).encode()) % 5 / 4
+    return zlib.crc32(L.pretty_print(s).encode()) % 5 / 4
 
 
 @pytest.fixture(params=["probed", "scrambled"])
