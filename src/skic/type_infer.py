@@ -5,6 +5,10 @@ type, plus integer literals, which may be Int or Real) becomes an
 inference variable.  Usage sites emit weighted factors; an assignment's
 energy is the weighted count of violated factors, and the posterior is
 the softmax of negated energies over the full enumerated candidate set.
+The pipeline reads only the MAP assignment, which `map_by_elimination`
+computes by min-sum variable elimination without enumerating; the
+enumerative `posterior` and `map_assignment` stay as the public API and
+the reference it is tested against.
 
 Factor rules and weights:
   - arithmetic operands agree on a numeric tag   (weight 1.0 per pair)
@@ -257,6 +261,63 @@ def map_assignment(p: TypePosterior) -> dict[str, TypeTag]:
     return min(p.support, key=key).assignment
 
 
+def map_by_elimination(cs: ConstraintSet, variables: list[str]) -> Optional[dict[str, TypeTag]]:
+    """`map_assignment(posterior(cs, variables))` by min-sum variable
+    elimination; None when some step would span more than
+    MAX_ENUM_VARIABLES variables, which no item of at most that many
+    variables can reach.
+
+    Variables are eliminated last to first.  Each step keeps, for every
+    assignment of the variable's remaining neighbours, the least energy
+    and the first tag reaching it; decoding first to last then fixes
+    every neighbour before the variable, so the result is the
+    lexicographically least min-energy assignment.  The steps' scopes
+    are found before any table is built, so a step never costs more than
+    the |tags|^MAX_ENUM_VARIABLES of the largest guarded enumeration.
+    """
+    order = {v: i for i, v in enumerate(variables)}
+    for f in cs.factors:
+        for v in f.clique:
+            if v not in order:
+                raise MissingVariableError(v)
+    factor_scopes = [tuple(sorted(set(f.clique), key=order.__getitem__)) for f in cs.factors]
+    scopes = factor_scopes
+    steps: list[tuple[str, tuple[str, ...]]] = []  # (variable, its remaining neighbours)
+    for v in reversed(variables):
+        span = {u for s in scopes if v in s for u in s} | {v}
+        if len(span) > MAX_ENUM_VARIABLES:
+            return None
+        rest = tuple(sorted(span - {v}, key=order.__getitem__))
+        scopes = [s for s in scopes if v not in s] + [rest]
+        steps.append((v, rest))
+
+    tables = [
+        (scope, {key: f.weight if f.violated(dict(zip(scope, key))) else 0.0
+                 for key in itertools.product(TypeTag, repeat=len(scope))})
+        for f, scope in zip(cs.factors, factor_scopes)
+    ]
+    choices: dict[str, tuple[tuple[str, ...], dict]] = {}
+    for v, rest in steps:
+        full = rest + (v,)
+        touching = [(tuple(full.index(u) for u in scope), table) for scope, table in tables if v in scope]
+        tables = [(scope, table) for scope, table in tables if v not in scope]
+        least: dict[tuple, float] = {}
+        choice: dict[tuple, TypeTag] = {}
+        for key in itertools.product(TypeTag, repeat=len(rest)):
+            for tag in TypeTag:  # declaration order: the first minimum is the least tag
+                point = key + (tag,)
+                e = sum(table[tuple(point[i] for i in idx)] for idx, table in touching)
+                if key not in least or e < least[key]:
+                    least[key], choice[key] = e, tag
+        tables.append((rest, least))
+        choices[v] = (rest, choice)
+    assignment: dict[str, TypeTag] = {}
+    for v in variables:
+        rest, choice = choices[v]
+        assignment[v] = choice[tuple(assignment[u] for u in rest)]
+    return assignment
+
+
 # --- operator specialization ----------------------------------------------
 
 
@@ -308,8 +369,9 @@ def specialize_program(prog: Program) -> tuple[Program, dict[str, dict[str, str]
     types earlier definition names as functions.
 
     The summary maps each item's label ("main" for main) to its MAP tag
-    names; an item with more than MAX_ENUM_VARIABLES variables is left
-    as it is and noted under "_skipped".
+    names, found by `map_by_elimination`; an item whose elimination
+    would take a step spanning more than MAX_ENUM_VARIABLES variables
+    is left as it is and noted under "_skipped".
     """
     summary: dict[str, dict[str, str]] = {}
     items: list[tuple[Optional[str], Term]] = []
@@ -317,12 +379,14 @@ def specialize_program(prog: Program) -> tuple[Program, dict[str, dict[str, str]
         label = name or "main"
         env = ContextEnv(bindings={dep: TypeTag.FUNC for dep, _ in prog.defs[:i]})
         variables, constraints = build_constraints(body, env)
-        if not variables:
+        assignment = map_by_elimination(constraints, variables)
+        if assignment is None:
+            summary[label] = {
+                "_skipped": f"{len(variables)} variables: an elimination step spans more than {MAX_ENUM_VARIABLES}"
+            }
+        elif not variables:
             summary[label] = {}
-        elif len(variables) > MAX_ENUM_VARIABLES:
-            summary[label] = {"_skipped": f"{len(variables)} variables exceed guard"}
         else:
-            assignment = map_assignment(posterior(constraints, variables))
             summary[label] = {v: assignment[v].name for v in variables}
             body = specialize_operators(body, assignment, env)
         items.append((name, body))

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skic import cli_pipeline as CP
@@ -246,6 +246,62 @@ def test_map_single_candidate_and_empty():
         TI.posterior_from_energies([], [], ())
 
 
+# --- MAP by variable elimination against enumeration ----------------------------------
+
+
+_WEIGHTS = (TI.ARITH_FACTOR_WEIGHT, TI.COND_FACTOR_WEIGHT, TI.BINDING_FACTOR_WEIGHT)
+
+
+@st.composite
+def factor_sets(draw):
+    """0-8 variables, cliques of 1-2 of them, fixed tags; with `tie`, only
+    agreement factors without fixed tags, so every uniform assignment
+    ties at energy 0.  Weights are the module's, whose sums are exact in
+    any order."""
+    variables = [f"v@{i}" for i in range(draw(st.integers(0, 8)))]
+    tie = draw(st.booleans())
+    factors = []
+    for _ in range(draw(st.integers(0, 10)) if variables else 0):
+        kind = draw(st.sampled_from(("agree", "binding") if tie else ("numeric", "agree", "bool_cond", "binding")))
+        size = 1 if kind == "bool_cond" else draw(st.integers(1, min(2, len(variables))))
+        clique = tuple(draw(st.permutations(variables))[:size])
+        fixed = () if tie or kind == "bool_cond" else tuple(draw(st.lists(st.sampled_from(TypeTag), max_size=2 - size)))
+        factors.append(TI.Factor(kind, clique, draw(st.sampled_from(_WEIGHTS)), fixed))
+    return TI.ConstraintSet(tuple(factors)), variables
+
+
+# every assignment ties at energy 0: expect all INT
+_FULL_TIE = (TI.ConstraintSet(()), ["a@0", "b@1", "c@2"])
+# the condition's Bool factor outweighs its numeric one: expect c BOOL, n INT
+_BOOL_FORCED = (
+    TI.ConstraintSet((
+        TI.Factor("bool_cond", ("c@0",), TI.COND_FACTOR_WEIGHT),
+        TI.Factor("numeric", ("c@0", "n@1"), TI.ARITH_FACTOR_WEIGHT),
+    )),
+    ["c@0", "n@1"],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_sets())
+@example(_FULL_TIE)
+@example(_BOOL_FORCED)
+def test_map_by_elimination_matches_enumeration(problem):
+    cs, variables = problem
+    assert TI.map_by_elimination(cs, variables) == TI.map_assignment(TI.posterior(cs, variables))
+
+
+def test_map_by_elimination_examples():
+    assert TI.map_by_elimination(*_FULL_TIE) == {v: TypeTag.INT for v in _FULL_TIE[1]}
+    assert TI.map_by_elimination(*_BOOL_FORCED) == {"c@0": TypeTag.BOOL, "n@1": TypeTag.INT}
+
+
+def test_map_by_elimination_missing_variable():
+    cs = TI.ConstraintSet((TI.Factor("agree", ("a@0", "b@1"), TI.EQ_FACTOR_WEIGHT),))
+    with pytest.raises(TI.MissingVariableError):
+        TI.map_by_elimination(cs, ["a@0"])
+
+
 # --- specialization -----------------------------------------------------------------
 
 
@@ -291,11 +347,7 @@ def test_specialization_preserves_behavior():
     checked = 0
     while checked < 25:
         t = gen_normalizing_term(rng, max_depth=4)
-        variables, cs = TI.build_constraints(t)
-        if len(variables) > TI.MAX_ENUM_VARIABLES:
-            continue
-        assignment = TI.map_assignment(TI.posterior(cs, variables)) if variables else {}
-        out = TI.specialize_operators(t, assignment)
+        out = TI.specialize_program(L.Program.of_items([(None, t)]))[0].main
         res = SK.behavioral_equal(out, t, SK.ProbeConfig(arity=L.leading_lambda_count(t)), fuel=50000)
         assert res.verdict is SK.Verdict.EQUAL
         checked += 1
@@ -329,18 +381,51 @@ def test_specialize_program_types_earlier_definitions_as_functions():
     assert summary == {"inc": {"x@1": "INT", "1@2": "INT"}, "main": {"2@1": "INT"}}
 
 
-def test_specialize_program_skips_items_past_the_guard():
+def test_specialize_program_specialises_a_nine_variable_chain():
     src = "#add 8 9"
     for k in range(7, 0, -1):
         src = f"#add {k} ({src})"
     prog = L.parse_program(src)
-    assert len(TI.build_constraints(prog.main)[0]) == 9 > TI.MAX_ENUM_VARIABLES
+    variables, cs = TI.build_constraints(prog.main)
+    assert len(variables) == 9 > TI.MAX_ENUM_VARIABLES
     specialized, summary = TI.specialize_program(prog)
-    assert specialized == prog
-    assert summary == {"main": {"_skipped": "9 variables exceed guard"}}
+    expected = TI.map_assignment(TI.posterior(cs, variables, max_variables=9))
+    assert summary == {"main": {v: tag.name for v, tag in expected.items()}}
+    assert "#add " not in L.pretty_print(specialized.main)
     report = CP.run_pipeline(src).report
     assert report.map_types == summary
     assert report.equivalence == "equal"
+
+
+def _ladder(names: str) -> str:
+    """Three copies of `names` in order under one lambda, each name's
+    occurrences chained by binding factors; the copies pair neighbouring
+    leaves in #add sites, the middle copy shifted by one.  Eliminating
+    the last copy chains the middle one into a path, whose elimination
+    then carries every name of the first copy at once."""
+
+    def copy(offset: int) -> list[str]:
+        sites = [f"(#add {a} {b})" for a, b in zip(names[offset::2], names[offset + 1::2])]
+        return list(names[:offset]) + sites + ([names[-1]] if (len(names) - offset) % 2 else [])
+
+    body, *rest = copy(0) + copy(1) + copy(0)
+    for part in rest:
+        body = f"(#add {body} {part})"
+    return "\\" + " ".join(names) + ". " + body
+
+
+def test_specialize_program_skips_a_ladder_too_wide_to_eliminate(monkeypatch):
+    prog = L.parse_program(_ladder("abcdefghi"))
+    assert len(TI.build_constraints(prog.main)[0]) == 27
+
+    def no_enumeration(*args):
+        raise AssertionError("a skipped item builds no table")
+
+    monkeypatch.setattr(TI.Factor, "violated", no_enumeration)
+    monkeypatch.setattr(TI, "energy", no_enumeration)
+    specialized, summary = TI.specialize_program(prog)
+    assert specialized == prog
+    assert summary == {"main": {"_skipped": "27 variables: an elimination step spans more than 8"}}
 
 
 # --- the extractor against a reference copy --------------------------------------------
