@@ -110,14 +110,16 @@ class CorpusReport:
 # --- equivalence stage --------------------------------------------------------
 
 
-def _verify_equivalence(original: Program, encoded: Program, cfg: MdlConfig) -> str:
-    """The worst item verdict: any `different`, else any `unknown`."""
-    verdicts = {
-        ski_core.behavioral_equal(p, s, probes, cfg.fuel).verdict
+def _verify_equivalence(original: Program, encoded: Program, cfg: MdlConfig) -> tuple[str, float]:
+    """The worst item verdict (any `different`, else any `unknown`) and
+    the largest item distance."""
+    results = [
+        ski_core.behavioral_equal(p, s, probes, cfg.fuel)
         for p, s, probes in mdl_opt.item_checks(original, encoded, cfg)
-    }
+    ]
+    verdicts = {r.verdict for r in results}
     worst = (v for v in (Verdict.DIFFERENT, Verdict.UNKNOWN) if v in verdicts)
-    return next(worst, Verdict.EQUAL).value
+    return next(worst, Verdict.EQUAL).value, max(r.distance for r in results)
 
 
 # --- target emission -----------------------------------------------------------
@@ -214,7 +216,7 @@ def run_pipeline(
         timings["emit_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        equivalence = _verify_equivalence(prog, plan.encoded, cfg)
+        equivalence, distance = _verify_equivalence(prog, plan.encoded, cfg)
         p_tokens = metrics.token_count(source, "source")
         cr = metrics.compression_rate(plan.token_length, p_tokens)
         density_source = metrics.symbolic_density(source.encode("utf-8"), c=density_c)
@@ -232,7 +234,7 @@ def run_pipeline(
         density_source=density_source,
         density_gael=density_gael,
         equivalence=equivalence,
-        objective=plan.objective,
+        objective=mdl_opt.objective(cfg, plan.token_length, distance),
         map_types=map_summary,
         timings=timings,
     )

@@ -57,34 +57,25 @@ class MdlConfig:
 
 @dataclass(frozen=True)
 class CompressionPlan:
-    """Chosen encoding with its objective decomposition.
-
-    token_length counts GAEL tokens.  The search resolves `distance`
-    exactly for the chosen candidate alone: after the last beam step it
-    probes only that candidate's rule prefixes.
-    """
+    """Chosen encoding and its GAEL token count.  Its distance, and so
+    its objective, is verification's to measure."""
 
     encoded: Program
-    objective: float
     token_length: int
-    distance: float
-
-
-_PENALTY = {True: 0.0, False: 1.0, None: 0.5}
 
 
 def semantic_distance(
     p: Term, s: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL
 ) -> float:
-    """Fraction of probe tuples where reduced outputs differ.
-
-    Fuel-exhausted probes contribute 0.5.
-    """
-    penalties = [_PENALTY[agree] for _, agree in ski_core.probe_outcomes(p, s, probes, fuel)]
+    """The mean `ski_core.PENALTY` over the probe tuples: the fraction
+    that differ, fuel-exhausted ones counting 0.5.  Verification's
+    `behavioral_equal` reports the same distance with its verdict."""
+    penalties = [ski_core.PENALTY[agree] for _, agree in ski_core.probe_outcomes(p, s, probes, fuel)]
     return sum(penalties) / len(penalties)
 
 
-def _objective(cfg: MdlConfig, length: int, dist: float) -> float:
+def objective(cfg: MdlConfig, length: int, dist: float) -> float:
+    """The scalarized objective of `length` GAEL tokens at distance `dist`."""
     return cfg.lambda_weight * length + (1.0 - cfg.lambda_weight) * dist
 
 
@@ -92,7 +83,7 @@ def mdl_objective(s: Term, p: Term, cfg: MdlConfig) -> float:
     """Scalarized objective for a single encoded term."""
     length = metrics.token_count(pretty_print(s), "gael")
     probes = cfg.probes_for_arity(lambda_ir.leading_lambda_count(p))
-    return _objective(cfg, length, semantic_distance(p, s, probes, cfg.fuel))
+    return objective(cfg, length, semantic_distance(p, s, probes, cfg.fuel))
 
 
 # --- program-level search -------------------------------------------------
@@ -156,7 +147,7 @@ class _Search:
 
     A candidate's distance is the max over its rule prefixes.  While some
     prefix is unprobed it lies in [largest known, 1], and since
-    `_objective` is monotone in the distance (in floating point too), so
+    `objective` is monotone in the distance (in floating point too), so
     does the candidate's objective between the two ends' objectives.
     """
 
@@ -210,15 +201,8 @@ class _Search:
         c.unprobed = unprobed
         return c.known_max, (1.0 if unprobed else c.known_max)
 
-    def distance(self, c: _Candidate) -> float:
-        while True:
-            lo, hi = self.distance_bounds(c)
-            if lo == hi:
-                return lo
-            self.probe(c.unprobed[0])
-
     def key(self, c: _Candidate, dist: float) -> tuple[float, int, str]:
-        return _objective(self.cfg, c.tokens, dist), c.tokens, c.text
+        return objective(self.cfg, c.tokens, dist), c.tokens, c.text
 
     def compare(self, a: _Candidate, b: _Candidate) -> int:
         """Order by (objective, tokens, text), probing while the two
@@ -247,7 +231,6 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
     `sorted(...)[:beam_width]`, stable too.  Item i's distance
     depends only on the rules of items 0..i, so it is probed once per such
     prefix, and only where two candidates' objective intervals overlap.
-    After the last step only the chosen candidate's prefixes are probed.
     """
     items = _items_of(prog)
     if not items:
@@ -266,10 +249,8 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
     ])
     tokens = best.tokens
     if cfg.extraction_enabled:
-        # extraction leaves every closed item as it was, so the distance stands
         encoded, _, tokens = _extract_with_trace(encoded, tokens)
-    dist = search.distance(best)
-    return CompressionPlan(encoded, _objective(cfg, tokens, dist), tokens, dist)
+    return CompressionPlan(encoded, tokens)
 
 
 # --- common-subterm extraction ---------------------------------------------

@@ -171,9 +171,14 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
+# a probe tuple's distance: agree 0, disagree 1, undecided 0.5
+PENALTY = {True: 0.0, False: 1.0, None: 0.5}
+
+
 @dataclass(frozen=True)
 class EquivalenceResult:
     verdict: Verdict
+    distance: float  # the mean PENALTY over the probe tuples
     witness: Optional[tuple[int, ...]] = None
 
     def __bool__(self) -> bool:
@@ -216,17 +221,21 @@ def probe_outcomes(
 def behavioral_equal(
     a: Term, b: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL
 ) -> EquivalenceResult:
-    """Probe both sides and compare normal forms.
+    """Probe both sides on every tuple and compare normal forms.
 
     `different` carries the first disagreeing probe tuple; `unknown`
-    means some probe was undecided and none disagreed.
+    means some probe was undecided and none disagreed.  Every tuple is
+    probed, a `different` one's later tuples too, since `distance` scores
+    them all.
     """
-    saw_fuel = False
-    for tup, agree in probe_outcomes(a, b, probes, fuel):
-        if agree is False:
-            return EquivalenceResult(Verdict.DIFFERENT, witness=tup)
-        saw_fuel = saw_fuel or agree is None
-    return EquivalenceResult(Verdict.UNKNOWN if saw_fuel else Verdict.EQUAL)
+    outcomes = list(probe_outcomes(a, b, probes, fuel))
+    distance = sum(PENALTY[agree] for _, agree in outcomes) / len(outcomes)
+    witness = next((tup for tup, agree in outcomes if agree is False), None)
+    if witness is not None:
+        verdict = Verdict.DIFFERENT
+    else:
+        verdict = Verdict.UNKNOWN if any(agree is None for _, agree in outcomes) else Verdict.EQUAL
+    return EquivalenceResult(verdict, distance, witness)
 
 
 # --- GAEL text ----------------------------------------------------------

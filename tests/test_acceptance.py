@@ -21,7 +21,7 @@ from skic.mdl_opt import MdlConfig
 from skic.ski_core import ProbeConfig, RuleSet, Verdict
 
 from conftest import CORPUS_DIR, gen_normalizing_term, gen_ski_term
-from test_mdl_opt import THREE_DEF_FIXTURES, exhaustive_best_objective
+from test_mdl_opt import THREE_DEF_FIXTURES, exhaustive_best_objective, plan_objective
 from test_type_infer import oracle_posterior
 
 
@@ -233,7 +233,7 @@ def test_c09_search_sanity():
         prog = L.parse_program(source)
         cfg = MdlConfig(beam_width=8)
         plan = MD.compress_program(prog, cfg)
-        assert plan.objective == exhaustive_best_objective(prog, cfg)
+        assert plan_objective(prog, plan, cfg) == exhaustive_best_objective(prog, cfg)
     for path in sorted(CORPUS_DIR.glob("*.lam")):
         prog = L.parse_program(path.read_text())
         lengths = [

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from skic import cli_pipeline as CP
 from skic import lambda_ir as L
+from skic import mdl_opt as MD
 from skic import metrics as M
 from skic import ski_core as SK
 from skic.mdl_opt import MdlConfig
@@ -386,11 +387,45 @@ def test_cli_exit_3_on_equivalence_violation(tmp_path, monkeypatch, capsys):
     # exercise the exit-status contract
     src_file = tmp_path / "prog.lam"
     src_file.write_text(r"\x. x")
-    monkeypatch.setattr(CP, "_verify_equivalence", lambda *a, **k: "different")
+    monkeypatch.setattr(CP, "_verify_equivalence", lambda *a, **k: ("different", 1.0))
     assert CP.main(["compress", str(src_file)]) == 3
     assert "differs" in capsys.readouterr().err
     assert CP.main(["corpus", str(tmp_path)]) == 3
     assert capsys.readouterr().err == "skic: error: compressed program differs from source for prog\n"
+
+
+def test_cli_exit_3_on_a_corrupted_extraction(tmp_path, monkeypatch, capsys):
+    # verification closes and probes the emitted program itself, so a
+    # compression bug after the search still shows as `different`
+    src_file = tmp_path / "prog.lam"
+    src_file.write_text("inc := \\x. #add x 1;\ninc 2")
+    extract = MD._extract_with_trace
+
+    def corrupted(prog, tokens):
+        prog, moves, tokens = extract(prog, tokens)
+        (name, _), *rest = prog.defs
+        return L.Program(((name, L.App(SK.K, L.IntLit(0))), *rest), prog.main), moves, tokens
+
+    monkeypatch.setattr(MD, "_extract_with_trace", corrupted)
+    report_file = tmp_path / "r.json"
+    assert CP.main(["compress", str(src_file), "--report", str(report_file)]) == 3
+    assert "differs from source for prog" in capsys.readouterr().err
+    assert json.loads(report_file.read_text())["equivalence"] == "different"
+
+
+def test_corpus_probes_each_emitted_program_once(corpus_dir, monkeypatch):
+    # the search's probes plus one verification pass per emitted program,
+    # which the search does not probe again after the beam
+    calls = [0]
+    comparison_form = SK.comparison_form
+
+    def counted(*args):
+        calls[0] += 1
+        return comparison_form(*args)
+
+    monkeypatch.setattr(SK, "comparison_form", counted)
+    CP.run_corpus(corpus_dir)
+    assert calls[0] <= 2626, calls[0]
 
 
 def test_corpus_byte_identical_reports(corpus_dir):

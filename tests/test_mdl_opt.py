@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skic import cli_pipeline as CP
 from skic import lambda_ir as L
 from skic import mdl_opt as MD
 from skic import metrics as M
@@ -97,24 +98,30 @@ def test_objective_counts_gael_tokens():
     assert MD.mdl_objective(s, t, MdlConfig(lambda_weight=1.0)) == 1
 
 
+def plan_objective(prog: L.Program, plan: MD.CompressionPlan, cfg: MdlConfig) -> float:
+    """The objective of `plan`, a compression of `prog`, at the distance
+    verification measures on the emitted program."""
+    return MD.objective(cfg, plan.token_length, MD.program_distance(prog, plan.encoded, cfg))
+
+
 def test_compress_plan_objective_decomposes():
-    prog = L.parse_program("add2 := \\x. #add x 2;\nadd2 5")
+    source = "add2 := \\x. #add x 2;\nadd2 5"
     cfg = MdlConfig()
-    plan = MD.compress_program(prog, cfg)
-    text = SK.gael_print_program(plan.encoded)
-    assert plan.token_length == M.token_count(text, "gael")
-    recomputed = cfg.lambda_weight * plan.token_length + (1 - cfg.lambda_weight) * plan.distance
-    assert abs(plan.objective - recomputed) < 1e-12
+    result = CP.run_pipeline(source, cfg)
+    assert result.report.s_tokens == result.plan.token_length == M.token_count(result.gael_text, "gael")
+    dist = MD.program_distance(L.parse_program(source), result.plan.encoded, cfg)
+    recomputed = cfg.lambda_weight * result.plan.token_length + (1 - cfg.lambda_weight) * dist
+    assert abs(result.report.objective - recomputed) < 1e-12
 
 
 # --- one-term programs -----------------------------------------------------------
 
 
 def test_compress_identity():
-    plan = MD.compress_program(L.Program((), L.parse_term(r"\x. x")))
-    assert plan.encoded == L.Program((), SK.I)
-    assert plan.token_length == 1
-    assert plan.distance == 0.0
+    prog = L.Program((), L.parse_term(r"\x. x"))
+    plan = MD.compress_program(prog)
+    assert plan == MD.CompressionPlan(L.Program((), SK.I), 1)
+    assert MD.program_distance(prog, plan.encoded, MdlConfig()) == 0.0
 
 
 def test_compress_add2_fixture():
@@ -122,15 +129,16 @@ def test_compress_add2_fixture():
     plan = MD.compress_program(prog)
     main = SK.inline_ski_defs(plan.encoded)[None]
     assert SK.ski_reduce(main) == L.IntLit(7)
-    assert plan.distance == 0.0
+    assert MD.program_distance(prog, plan.encoded, MdlConfig()) == 0.0
 
 
 def test_objective_recomputable_from_fields():
     cfg = MdlConfig()
     for _, source in corpus_sources()[:8]:
-        plan = MD.compress_program(L.parse_program(source), cfg)
-        recomputed = cfg.lambda_weight * plan.token_length + (1 - cfg.lambda_weight) * plan.distance
-        assert abs(plan.objective - recomputed) < 1e-12
+        result = CP.run_pipeline(source, cfg)
+        dist = MD.program_distance(L.parse_program(source), result.plan.encoded, cfg)
+        recomputed = cfg.lambda_weight * result.report.s_tokens + (1 - cfg.lambda_weight) * dist
+        assert abs(result.report.objective - recomputed) < 1e-12
 
 
 def test_dominance_over_single_shot_eta():
@@ -140,7 +148,7 @@ def test_dominance_over_single_shot_eta():
         plan = MD.compress_program(prog, cfg)
         eta_cfg = MdlConfig(rule_sets=(RuleSet.ETA_OPTIMIZED,), extraction_enabled=False)
         eta_plan = MD.compress_program(prog, eta_cfg)
-        assert plan.objective <= eta_plan.objective + 1e-12
+        assert plan_objective(prog, plan, cfg) <= plan_objective(prog, eta_plan, eta_cfg) + 1e-12
 
 
 # --- beam vs exhaustive oracle ---------------------------------------------------------
@@ -174,7 +182,7 @@ def test_beam_matches_exhaustive_on_three_def_fixtures(source):
     prog = L.parse_program(source)
     cfg = MdlConfig(beam_width=8)
     plan = MD.compress_program(prog, cfg)
-    assert plan.objective == exhaustive_best_objective(prog, cfg)
+    assert plan_objective(prog, plan, cfg) == exhaustive_best_objective(prog, cfg)
 
 
 def test_beam_width_one_matches_exhaustive_on_three_def_fixtures():
@@ -183,7 +191,7 @@ def test_beam_width_one_matches_exhaustive_on_three_def_fixtures():
         prog = L.parse_program(source)
         cfg = MdlConfig(beam_width=1)
         plan = MD.compress_program(prog, cfg)
-        assert plan.objective == exhaustive_best_objective(prog, cfg)
+        assert plan_objective(prog, plan, cfg) == exhaustive_best_objective(prog, cfg)
 
 
 FIVE_DEF_CHAIN = (
@@ -197,20 +205,28 @@ FIVE_DEF_CHAIN = (
 
 
 def test_search_closing_matches_whole_program_inlining():
-    # the search closes item i from items 0..i-1 and keeps its distance
-    # through extraction; verification closes the whole encoded program
+    # the search closes item i from items 0..i-1; verification closes the
+    # whole emitted program, after extraction, and must see the same items
+    rng = random.Random(5)
     sources = [src for _, src in corpus_sources()] + THREE_DEF_FIXTURES + [FIVE_DEF_CHAIN]
-    for cfg in (MdlConfig(extraction_enabled=False), MdlConfig()):
-        for source in sources:
-            prog = L.parse_program(source)
-            plan = MD.compress_program(prog, cfg)
-            assert plan.distance == MD.program_distance(prog, plan.encoded, cfg)
+    for source in sources:
+        items = MD._items_of(L.parse_program(source))
+        search = MD._Search(items, MdlConfig())
+        k = len(MD.ALL_RULE_SETS)
+        uniform = [(r,) * len(items) for r in range(k)]
+        for rules in uniform + [tuple(rng.randrange(k) for _ in items) for _ in range(3)]:
+            encoded = _encode(items, [MD.ALL_RULE_SETS[r] for r in rules])
+            for program in (encoded, MD.extract_common_subterms(encoded)):
+                closed = SK.inline_ski_defs(program)
+                for i, item in enumerate(items):
+                    assert search.closed(rules[: i + 1]) == closed[item.name], (source, rules, item.name)
 
 
-def eager_compress(prog: L.Program, cfg: MdlConfig) -> MD.CompressionPlan:
+def eager_compress(prog: L.Program, cfg: MdlConfig) -> tuple[MD.CompressionPlan, float]:
     """The search as a plain sort: every candidate is encoded whole and
     every padded rule prefix probed before the beam keeps
-    `sorted(candidates, key=score)[:beam_width]`."""
+    `sorted(candidates, key=score)[:beam_width]`.  Returns the plan and
+    the objective the sort ranked it by, its tokens after extraction."""
     items = MD._items_of(prog)
     n = len(items)
     distances: dict[tuple[RuleSet, ...], float] = {}
@@ -227,7 +243,7 @@ def eager_compress(prog: L.Program, cfg: MdlConfig) -> MD.CompressionPlan:
         dist = max(distances[full[: i + 1]] for i in range(n))
         text = SK.gael_print_program(encoded)
         tokens = M.token_count(text, "gael")
-        scores[state] = (MD._objective(cfg, tokens, dist), tokens, dist)
+        scores[state] = (MD.objective(cfg, tokens, dist), tokens, dist)
         return scores[state][0], tokens, text
 
     beam: list[tuple[RuleSet, ...]] = [()]
@@ -240,8 +256,8 @@ def eager_compress(prog: L.Program, cfg: MdlConfig) -> MD.CompressionPlan:
     encoded = _encode(items, best)
     if cfg.extraction_enabled:
         encoded, _, tokens = MD._extract_with_trace(encoded, tokens)
-        objective = MD._objective(cfg, tokens, dist)
-    return MD.CompressionPlan(encoded, objective, tokens, dist)
+        objective = MD.objective(cfg, tokens, dist)
+    return MD.CompressionPlan(encoded, tokens), objective
 
 
 def gen_chain(rng: random.Random, n: int) -> str:
@@ -290,14 +306,17 @@ def shared_distance(request, monkeypatch):
 
 @pytest.mark.parametrize("rules", RULE_ORDERS, ids=["all", "eta", "permuted"])
 def test_search_matches_eager_reference(rules, shared_distance):
-    # the lazy beam must choose what a full sort chooses, objective included,
-    # for every weight (0 and 1 leave only distance or only tokens) and
-    # width; fuel 60 makes some probes run out, so 0.5 distances occur
+    # the lazy beam must choose what a full sort chooses, for every weight
+    # (0 and 1 leave only distance or only tokens) and width, and the
+    # emitted program must score the objective the sort ranked it by;
+    # fuel 60 makes some probes run out, so 0.5 distances occur
     for source in REFERENCE_SOURCES:
         prog = L.parse_program(source)
         for w, width in itertools.product((0.0, 0.5, 0.9, 0.99, 1.0), (1, 2, 3, 8)):
             cfg = MdlConfig(lambda_weight=w, beam_width=width, rule_sets=rules, fuel=60)
-            assert MD.compress_program(prog, cfg) == eager_compress(prog, cfg), (source, cfg)
+            plan, objective = eager_compress(prog, cfg)
+            assert MD.compress_program(prog, cfg) == plan, (source, cfg)
+            assert plan_objective(prog, plan, cfg) == objective, (source, cfg)
 
 
 def test_search_matches_eager_reference_on_corpus(shared_distance):
@@ -305,7 +324,9 @@ def test_search_matches_eager_reference_on_corpus(shared_distance):
     for w, (width, rules) in itertools.product((0.0, 0.5, 0.99, 1.0), ((8, MD.ALL_RULE_SETS), (2, RULE_ORDERS[2]))):
         cfg = MdlConfig(lambda_weight=w, beam_width=width, rule_sets=rules)
         for prog in programs:
-            assert MD.compress_program(prog, cfg) == eager_compress(prog, cfg), (prog, cfg)
+            plan, objective = eager_compress(prog, cfg)
+            assert MD.compress_program(prog, cfg) == plan, (prog, cfg)
+            assert plan_objective(prog, plan, cfg) == objective, (prog, cfg)
 
 
 @pytest.fixture
@@ -332,12 +353,12 @@ def test_search_probes_at_most_half_of_eager(distance_calls):
     assert distance_calls[0] * 2 <= eager_calls, (distance_calls[0], eager_calls)
 
 
-def test_search_probes_only_the_chosen_candidates_prefixes_after_the_beam(distance_calls):
-    # past the last beam step only the chosen candidate's own rule
-    # prefixes are probed, never prefixes padded with the first rule set
+def test_search_probes_nothing_after_the_beam(distance_calls):
+    # the search probes only where the beam compares two candidates; the
+    # chosen program's distance is verification's to measure
     for _, source in corpus_sources():
         MD.compress_program(L.parse_program(source), MdlConfig())
-    assert distance_calls[0] <= 46, distance_calls[0]
+    assert distance_calls[0] <= 18, distance_calls[0]
 
 
 def test_lambda_sweep_token_length_non_increasing():

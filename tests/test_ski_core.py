@@ -215,17 +215,22 @@ def _key_outcome(key, side, args, fuel):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(lambda_sides, ski_sides), st.lists(st.integers(-2, 3), max_size=2).map(tuple),
-       st.one_of(st.integers(0, 50), st.just(L.DEFAULT_FUEL)))
+       st.one_of(st.integers(0, 50), st.just(L.DEFAULT_FUEL)), st.one_of(lambda_sides, ski_sides))
 # a condition that eta contracts to a literal, then fires on a fresh budget
-@example(L.apply_spine(L.Prim("if"), L.Lam("z", L.App(L.BoolLit(True), L.Var("z")))), (1, 2), 1)
-@example(L.App(L.Prim("addR"), L.Var("x")), (), 0)
-@example(L.App(L.Prim("if"), L.BoolLit(False)), (0,), 0)
-def test_comparison_form_matches_separate_passes(side, args, fuel):
+@example(L.apply_spine(L.Prim("if"), L.Lam("z", L.App(L.BoolLit(True), L.Var("z")))), (1, 2), 1, SK.I)
+@example(L.App(L.Prim("addR"), L.Var("x")), (), 0, SK.I)
+@example(L.App(L.Prim("if"), L.BoolLit(False)), (0,), 0, SK.K)
+def test_comparison_form_matches_separate_passes(side, args, fuel, other):
     try:
         expected = _key_outcome(ref_probe_key, side, args, fuel)
     except RecursionError:
         assume(False)  # the reference cannot walk normal forms nested this deep
     assert _key_outcome(SK.comparison_form, side, args, fuel) == expected
+    # verification scores a pair of sides as the search does
+    probes = SK.ProbeConfig(arity=len(args), values=(-1, 0, 2))
+    verdict = SK.behavioral_equal(side, other, probes, fuel)
+    assert verdict.distance == MD.semantic_distance(side, other, probes, fuel)
+    assert (verdict.verdict is Verdict.EQUAL) == (verdict.distance == 0.0)
 
 
 def test_encode_equal_for_all_rule_sets_random():

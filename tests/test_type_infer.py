@@ -12,9 +12,11 @@ from skic import cli_pipeline as CP
 from skic import lambda_ir as L
 from skic import ski_core as SK
 from skic import type_infer as TI
+from skic.mdl_opt import MdlConfig
 from skic.type_infer import TypeTag
 
-from conftest import gen_normalizing_term
+from conftest import corpus_sources, gen_normalizing_term
+from test_ski_core import _key_outcome
 
 
 def p(src: str) -> L.Term:
@@ -619,3 +621,82 @@ def test_extractor_matches_reference_walks(t, bindings, data):
         ref_vars, ref_factors = reference_build_constraints(t, env)
         assert assignment == TI.map_assignment(TI.posterior(TI.ConstraintSet(ref_factors), ref_vars))
         assert TI.specialize_operators(t, assignment, env) == reference_specialize(t, assignment, env)
+
+
+# --- specialisation leaves every probe outcome unchanged ------------------------------
+#
+# The search probes the specialised program and verification the original;
+# the two agree only if each probe of a specialised item ends as the
+# original's does: the same comparison form, the same overflow value, or
+# fuel running out at the same budgets.
+
+_BUDGETS = (*range(51), L.DEFAULT_FUEL)
+
+
+def _assert_probe_outcomes_kept(prog: L.Program, probes_for) -> int:
+    """Check every item of `prog`; returns how many specialisation changed."""
+    closed = SK.inline_ski_defs(prog)
+    specialised = SK.inline_ski_defs(TI.specialize_program(prog)[0])
+    changed = 0
+    for name, side in closed.items():
+        if specialised[name] == side:
+            continue  # the same term probes the same
+        changed += 1
+        for tup in probes_for(L.leading_lambda_count(side)).tuples():
+            for fuel in _BUDGETS:
+                expected = _key_outcome(SK.comparison_form, side, tup, fuel)
+                assert _key_outcome(SK.comparison_form, specialised[name], tup, fuel) == expected, (
+                    name, tup, fuel)
+    return changed
+
+
+def test_specialisation_keeps_corpus_probe_outcomes():
+    cfg = MdlConfig()
+    changed = sum(_assert_probe_outcomes_kept(L.parse_program(source), cfg.probes_for_arity)
+                  for _, source in corpus_sources())
+    assert changed >= 10
+
+
+@st.composite
+def arithmetic_programs(draw) -> L.Program:
+    """Programs of 1-3 definitions over integer arithmetic, so that most
+    items specialise: each definition takes one or two parameters, its
+    body adds, multiplies, compares, branches and calls earlier
+    definitions, and any subterm may be one of `inference_terms`, which
+    leaves its neighbours untyped or mistyped.  Literals include
+    INT64_MAX, so some probes overflow."""
+    defs: list[tuple[str, L.Term, int]] = []
+
+    def term(scope: tuple[str, ...], depth: int) -> L.Term:
+        kinds = ("lit", "var", "var", "any", "arith", "arith", "if", "call")
+        kind = draw(st.sampled_from(kinds[: 8 if depth else 4]))
+        if kind == "var":
+            return L.Var(draw(st.sampled_from(scope)))
+        if kind == "any" and draw(st.booleans()):
+            return draw(inference_terms)
+        if kind == "arith":
+            op = draw(st.sampled_from(("add", "add", "sub", "mul")))
+            return L.apply_spine(L.Prim(op), term(scope, depth - 1), term(scope, depth - 1))
+        if kind == "if":
+            cond = L.apply_spine(L.Prim("eq"), term(scope, depth - 1), term(scope, depth - 1))
+            return L.apply_spine(L.Prim("if"), cond, term(scope, depth - 1), term(scope, depth - 1))
+        if kind == "call" and defs:
+            name, _, arity = draw(st.sampled_from(defs))
+            return L.apply_spine(L.Var(name), *(term(scope, depth - 1) for _ in range(arity)))
+        return L.IntLit(draw(st.sampled_from((-2, 0, 1, 3, L.INT64_MAX))))
+
+    for i in range(draw(st.integers(1, 3))):
+        params = ("x", "y")[: draw(st.integers(1, 2))]
+        body = term(params, 3)
+        for param in reversed(params):
+            body = L.Lam(param, body)
+        defs.append((f"d{i}", body, len(params)))
+    name, _, arity = defs[-1]
+    main = L.apply_spine(L.Var(name), *(L.IntLit(draw(st.integers(-2, 3))) for _ in range(arity)))
+    return L.Program(tuple((name, body) for name, body, _ in defs), main)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arithmetic_programs())
+def test_specialisation_keeps_probe_outcomes(prog):
+    _assert_probe_outcomes_kept(prog, lambda arity: SK.ProbeConfig(arity, values=(-1, 2)))
