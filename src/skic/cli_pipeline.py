@@ -168,7 +168,7 @@ def _pseudo_procedure(name: str, t: Term) -> str:
 
 def emit_target(t: Term, target: str) -> str:
     """Render a term as `gael`, `lambda`, or `pseudocode` text."""
-    if target == "gael" and ski_core.contains_lambda(t):
+    if target == "gael" and ski_core.contains(t, lambda_ir.Lam):
         raise IncompatibleTermError("lambda node cannot be emitted as GAEL")
     return _emit_program(Program((), t), target)
 

@@ -623,7 +623,12 @@ def canonical_normal_form(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     iterate to a fixpoint; each is meaning-preserving, and a change the
     pass makes removes an eta-redex, an under-applied `#if` or a type tag.
     """
-    t = _normalize(t, Fuel(fuel))
+    return canonical_closure(_normalize(t, Fuel(fuel)), fuel)
+
+
+def canonical_closure(t: Term, fuel: int) -> Term:
+    """`canonical_normal_form` of a term already in beta-delta normal
+    form, whose first normalisation would take no step."""
     while True:
         passed = canonical_pass(t)
         if passed == t:

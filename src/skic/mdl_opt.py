@@ -65,12 +65,17 @@ class CompressionPlan:
 
 
 def semantic_distance(
-    p: Term, s: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL
+    p: Term, s: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL,
+    p_keys: Optional[ski_core.ProbeKeys] = None,
 ) -> float:
     """The mean `ski_core.PENALTY` over the probe tuples: the fraction
-    that differ, fuel-exhausted ones counting 0.5.  Verification's
-    `behavioral_equal` reports the same distance with its verdict."""
-    penalties = [ski_core.PENALTY[agree] for _, agree in ski_core.probe_outcomes(p, s, probes, fuel)]
+    that differ, fuel-exhausted ones counting 0.5.  `p_keys`, if given,
+    is `ski_core.probe_keys(p, probes, fuel)`, kept by a caller that
+    compares `p` with many sides.  Verification's `behavioral_equal`
+    reports the same distance with its verdict."""
+    if p_keys is None:
+        p_keys = ski_core.probe_keys(p, probes, fuel)
+    penalties = [ski_core.PENALTY[agree] for _, agree in ski_core.compare_keys(p_keys, s, fuel)]
     return sum(penalties) / len(penalties)
 
 
@@ -143,7 +148,8 @@ class _Candidate:
 
 class _Search:
     """What the candidates of one search share: each item's encoding per
-    rule set, and each probed rule prefix's closed item and distance.
+    rule set, its source side's probe keys, and each probed rule prefix's
+    closed item and distance.
 
     A candidate's distance is the max over its rule prefixes.  While some
     prefix is unprobed it lies in [largest known, 1], and since
@@ -156,6 +162,7 @@ class _Search:
         self.encodings: dict[tuple[int, int], tuple[Term, str, int]] = {}
         self.closings: dict[tuple[int, ...], Term] = {}
         self.distances: dict[tuple[int, ...], float] = {}  # rule prefix -> its last item's distance
+        self.source_keys: dict[int, ski_core.ProbeKeys] = {}  # item index -> its source side's keys
 
     def encode(self, i: int, r: int) -> tuple[Term, str, int]:
         """Item i under rule set r: its term, its GAEL line and the line's tokens."""
@@ -186,9 +193,16 @@ class _Search:
         return self.closings[prefix]
 
     def probe(self, prefix: tuple[int, ...]) -> None:
-        item = self.items[len(prefix) - 1]
+        """Store the prefix's distance.  Its item's source side is probed
+        once, at the item's first prefix, and every prefix compares with
+        those keys."""
+        i = len(prefix) - 1
+        item, fuel = self.items[i], self.cfg.fuel
         probes = self.cfg.probes_for_arity(item.arity)
-        self.distances[prefix] = semantic_distance(item.inlined, self.closed(prefix), probes, self.cfg.fuel)
+        if i not in self.source_keys:
+            self.source_keys[i] = ski_core.probe_keys(item.inlined, probes, fuel)
+        self.distances[prefix] = semantic_distance(
+            item.inlined, self.closed(prefix), probes, fuel, self.source_keys[i])
 
     def distance_bounds(self, c: _Candidate) -> tuple[float, float]:
         """[lo, hi] holding the candidate's distance."""

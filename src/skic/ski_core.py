@@ -52,11 +52,13 @@ class RuleSet(Enum):
     ETA_OPTIMIZED = "eta"  # adds eta-contraction: [x](M x) = M when x not in M
 
 
-def contains_lambda(t: Term) -> bool:
-    """Structural scan for a Lam node; GAEL terms have none."""
+def contains(t: Term, kind: type) -> bool:
+    """Structural scan for a node of class `kind`; GAEL terms hold no Lam."""
+    if isinstance(t, kind):
+        return True
     if isinstance(t, App):
-        return contains_lambda(t.fun) or contains_lambda(t.arg)
-    return isinstance(t, Lam)
+        return contains(t.fun, kind) or contains(t.arg, kind)
+    return isinstance(t, Lam) and contains(t.body, kind)
 
 
 # --- encoding (bracket abstraction) -----------------------------------
@@ -190,32 +192,66 @@ def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> object:
     applied side's canonical normal form, so results compare up to alpha,
     or the EvalOverflowError its reduction raises.
 
-    The applied term is reduced with combinators as constants first, then
-    decoded and finished in `lambda_ir.canonical_normal_form`.
+    The applied term is reduced with combinators as constants first.  A
+    result still holding a combinator is decoded and finished in
+    `lambda_ir.canonical_normal_form`; one holding none is already a
+    beta-delta normal form, which `lambda_ir.canonical_closure` finishes.
     """
     applied = apply_spine(side, *(IntLit(v) for v in args))
     try:
-        nf = lambda_ir.canonical_normal_form(ski_decode(ski_reduce(applied, fuel)), fuel)
+        nf = ski_reduce(applied, fuel)
+        if contains(nf, Comb):
+            nf = lambda_ir.canonical_normal_form(ski_decode(nf), fuel)
+        else:
+            nf = lambda_ir.canonical_closure(nf, fuel)
     except lambda_ir.EvalOverflowError as exc:
         return exc
     return lambda_ir._debruijn(nf, ())
 
 
-def probe_outcomes(
-    a: Term, b: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL
-) -> Iterator[tuple[tuple[int, ...], Optional[bool]]]:
-    """Yield (tuple, agree) per probe tuple: whether both sides reach the
-    same comparison form, or None if either runs out of fuel first.  Two
-    overflows agree on the same value and are undecided otherwise: which
-    redex overflows first follows a side's own reduction order."""
+ProbeKeys = list[tuple[tuple[int, ...], object]]
+
+
+def probe_keys(side: Term, probes: ProbeConfig, fuel: int) -> ProbeKeys:
+    """(tuple, key) per probe tuple: `comparison_form`'s key, or None if
+    the side runs out of fuel first."""
+    keys: ProbeKeys = []
     for tup in probes.tuples():
         try:
-            ka, kb = comparison_form(a, tup, fuel), comparison_form(b, tup, fuel)
+            keys.append((tup, comparison_form(side, tup, fuel)))
+        except FuelExhausted:
+            keys.append((tup, None))
+    return keys
+
+
+def compare_keys(
+    keys: ProbeKeys, other: Term, fuel: int
+) -> Iterator[tuple[tuple[int, ...], Optional[bool]]]:
+    """Yield (tuple, agree) per (tuple, key) of one side's `probe_keys`:
+    whether `other` reaches the same comparison form, or None if either
+    side runs out of fuel first; `other` is probed only where the first
+    side's key is not None.  Two overflows agree on the same value and are
+    undecided otherwise: which redex overflows first follows a side's own
+    reduction order."""
+    for tup, ka in keys:
+        if ka is None:
+            yield tup, None
+            continue
+        try:
+            kb = comparison_form(other, tup, fuel)
         except FuelExhausted:
             yield tup, None
             continue
         both_overflow = all(isinstance(k, lambda_ir.EvalOverflowError) for k in (ka, kb))
         yield tup, (ka.value == kb.value or None) if both_overflow else ka == kb
+
+
+def probe_outcomes(
+    a: Term, b: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL
+) -> Iterator[tuple[tuple[int, ...], Optional[bool]]]:
+    """`compare_keys` of `a`'s keys against `b`: every tuple of `a` is
+    probed before `b`'s first."""
+    return compare_keys(probe_keys(a, probes, fuel), b, fuel)
 
 
 def behavioral_equal(

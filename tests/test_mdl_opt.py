@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 import zlib
@@ -16,6 +15,7 @@ from skic.mdl_opt import MdlConfig
 from skic.ski_core import ProbeConfig, RuleSet
 
 from conftest import corpus_sources, gen_normalizing_term
+from test_type_infer import arithmetic_programs
 
 THREE_DEF_FIXTURES = [
     "double := \\x. #mul 2 x;\n"
@@ -260,9 +260,9 @@ def eager_compress(prog: L.Program, cfg: MdlConfig) -> tuple[MD.CompressionPlan,
     return MD.CompressionPlan(encoded, tokens), objective
 
 
-def gen_chain(rng: random.Random, n: int) -> str:
+def gen_chain(rng: random.Random, n: int, literals: tuple[str, str] = ("1", "2")) -> str:
     """A chain of n one- and two-argument definitions, each over earlier
-    ones, and a main that applies the last."""
+    ones and two literals, and a main that applies the last."""
     lines, arities = [], []
     for k in range(n):
         arity = rng.choice((1, 1, 2))
@@ -272,7 +272,7 @@ def gen_chain(rng: random.Random, n: int) -> str:
             if arities and rng.random() < 0.6:
                 j = rng.randrange(len(arities))
                 return f"(d{j} {' '.join(rng.choice(params) for _ in range(arities[j]))})"
-            return rng.choice(params + ["1", "2"])
+            return rng.choice(params + list(literals))
 
         op = rng.choice(("add", "mul", "sub"))
         lines.append(f"d{k} := \\{' '.join(params)}. #{op} {operand()} {operand()};")
@@ -289,7 +289,7 @@ RULE_ORDERS = [
 ]
 
 
-def _scrambled_distance(p: L.Term, s: L.Term, probes: ProbeConfig, fuel: int) -> float:
+def _scrambled_distance(p: L.Term, s: L.Term, probes: ProbeConfig, fuel: int, p_keys=None) -> float:
     """A stand-in for semantic_distance that takes every value in
     {0, 0.25, ..., 1}, fixed by the encoded side's text: correct encodings
     only ever give 0 or 0.5, and the search must be exact for any distance."""
@@ -299,9 +299,18 @@ def _scrambled_distance(p: L.Term, s: L.Term, probes: ProbeConfig, fuel: int) ->
 @pytest.fixture(params=["probed", "scrambled"])
 def shared_distance(request, monkeypatch):
     """Both searches call MD.semantic_distance; a shared memo probes each
-    closed pair once across the whole grid."""
+    closed pair once across the whole grid.  It leaves the source side's
+    keys out of its key: they are `probe_keys(p, probes, fuel)`, which
+    test_search_store_matches_fresh_distances checks."""
     base = MD.semantic_distance if request.param == "probed" else _scrambled_distance
-    monkeypatch.setattr(MD, "semantic_distance", functools.lru_cache(maxsize=None)(base))
+    memo: dict[tuple, float] = {}
+
+    def shared(p, s, probes, fuel, p_keys=None):
+        if (p, s, probes, fuel) not in memo:
+            memo[p, s, probes, fuel] = base(p, s, probes, fuel, p_keys)
+        return memo[p, s, probes, fuel]
+
+    monkeypatch.setattr(MD, "semantic_distance", shared)
 
 
 @pytest.mark.parametrize("rules", RULE_ORDERS, ids=["all", "eta", "permuted"])
@@ -335,9 +344,9 @@ def distance_calls(monkeypatch) -> list[int]:
     calls = [0]
     distance = MD.semantic_distance
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return distance(*args)
+        return distance(*args, **kwargs)
 
     monkeypatch.setattr(MD, "semantic_distance", counted)
     return calls
@@ -359,6 +368,91 @@ def test_search_probes_nothing_after_the_beam(distance_calls):
     for _, source in corpus_sources():
         MD.compress_program(L.parse_program(source), MdlConfig())
     assert distance_calls[0] <= 18, distance_calls[0]
+
+
+def test_search_probes_each_source_item_once(monkeypatch):
+    # however many rule prefixes of an item the beam compares, the search
+    # probes the item's closed source once per probe tuple
+    items_of, comparison_form = MD._items_of, SK.comparison_form
+    items: list[MD._Item] = []
+    source_calls = [0]
+
+    def recorded(prog):
+        items[:] = items_of(prog)
+        return items
+
+    def counted(side, args, fuel):
+        source_calls[0] += any(side is item.inlined for item in items)
+        return comparison_form(side, args, fuel)
+
+    monkeypatch.setattr(MD, "_items_of", recorded)
+    monkeypatch.setattr(SK, "comparison_form", counted)
+    cfg = MdlConfig()
+    for source in [FIVE_DEF_CHAIN] + GENERATED_CHAINS:
+        source_calls[0] = 0
+        MD.compress_program(L.parse_program(source), cfg)
+        bound = sum(len(cfg.probes_for_arity(item.arity).tuples()) for item in items)
+        assert 0 < source_calls[0] <= bound, (source, source_calls[0], bound)
+
+
+class _RecordedSearch(MD._Search):
+    """A search that keeps itself in `made` for the test to read."""
+
+    made: list[MD._Search] = []
+
+    def __init__(self, items, cfg):
+        super().__init__(items, cfg)
+        self.made.append(self)
+
+
+def _assert_store_matches_fresh(prog: L.Program, cfg: MdlConfig) -> MD._Search:
+    """Compress `prog`; every distance the search stored must be a fresh
+    semantic_distance of its item's source and the prefix's closed item."""
+    _RecordedSearch.made.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MD, "_Search", _RecordedSearch)
+        MD.compress_program(prog, cfg)
+    (search,) = _RecordedSearch.made
+    for prefix, dist in search.distances.items():
+        item = search.items[len(prefix) - 1]
+        probes = cfg.probes_for_arity(item.arity)
+        assert dist == MD.semantic_distance(item.inlined, search.closed(prefix), probes, cfg.fuel), prefix
+    return search
+
+
+_BUDGETS = st.one_of(st.integers(0, 50), st.just(L.DEFAULT_FUEL))
+chain_programs = st.builds(
+    lambda seed, n, literals: L.parse_program(gen_chain(random.Random(seed), n, literals)),
+    st.integers(0, 2**16), st.integers(1, 5), st.sampled_from((("1", "2"), ("1", str(L.INT64_MAX)))),
+)
+
+
+closed_arithmetic_programs = arithmetic_programs().filter(
+    lambda prog: not any(map(L.free_vars, SK.inline_ski_defs(prog).values())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(chain_programs, closed_arithmetic_programs), _BUDGETS, st.sampled_from((0.0, 0.5, 0.99)))
+def test_search_store_matches_fresh_distances(prog, fuel, w):
+    _assert_store_matches_fresh(prog, MdlConfig(lambda_weight=w, fuel=fuel))
+
+
+def test_search_store_holds_fuel_outs_and_overflows():
+    # a source side that runs out of fuel, and tuples on which both
+    # sides overflow, are stored outcomes like any other; at weight 0
+    # only distances order the beam, so every candidate is probed
+    big = str(L.INT64_MAX)
+    cases = {
+        "fuel": ("d0 := \\x. #add x 1;\nd1 := \\x. #mul (d0 x) (d0 x);\nd1 3", 3),
+        "overflow": (f"d0 := \\x. #mul x {big};\nd1 := \\x. #add (d0 x) 1;\nd1 3", L.DEFAULT_FUEL),
+    }
+    seen = set()
+    for source, fuel in cases.values():
+        search = _assert_store_matches_fresh(L.parse_program(source), MdlConfig(lambda_weight=0.0, fuel=fuel))
+        for keys in search.source_keys.values():
+            seen |= {"fuel" for _, k in keys if k is None}
+            seen |= {"overflow" for _, k in keys if isinstance(k, L.EvalOverflowError)}
+    assert seen == set(cases)
 
 
 def test_lambda_sweep_token_length_non_increasing():

@@ -62,7 +62,7 @@ def test_output_is_lambda_free():
     for _ in range(60):
         t = gen_normalizing_term(rng)
         for rules in ALL_RULES:
-            assert not SK.contains_lambda(SK.bracket_abstract(t, rules))
+            assert not SK.contains(SK.bracket_abstract(t, rules), L.Lam)
 
 
 def test_size_monotone_across_rule_sets():
@@ -151,6 +151,7 @@ def test_probe_outcomes_fold_into_both_checks():
         ((0,), False), ((1,), True)]
     assert list(SK.probe_outcomes(L.App(SK.K, omega), SK.I, probes, fuel=50)) == [
         ((0,), None), ((1,), None)]
+    assert SK.probe_keys(L.App(SK.K, omega), probes, fuel=50) == [((0,), None), ((1,), None)]
     assert MD.semantic_distance(SK.I, L.App(SK.K, L.IntLit(1)), probes) == 0.5
     assert SK.behavioral_equal(SK.I, L.App(SK.K, L.IntLit(1)), probes).witness == (0,)
 
@@ -231,6 +232,31 @@ def test_comparison_form_matches_separate_passes(side, args, fuel, other):
     verdict = SK.behavioral_equal(side, other, probes, fuel)
     assert verdict.distance == MD.semantic_distance(side, other, probes, fuel)
     assert (verdict.verdict is Verdict.EQUAL) == (verdict.distance == 0.0)
+
+
+def decoded_probe_key(side: L.Term, args: tuple[int, ...], fuel: int) -> object:
+    """The probe key with every reduced result decoded and normalised
+    again in `canonical_normal_form`, as before combinator-free results
+    went straight to `canonical_closure`."""
+    applied = L.apply_spine(side, *(L.IntLit(v) for v in args))
+    try:
+        nf = L.canonical_normal_form(SK.ski_decode(SK.ski_reduce(applied, fuel)), fuel)
+    except L.EvalOverflowError as exc:
+        return exc
+    return L._debruijn(nf, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lambda_sides, ski_sides), st.lists(st.integers(-2, 3), max_size=2).map(tuple),
+       st.one_of(st.integers(0, 50), st.just(L.DEFAULT_FUEL)))
+@example(L.IntLit(1), (), 0)
+@example(L.parse_term(r"\x. #add x 1"), (2,), 1)
+@example(L.apply_spine(L.Prim("add"), L.IntLit(L.INT64_MAX)), (1,), 1)
+def test_comparison_form_skips_decoding_exactly(side, args, fuel):
+    # a reduced result holding no combinator is a normal form: decoding
+    # leaves it as it is, and normalising it again takes no step, so it
+    # cannot run out of fuel even on a budget of 0
+    assert _key_outcome(SK.comparison_form, side, args, fuel) == _key_outcome(decoded_probe_key, side, args, fuel)
 
 
 def test_encode_equal_for_all_rule_sets_random():
