@@ -111,15 +111,14 @@ class CorpusReport:
 
 
 def _verify_equivalence(original: Program, encoded: Program, cfg: MdlConfig) -> tuple[str, float]:
-    """The worst item verdict (any `different`, else any `unknown`) and
-    the largest item distance."""
+    """The worst item verdict (`different` over `unknown` over `equal`)
+    and the largest item distance."""
     results = [
         ski_core.behavioral_equal(p, s, probes, cfg.fuel)
         for p, s, probes in mdl_opt.item_checks(original, encoded, cfg)
     ]
-    verdicts = {r.verdict for r in results}
-    worst = (v for v in (Verdict.DIFFERENT, Verdict.UNKNOWN) if v in verdicts)
-    return next(worst, Verdict.EQUAL).value, max(r.distance for r in results)
+    worst = max((r.verdict for r in results), key=[Verdict.EQUAL, Verdict.UNKNOWN, Verdict.DIFFERENT].index)
+    return worst.value, max(r.distance for r in results)
 
 
 # --- target emission -----------------------------------------------------------

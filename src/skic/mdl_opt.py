@@ -5,7 +5,7 @@ The scalarized objective is
     objective = w * gael_tokens(encoding) + (1 - w) * distance(source, encoding)
 
 with w in [0,1] and distance in [0,1] (fraction of disagreeing probe
-tuples, fuel-exhausted probes counting 0.5).  The search runs beam
+tuples, undecided probes counting 0.5).  The search runs beam
 search over two kinds of decisions: the bracket-abstraction rule set
 for each program item, then greedy common-subterm extraction moves
 accepted only when they strictly shrink the GAEL token count.
@@ -68,15 +68,14 @@ def semantic_distance(
     p: Term, s: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL,
     p_keys: Optional[ski_core.ProbeKeys] = None,
 ) -> float:
-    """The mean `ski_core.PENALTY` over the probe tuples: the fraction
-    that differ, fuel-exhausted ones counting 0.5.  `p_keys`, if given,
-    is `ski_core.probe_keys(p, probes, fuel)`, kept by a caller that
-    compares `p` with many sides.  Verification's `behavioral_equal`
-    reports the same distance with its verdict."""
+    """`ski_core.compare_keys`'s distance: the fraction of probe tuples
+    that differ, undecided ones counting 0.5.  `p_keys`, if given, is
+    `ski_core.probe_keys(p, probes, fuel)`, kept by a caller that compares
+    `p` with many sides.  Verification's `behavioral_equal` reports the
+    same distance with its verdict."""
     if p_keys is None:
         p_keys = ski_core.probe_keys(p, probes, fuel)
-    penalties = [ski_core.PENALTY[agree] for _, agree in ski_core.compare_keys(p_keys, s, fuel)]
-    return sum(penalties) / len(penalties)
+    return ski_core.compare_keys(p_keys, s, fuel).distance
 
 
 def objective(cfg: MdlConfig, length: int, dist: float) -> float:
@@ -270,19 +269,29 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
 # --- common-subterm extraction ---------------------------------------------
 
 
-def _collect_counts(prog: Program) -> dict[Term, int]:
-    counts: dict[Term, int] = {}
+def _census(prog: Program) -> tuple[dict[Term, list[int]], str]:
+    """One walk over the program: each subterm of at least
+    `MIN_EXTRACT_NODES` nodes with its [count, `term_size`], in pre-order
+    of first visit, and the first `qN` that names no definition and no
+    free variable."""
+    census: dict[Term, list[int]] = {}
+    used = {name for name, _ in prog.defs}
 
-    def visit(t: Term) -> None:
-        if term_size(t) >= MIN_EXTRACT_NODES:
-            counts[t] = counts.get(t, 0) + 1
-        if isinstance(t, App):
-            visit(t.fun)
-            visit(t.arg)
+    def visit(t: Term) -> int:
+        if isinstance(t, App):  # at least 3 nodes
+            entry = census.setdefault(t, [0, 0])
+            entry[0] += 1
+            entry[1] = 1 + visit(t.fun) + visit(t.arg)
+            return entry[1]
+        used.update(lambda_ir.free_vars(t))
+        size = term_size(t)
+        if size >= MIN_EXTRACT_NODES:  # a Lam, which GAEL never holds
+            census.setdefault(t, [0, size])[0] += 1
+        return size
 
     for _, body in prog.items():
         visit(body)
-    return counts
+    return census, next(f"q{i}" for i in itertools.count() if f"q{i}" not in used)
 
 
 def _replace_subterm(t: Term, target: Term, name: str) -> Term:
@@ -293,21 +302,6 @@ def _replace_subterm(t: Term, target: Term, name: str) -> Term:
             _replace_subterm(t.fun, target, name), _replace_subterm(t.arg, target, name)
         )
     return t
-
-
-def _used_names(prog: Program) -> set[str]:
-    names = {name for name, _ in prog.defs}
-    for _, body in prog.items():
-        names |= lambda_ir.free_vars(body)
-    return names
-
-
-def _fresh_def_name(prog: Program) -> str:
-    used = _used_names(prog)
-    for i in itertools.count():
-        candidate = f"q{i}"
-        if candidate not in used:
-            return candidate
 
 
 def _apply_extraction(prog: Program, target: Term, name: str) -> Program:
@@ -327,13 +321,10 @@ def _extract_with_trace(prog: Program, tokens: int) -> tuple[Program, list[str],
     the extracted program, its new names and its token count."""
     moves: list[str] = []
     while True:
-        counts = _collect_counts(prog)
-        candidates = [
-            (term, count) for term, count in counts.items() if count >= 2
-        ]
-        candidates.sort(key=lambda tc: (-tc[1], -term_size(tc[0]), pretty_print(tc[0])))
-        name = _fresh_def_name(prog)
-        for term, _count in candidates:
+        census, name = _census(prog)
+        candidates = [(term, count, size) for term, (count, size) in census.items() if count >= 2]
+        candidates.sort(key=lambda c: (-c[1], -c[2], pretty_print(c[0])))
+        for term, _, _ in candidates:
             replaced = _apply_extraction(prog, term, name)
             replaced_tokens = _program_length(replaced)
             if replaced_tokens < tokens:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import lambda_ir
 from .lambda_ir import (
@@ -212,66 +212,58 @@ def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> object:
 ProbeKeys = list[tuple[tuple[int, ...], object]]
 
 
+def _key(side: Term, args: tuple[int, ...], fuel: int) -> object:
+    """`comparison_form`'s key, or None if the side runs out of fuel first."""
+    try:
+        return comparison_form(side, args, fuel)
+    except FuelExhausted:
+        return None
+
+
 def probe_keys(side: Term, probes: ProbeConfig, fuel: int) -> ProbeKeys:
     """(tuple, key) per probe tuple: `comparison_form`'s key, or None if
     the side runs out of fuel first."""
-    keys: ProbeKeys = []
-    for tup in probes.tuples():
-        try:
-            keys.append((tup, comparison_form(side, tup, fuel)))
-        except FuelExhausted:
-            keys.append((tup, None))
-    return keys
+    return [(tup, _key(side, tup, fuel)) for tup in probes.tuples()]
 
 
-def compare_keys(
-    keys: ProbeKeys, other: Term, fuel: int
-) -> Iterator[tuple[tuple[int, ...], Optional[bool]]]:
-    """Yield (tuple, agree) per (tuple, key) of one side's `probe_keys`:
-    whether `other` reaches the same comparison form, or None if either
-    side runs out of fuel first; `other` is probed only where the first
-    side's key is not None.  Two overflows agree on the same value and are
-    undecided otherwise: which redex overflows first follows a side's own
-    reduction order."""
+def compare_keys(keys: ProbeKeys, other: Term, fuel: int) -> EquivalenceResult:
+    """`other` against one side's `probe_keys`, in tuple order.
+
+    A tuple agrees where `other` reaches the same key.  It is undecided
+    where either side runs out of fuel (`other` is probed only where the
+    first side's key is not None), and where both overflow on different
+    values: which redex overflows first follows a side's own reduction
+    order.  The distance is the mean `PENALTY` over the tuples;
+    `different` carries the first disagreeing tuple; `unknown` means some
+    tuple was undecided and none disagreed.
+    """
+    penalty, witness, undecided = 0.0, None, False
     for tup, ka in keys:
-        if ka is None:
-            yield tup, None
-            continue
-        try:
-            kb = comparison_form(other, tup, fuel)
-        except FuelExhausted:
-            yield tup, None
-            continue
-        both_overflow = all(isinstance(k, lambda_ir.EvalOverflowError) for k in (ka, kb))
-        yield tup, (ka.value == kb.value or None) if both_overflow else ka == kb
-
-
-def probe_outcomes(
-    a: Term, b: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL
-) -> Iterator[tuple[tuple[int, ...], Optional[bool]]]:
-    """`compare_keys` of `a`'s keys against `b`: every tuple of `a` is
-    probed before `b`'s first."""
-    return compare_keys(probe_keys(a, probes, fuel), b, fuel)
+        kb = None if ka is None else _key(other, tup, fuel)
+        if ka is None or kb is None:
+            agree = None
+        elif all(isinstance(k, lambda_ir.EvalOverflowError) for k in (ka, kb)):
+            agree = ka.value == kb.value or None
+        else:
+            agree = ka == kb
+        penalty += PENALTY[agree]
+        if agree is False and witness is None:
+            witness = tup
+        undecided = undecided or agree is None
+    if witness is not None:
+        verdict = Verdict.DIFFERENT
+    else:
+        verdict = Verdict.UNKNOWN if undecided else Verdict.EQUAL
+    return EquivalenceResult(verdict, penalty / len(keys), witness)
 
 
 def behavioral_equal(
     a: Term, b: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL
 ) -> EquivalenceResult:
-    """Probe both sides on every tuple and compare normal forms.
-
-    `different` carries the first disagreeing probe tuple; `unknown`
-    means some probe was undecided and none disagreed.  Every tuple is
-    probed, a `different` one's later tuples too, since `distance` scores
-    them all.
-    """
-    outcomes = list(probe_outcomes(a, b, probes, fuel))
-    distance = sum(PENALTY[agree] for _, agree in outcomes) / len(outcomes)
-    witness = next((tup for tup, agree in outcomes if agree is False), None)
-    if witness is not None:
-        verdict = Verdict.DIFFERENT
-    else:
-        verdict = Verdict.UNKNOWN if any(agree is None for _, agree in outcomes) else Verdict.EQUAL
-    return EquivalenceResult(verdict, distance, witness)
+    """`compare_keys` of `a`'s keys against `b`: every tuple of `a` is
+    probed before `b`'s first, and every tuple is probed, a `different`
+    one's later tuples too, since `distance` scores them all."""
+    return compare_keys(probe_keys(a, probes, fuel), b, fuel)
 
 
 # --- GAEL text ----------------------------------------------------------

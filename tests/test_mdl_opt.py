@@ -3,7 +3,7 @@ import random
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skic import cli_pipeline as CP
@@ -512,6 +512,43 @@ def ski_programs(draw) -> L.Program:
         defs.append((f"d{i}", term(3)))
     main = term(3) if draw(st.booleans()) else None
     return L.Program(tuple(defs), main)
+
+
+def _separate_census(prog: L.Program) -> tuple[dict, str]:
+    """The extraction census as separate walks: each subterm of at least
+    MIN_EXTRACT_NODES nodes counted in pre-order (a Lam's body not
+    entered), sized by `term_size`, and the first qN naming no definition
+    and no free variable."""
+    counts: dict = {}
+
+    def visit(t: L.Term) -> None:
+        if L.term_size(t) >= MD.MIN_EXTRACT_NODES:
+            counts[t] = counts.get(t, 0) + 1
+        if isinstance(t, L.App):
+            visit(t.fun)
+            visit(t.arg)
+
+    for _, body in prog.items():
+        visit(body)
+    used = {name for name, _ in prog.defs}.union(*(L.free_vars(body) for _, body in prog.items()))
+    name = next(f"q{i}" for i in itertools.count() if f"q{i}" not in used)
+    return {t: [count, L.term_size(t)] for t, count in counts.items()}, name
+
+
+_LAM_PROGRAM = L.Program(
+    (("q0", L.parse_term(r"\x. \y. x y")),),
+    L.apply_spine(L.Var("q0"), *[L.Lam("z", L.App(L.Var("q1"), L.Var("z")))] * 2, L.parse_term(r"\q2. q2")),
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(ski_programs(), st.builds(lambda p, n: L.Program(p.defs, L.App(L.Var(n), p.main or SK.I)),
+                                           ski_programs(), st.sampled_from(("q0", "q1", "x")))))
+@example(_LAM_PROGRAM)
+def test_census_matches_separate_walks(prog):
+    census, name = MD._census(prog)
+    assert list(census.items()) == list(_separate_census(prog)[0].items())
+    assert name == _separate_census(prog)[1]
 
 
 @settings(deadline=None)

@@ -146,14 +146,17 @@ def test_k_differs_from_i_with_first_witness():
 def test_probe_outcomes_fold_into_both_checks():
     probes = SK.ProbeConfig(arity=1, values=(0, 1))
     omega = L.parse_term(r"(\x. x x) (\x. x x)")
-    assert list(SK.probe_outcomes(SK.I, SK.I, probes)) == [((0,), True), ((1,), True)]
-    assert list(SK.probe_outcomes(SK.I, L.App(SK.K, L.IntLit(1)), probes)) == [
-        ((0,), False), ((1,), True)]
-    assert list(SK.probe_outcomes(L.App(SK.K, omega), SK.I, probes, fuel=50)) == [
-        ((0,), None), ((1,), None)]
+    assert SK.behavioral_equal(SK.I, SK.I, probes) == SK.EquivalenceResult(Verdict.EQUAL, 0.0, None)
+    assert SK.behavioral_equal(SK.I, L.App(SK.K, L.IntLit(1)), probes) == SK.EquivalenceResult(
+        Verdict.DIFFERENT, 0.5, (0,))
+    assert SK.behavioral_equal(L.App(SK.K, omega), SK.I, probes, fuel=50) == SK.EquivalenceResult(
+        Verdict.UNKNOWN, 0.5, None)
+    # a disagreement wins over an earlier undecided tuple
+    loops_on_0 = L.parse_term(r"\x. #if (#eq x 0) ((\y. y y) (\y. y y)) x")
+    assert SK.behavioral_equal(loops_on_0, L.parse_term(r"\x. #add x 1"), probes, fuel=50) == (
+        SK.EquivalenceResult(Verdict.DIFFERENT, 0.75, (1,)))
     assert SK.probe_keys(L.App(SK.K, omega), probes, fuel=50) == [((0,), None), ((1,), None)]
     assert MD.semantic_distance(SK.I, L.App(SK.K, L.IntLit(1)), probes) == 0.5
-    assert SK.behavioral_equal(SK.I, L.App(SK.K, L.IntLit(1)), probes).witness == (0,)
 
 
 def test_overflow_is_a_probe_outcome():
@@ -182,8 +185,9 @@ def test_specialised_adds_compare_as_add():
     probes = SK.ProbeConfig(arity=0)
     for op in ("addZ", "addR"):
         assert SK.behavioral_equal(stuck["add"], stuck[op], probes).verdict is Verdict.EQUAL
-    assert SK.behavioral_equal(stuck["add"], L.apply_spine(L.Prim("sub"), ident, L.IntLit(1)),
-                               probes).verdict is Verdict.DIFFERENT
+    res = SK.behavioral_equal(stuck["add"], L.apply_spine(L.Prim("sub"), ident, L.IntLit(1)), probes)
+    assert res.verdict is Verdict.DIFFERENT
+    assert res.witness == ()  # the arity-0 tuple, falsy but present
 
 
 _KEY_NAMES = ("x", "y", "sat_b")
@@ -221,6 +225,8 @@ def _key_outcome(key, side, args, fuel):
 @example(L.apply_spine(L.Prim("if"), L.Lam("z", L.App(L.BoolLit(True), L.Var("z")))), (1, 2), 1, SK.I)
 @example(L.App(L.Prim("addR"), L.Var("x")), (), 0, SK.I)
 @example(L.App(L.Prim("if"), L.BoolLit(False)), (0,), 0, SK.K)
+# undecided on 0, different on -1 and 2
+@example(L.parse_term(r"\x. #if (#eq x 0) ((\y. y y) (\y. y y)) x"), (0,), 50, L.parse_term(r"\x. #add x 1"))
 def test_comparison_form_matches_separate_passes(side, args, fuel, other):
     try:
         expected = _key_outcome(ref_probe_key, side, args, fuel)
@@ -232,6 +238,28 @@ def test_comparison_form_matches_separate_passes(side, args, fuel, other):
     verdict = SK.behavioral_equal(side, other, probes, fuel)
     assert verdict.distance == MD.semantic_distance(side, other, probes, fuel)
     assert (verdict.verdict is Verdict.EQUAL) == (verdict.distance == 0.0)
+    # and folds each tuple's outcomes, computed here one tuple at a time
+    agrees = [_agree(side, other, tup, fuel) for tup in probes.tuples()]
+    witness = next((tup for tup, agree in zip(probes.tuples(), agrees) if agree is False), None)
+    assert verdict.witness == witness
+    if witness is not None:
+        assert verdict.verdict is Verdict.DIFFERENT
+    else:
+        assert verdict.verdict is (Verdict.UNKNOWN if None in agrees else Verdict.EQUAL)
+
+
+def _agree(side, other, args, fuel):
+    """One tuple's outcome: True, False, or None where a side runs out of
+    fuel (`other` unprobed if `side` does) or both overflow on different
+    values."""
+    ka = _key_outcome(SK.comparison_form, side, args, fuel)
+    kb = L.FuelExhausted if ka is L.FuelExhausted else _key_outcome(SK.comparison_form, other, args, fuel)
+    if L.FuelExhausted in (ka, kb):
+        return None
+    overflows = [k for k in (ka, kb) if isinstance(k, tuple) and k[0] == "overflow"]
+    if len(overflows) == 2:
+        return ka == kb or None
+    return ka == kb
 
 
 def decoded_probe_key(side: L.Term, args: tuple[int, ...], fuel: int) -> object:
