@@ -36,6 +36,10 @@ REPORT_SCHEMA_VERSION = 1
 SOURCE_EXTENSION = ".lam"
 
 
+# input errors: `main` exits 1 on one; `run_corpus` records one per program and goes on
+_INPUT_ERRORS = (OSError, ValueError, lambda_ir.LambdaError)
+
+
 class IncompatibleTermError(Exception):
     pass
 
@@ -124,15 +128,8 @@ def _verify_equivalence(original: Program, encoded: Program, cfg: MdlConfig) -> 
 # --- target emission -----------------------------------------------------------
 
 
-_PSEUDO_NAMES = {
-    "add": "add",
-    "sub": "sub",
-    "mul": "mul",
-    "eq": "eq",
-    "if": "if_then_else",
-    "addZ": "int_add",
-    "addR": "real_add",
-}
+# primitives pseudocode renames; every other primitive keeps its name
+_PSEUDO_NAMES = {"if": "if_then_else", "addZ": "int_add", "addR": "real_add"}
 
 
 def _pseudo_expr(t: Term) -> str:
@@ -144,7 +141,7 @@ def _pseudo_expr(t: Term) -> str:
         case lambda_ir.BoolLit(v):
             return "true" if v else "false"
         case lambda_ir.Prim(op):
-            return _PSEUDO_NAMES[op]
+            return _PSEUDO_NAMES.get(op, op)
         case lambda_ir.Lam(param, body):
             return f"lambda {param}: {_pseudo_expr(body)}"
         case lambda_ir.App():
@@ -270,7 +267,7 @@ def run_corpus(
                 density_c=density_c,
             )
             reports.append(result.report)
-        except (OSError, ValueError, lambda_ir.LambdaError) as exc:  # record and continue the sweep
+        except _INPUT_ERRORS as exc:
             errors.append((program_id, f"{type(exc).__name__}: {exc}"))
 
     def mean(values: list) -> float:
@@ -378,6 +375,10 @@ _EMIT_TEXTS = {"gael": "gael_text", "lambda": "lambda_text",
                "pseudo": "pseudocode_text", "pseudocode": "pseudocode_text"}
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _cmd_compress(args: argparse.Namespace) -> dict[str, str]:
     targets = [t.strip() for t in args.emit.split(",") if t.strip()]
     for target in targets:
@@ -388,10 +389,7 @@ def _cmd_compress(args: argparse.Namespace) -> dict[str, str]:
     result = run_pipeline(source, cfg, program_id=Path(args.file).stem,
                           density_c=args.density_c)
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(result.report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(Path(args.report), result.report.to_dict())
     for target in targets:
         print(getattr(result, _EMIT_TEXTS[target]))
     return {result.report.program_id: result.report.equivalence}
@@ -404,10 +402,7 @@ def _cmd_corpus(args: argparse.Namespace) -> dict[str, str]:
     report = run_corpus(args.dir, cfg, density_c=args.density_c)
     if args.report:
         path = Path(args.report)
-        path.write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(path, report.to_dict())
         path.with_suffix(".csv").write_text(corpus_csv(report), encoding="utf-8")
     print(corpus_csv(report), end="")
     return {r.program_id: r.equivalence for r in report.reports}
@@ -449,7 +444,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         verdicts = _COMMANDS[args.command](args)
-    except (OSError, ValueError, lambda_ir.LambdaError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"skic: error: {exc}", file=sys.stderr)
         return 1
     unknown = [pid for pid, v in verdicts.items() if v == Verdict.UNKNOWN.value]

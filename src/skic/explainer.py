@@ -113,32 +113,27 @@ def _parse_leaf_text(text: str) -> Term | None:
     return None
 
 
-def _phrase(t: Term) -> str:
-    if not isinstance(t, App):
-        return _leaf_text(t)
-    head, args = spine(t)
-    parts = [_phrase(head)]
-    for i, a in enumerate(args):
-        wrapped = f"({_phrase(a)})" if isinstance(a, App) else _phrase(a)
-        parts.append(("applied to " if i == 0 else "and then to ") + wrapped)
-    return " ".join(parts)
-
-
 def explain_term(s: Term) -> ExplanationDoc:
     """Deterministic pre-order explanation with one anchor per leaf and
     one composed sentence per application spine."""
-    sentences: list[Sentence] = []
+    sentences: list[Sentence | None] = []
 
-    def build(t: Term, path: Path) -> None:
+    def build(t: Term, path: Path) -> str:
+        """Add t's sentences in pre-order and return t's phrase."""
         if not isinstance(t, App):
             sentences.append(Sentence(anchor=path, text=_leaf_text(t)))
-            return
-        sentences.append(Sentence(anchor=path, text=_phrase(t)))
+            return sentences[-1].text
+        slot = len(sentences)
+        sentences.append(None)  # the spine's sentence: its phrase, once its parts are phrased
         head, args = spine(t)
         k = len(args)
-        build(head, path + (0,) * k)
+        parts = [build(head, path + (0,) * k)]
         for i, a in enumerate(args):
-            build(a, path + (0,) * (k - 1 - i) + (1,))
+            phrase = build(a, path + (0,) * (k - 1 - i) + (1,))
+            wrapped = f"({phrase})" if isinstance(a, App) else phrase
+            parts.append(("applied to " if i == 0 else "and then to ") + wrapped)
+        sentences[slot] = Sentence(anchor=path, text=" ".join(parts))
+        return sentences[slot].text
 
     build(s, ())
     return ExplanationDoc(sentences=tuple(sentences))

@@ -64,32 +64,28 @@ def contains(t: Term, kind: type) -> bool:
 # --- encoding (bracket abstraction) -----------------------------------
 
 
-def _occurs(name: str, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.name == name
-    if isinstance(t, App):
-        return _occurs(name, t.fun) or _occurs(name, t.arg)
-    return False
-
-
-def _abstract(name: str, t: Term, rules: RuleSet) -> Term:
-    """[name] t: eliminate Var(name) from a lambda-free term."""
-    if rules is RuleSet.ETA_OPTIMIZED and isinstance(t, App):
-        if isinstance(t.arg, Var) and t.arg.name == name and not _occurs(name, t.fun):
-            return t.fun
+def _abstract(name: str, t: Term, rules: RuleSet) -> Optional[Term]:
+    """[name] t for a lambda-free term, in one walk, or None where Var(name)
+    does not occur in t (the caller writes K t)."""
     if isinstance(t, Var) and t.name == name:
         return I if rules in (RuleSet.WITH_I, RuleSet.ETA_OPTIMIZED) else apply_spine(S, K, K)
-    if not _occurs(name, t):
-        return App(K, t)
-    assert isinstance(t, App)
-    return apply_spine(S, _abstract(name, t.fun, rules), _abstract(name, t.arg, rules))
+    if not isinstance(t, App):
+        return None
+    fun, arg = _abstract(name, t.fun, rules), _abstract(name, t.arg, rules)
+    if fun is None and arg is None:
+        return None
+    if fun is None and rules is RuleSet.ETA_OPTIMIZED and isinstance(t.arg, Var):
+        return t.fun  # [x](M x) = M: t.arg holds x, so it is Var(name)
+    return apply_spine(S, App(K, t.fun) if fun is None else fun, App(K, t.arg) if arg is None else arg)
 
 
 def _to_ski(t: Term, rules: RuleSet) -> Term:
     if isinstance(t, App):
         return App(_to_ski(t.fun, rules), _to_ski(t.arg, rules))
     if isinstance(t, Lam):
-        return _abstract(t.param, _to_ski(t.body, rules), rules)
+        body = _to_ski(t.body, rules)
+        abstracted = _abstract(t.param, body, rules)
+        return App(K, body) if abstracted is None else abstracted
     return t
 
 
@@ -190,7 +186,8 @@ class EquivalenceResult:
 def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> object:
     """What one probe of `side` compares by: the de Bruijn form of the
     applied side's canonical normal form, so results compare up to alpha,
-    or the EvalOverflowError its reduction raises.
+    the EvalOverflowError its reduction raises, or None if the side runs
+    out of fuel first.
 
     The applied term is reduced with combinators as constants first.  A
     result still holding a combinator is decoded and finished in
@@ -206,24 +203,17 @@ def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> object:
             nf = lambda_ir.canonical_closure(nf, fuel)
     except lambda_ir.EvalOverflowError as exc:
         return exc
+    except FuelExhausted:
+        return None
     return lambda_ir._debruijn(nf, ())
 
 
 ProbeKeys = list[tuple[tuple[int, ...], object]]
 
 
-def _key(side: Term, args: tuple[int, ...], fuel: int) -> object:
-    """`comparison_form`'s key, or None if the side runs out of fuel first."""
-    try:
-        return comparison_form(side, args, fuel)
-    except FuelExhausted:
-        return None
-
-
 def probe_keys(side: Term, probes: ProbeConfig, fuel: int) -> ProbeKeys:
-    """(tuple, key) per probe tuple: `comparison_form`'s key, or None if
-    the side runs out of fuel first."""
-    return [(tup, _key(side, tup, fuel)) for tup in probes.tuples()]
+    """(tuple, `comparison_form` key) per probe tuple."""
+    return [(tup, comparison_form(side, tup, fuel)) for tup in probes.tuples()]
 
 
 def compare_keys(keys: ProbeKeys, other: Term, fuel: int) -> EquivalenceResult:
@@ -239,7 +229,7 @@ def compare_keys(keys: ProbeKeys, other: Term, fuel: int) -> EquivalenceResult:
     """
     penalty, witness, undecided = 0.0, None, False
     for tup, ka in keys:
-        kb = None if ka is None else _key(other, tup, fuel)
+        kb = None if ka is None else comparison_form(other, tup, fuel)
         if ka is None or kb is None:
             agree = None
         elif all(isinstance(k, lambda_ir.EvalOverflowError) for k in (ka, kb)):

@@ -79,9 +79,8 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def attention_forward(h: np.ndarray, params: AttnParams, scale: bool = True) -> np.ndarray:
-    """Row-wise attention: each output row is a convex combination of
-    the value rows."""
+def _attention(h: np.ndarray, params: AttnParams, scale: bool) -> tuple[np.ndarray, ...]:
+    """q, k, v and the attention weights of a checked input."""
     if h.ndim != 2 or h.shape[1] != params.d:
         raise ShapeMismatchError(f"input must be n x {params.d}, got {h.shape}")
     if h.shape[0] < 1:
@@ -92,7 +91,14 @@ def attention_forward(h: np.ndarray, params: AttnParams, scale: bool = True) -> 
     scores = q @ k.T
     if scale:
         scores = scores / np.sqrt(params.d)
-    return _softmax_rows(scores) @ v
+    return q, k, v, _softmax_rows(scores)
+
+
+def attention_forward(h: np.ndarray, params: AttnParams, scale: bool = True) -> np.ndarray:
+    """Row-wise attention: each output row is a convex combination of
+    the value rows."""
+    _, _, v, attn = _attention(h, params, scale)
+    return attn @ v
 
 
 @dataclass(frozen=True)
@@ -107,19 +113,11 @@ def attention_backward(
     h: np.ndarray, params: AttnParams, upstream: np.ndarray, scale: bool = True
 ) -> AttnGradients:
     """Analytic gradients of attention_forward contracted with upstream."""
-    if h.ndim != 2 or h.shape[1] != params.d:
-        raise ShapeMismatchError(f"input must be n x {params.d}, got {h.shape}")
+    q, k, v, attn = _attention(h, params, scale)
     if upstream.shape != h.shape:
         raise ShapeMismatchError(
             f"upstream must match output shape {h.shape}, got {upstream.shape}"
         )
-    q = h @ params.w_q
-    k = h @ params.w_k
-    v = h @ params.w_v
-    scores = q @ k.T
-    if scale:
-        scores = scores / np.sqrt(params.d)
-    attn = _softmax_rows(scores)
 
     d_v = attn.T @ upstream
     d_attn = upstream @ v.T

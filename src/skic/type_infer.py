@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from . import lambda_ir
 from .lambda_ir import App, BoolLit, Comb, IntLit, Lam, Prim, Program, Term, Var, spine
@@ -70,13 +70,6 @@ class TypeTag(Enum):
 
 
 NUMERIC_TAGS = (TypeTag.INT, TypeTag.REAL)
-
-
-@dataclass
-class ContextEnv:
-    """Known name types."""
-
-    bindings: dict[str, TypeTag] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -134,8 +127,8 @@ _Slot = Union[str, TypeTag]
 
 
 class _Extractor:
-    def __init__(self, env: ContextEnv):
-        self.env = env
+    def __init__(self, env: Optional[Mapping[str, TypeTag]]):
+        self.env = env or {}  # known name types; None binds none
         self.slots: list[_Slot] = []  # one per leaf occurrence, left to right
         self.variables: list[str] = []
         self.groups: dict[tuple, list[str]] = {}
@@ -159,8 +152,8 @@ class _Extractor:
         match t:
             case Var(name) if name in binders:
                 slot: _Slot = self._add_variable(name, group=("lam", name, binders[name]))
-            case Var(name) if name in self.env.bindings:
-                slot = self.env.bindings[name]
+            case Var(name) if name in self.env:
+                slot = self.env[name]
             case Var(name):
                 slot = self._add_variable(name, group=("free", name))
             case IntLit(v):
@@ -195,13 +188,13 @@ class _Extractor:
             self.factors.append(Factor(kind, clique, weight, fixed))
 
 
-def build_constraints(t: Term, env: Optional[ContextEnv] = None) -> tuple[list[str], ConstraintSet]:
+def build_constraints(t: Term, env: Optional[Mapping[str, TypeTag]] = None) -> tuple[list[str], ConstraintSet]:
     """Extract inference variables and factors from a term.
 
     Variables are named `<display>@<leaf-index>` in left-to-right leaf
     order.
     """
-    ex = _Extractor(env if env is not None else ContextEnv())
+    ex = _Extractor(env)
     ex.walk(t, {})
     binding = [
         Factor("binding", pair, BINDING_FACTOR_WEIGHT)
@@ -322,7 +315,7 @@ def map_by_elimination(cs: ConstraintSet, variables: list[str]) -> Optional[dict
 
 
 def specialize_operators(
-    t: Term, assignment: dict[str, TypeTag], env: Optional[ContextEnv] = None
+    t: Term, assignment: dict[str, TypeTag], env: Optional[Mapping[str, TypeTag]] = None
 ) -> Term:
     """Rewrite #add to #addZ / #addR where both operands resolve Int / Real.
 
@@ -331,7 +324,7 @@ def specialize_operators(
     (arithmetic results, #eq results, same-tag conditional branches).
     Anything unresolved leaves the operator unchanged.
     """
-    ex = _Extractor(env if env is not None else ContextEnv())
+    ex = _Extractor(env)
     ex.walk(t, {})
     counter = itertools.count()
 
@@ -377,7 +370,7 @@ def specialize_program(prog: Program) -> tuple[Program, dict[str, dict[str, str]
     items: list[tuple[Optional[str], Term]] = []
     for i, (name, body) in enumerate(prog.items()):
         label = name or "main"
-        env = ContextEnv(bindings={dep: TypeTag.FUNC for dep, _ in prog.defs[:i]})
+        env = {dep: TypeTag.FUNC for dep, _ in prog.defs[:i]}
         variables, constraints = build_constraints(body, env)
         assignment = map_by_elimination(constraints, variables)
         if assignment is None:

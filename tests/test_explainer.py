@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skic import explainer as EX
 from skic import lambda_ir as L
@@ -63,6 +65,66 @@ def test_round_trip_random_terms():
     for _ in range(200):
         term = gen_ski_term(rng)
         assert EX.parse_explanation(EX.explain_term(term)) == term
+
+
+def _ref_phrase(t: L.Term) -> str:
+    if not isinstance(t, L.App):
+        return EX._leaf_text(t)
+    head, args = L.spine(t)
+    parts = [_ref_phrase(head)]
+    for i, a in enumerate(args):
+        wrapped = f"({_ref_phrase(a)})" if isinstance(a, L.App) else _ref_phrase(a)
+        parts.append(("applied to " if i == 0 else "and then to ") + wrapped)
+    return " ".join(parts)
+
+
+def _ref_explain(s: L.Term) -> EX.ExplanationDoc:
+    """The explainer that phrases each spine's whole subtree again with
+    `_ref_phrase`, the walk `explain_term`'s one pass replaced."""
+    sentences = []
+
+    def build(t: L.Term, path: EX.Path) -> None:
+        if not isinstance(t, L.App):
+            sentences.append(EX.Sentence(anchor=path, text=EX._leaf_text(t)))
+            return
+        sentences.append(EX.Sentence(anchor=path, text=_ref_phrase(t)))
+        head, args = L.spine(t)
+        k = len(args)
+        build(head, path + (0,) * k)
+        for i, a in enumerate(args):
+            build(a, path + (0,) * (k - 1 - i) + (1,))
+
+    build(s, ())
+    return EX.ExplanationDoc(sentences=tuple(sentences))
+
+
+gael_terms = st.recursive(
+    st.one_of(
+        st.sampled_from([SK.S, SK.K, SK.I, L.BoolLit(False)]),
+        st.integers(-9, 9).map(L.IntLit),
+        st.sampled_from(L.PRIM_OPS).map(L.Prim),
+        st.sampled_from(["a", "q0"]).map(L.Var),
+    ),
+    lambda sub: st.builds(L.App, sub, sub),
+    max_leaves=24,
+)
+
+
+def _nest(t: L.Term, depth: int) -> L.Term:
+    """t as the innermost of `depth` spines, each an argument of the next."""
+    for i in range(depth):
+        t = L.App(SK.I, t) if i % 2 else L.apply_spine(SK.S, t, L.IntLit(i))
+    return t
+
+
+# the deep example is built in the test: Hypothesis prints an explicit
+# example's arguments, and a term 600 deep overflows its printer
+@settings(max_examples=300, deadline=None)
+@given(gael_terms, st.integers(0, 3))
+@example(L.Var("a"), 600)
+def test_explain_term_matches_rephrasing_walk(inner, depth):
+    term = _nest(inner, depth)
+    assert EX.explain_term(term) == _ref_explain(term)
 
 
 def test_coverage_counts():

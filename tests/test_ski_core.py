@@ -73,6 +73,63 @@ def test_size_monotone_across_rule_sets():
         assert sizes[RuleSet.ETA_OPTIMIZED] <= sizes[RuleSet.WITH_I] <= sizes[RuleSet.NAIVE]
 
 
+def _ref_occurs(name: str, t: L.Term) -> bool:
+    if isinstance(t, L.Var):
+        return t.name == name
+    if isinstance(t, L.App):
+        return _ref_occurs(name, t.fun) or _ref_occurs(name, t.arg)
+    return False
+
+
+def _ref_abstract(name: str, t: L.Term, rules: RuleSet) -> L.Term:
+    """Bracket abstraction that scans each application with `_ref_occurs`
+    before it recurses into it, the walk `SK._abstract` replaced."""
+    if rules is RuleSet.ETA_OPTIMIZED and isinstance(t, L.App):
+        if isinstance(t.arg, L.Var) and t.arg.name == name and not _ref_occurs(name, t.fun):
+            return t.fun
+    if isinstance(t, L.Var) and t.name == name:
+        return SK.I if rules in (RuleSet.WITH_I, RuleSet.ETA_OPTIMIZED) else L.apply_spine(SK.S, SK.K, SK.K)
+    if not _ref_occurs(name, t):
+        return L.App(SK.K, t)
+    return L.apply_spine(SK.S, _ref_abstract(name, t.fun, rules), _ref_abstract(name, t.arg, rules))
+
+
+def _ref_to_ski(t: L.Term, rules: RuleSet) -> L.Term:
+    if isinstance(t, L.App):
+        return L.App(_ref_to_ski(t.fun, rules), _ref_to_ski(t.arg, rules))
+    if isinstance(t, L.Lam):
+        return _ref_abstract(t.param, _ref_to_ski(t.body, rules), rules)
+    return t
+
+
+_ABSTRACT_NAMES = ("x", "y", "z")
+abstraction_terms = st.recursive(
+    st.one_of(
+        st.sampled_from(_ABSTRACT_NAMES).map(L.Var),
+        st.sampled_from([L.IntLit(0), L.BoolLit(True), L.Prim("add"), SK.S, SK.K, SK.I]),
+    ),
+    lambda sub: st.one_of(
+        st.builds(L.App, sub, sub),
+        st.builds(L.Lam, st.sampled_from(_ABSTRACT_NAMES), sub),
+        # eta-contractible bodies, and binders no leaf can mention
+        st.builds(lambda v, fun: L.Lam(v, L.App(fun, L.Var(v))), st.sampled_from(_ABSTRACT_NAMES), sub),
+        st.builds(lambda body: L.Lam("w", body), sub),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(abstraction_terms)
+@example(p(r"\x. #add 1 x"))
+@example(p(r"\x. \y. x y y"))
+@example(L.Lam("x", L.App(L.App(L.Var("x"), L.Var("y")), L.Var("x"))))
+@example(L.Lam("w", L.App(SK.K, L.Var("z"))))
+def test_bracket_abstract_matches_occurs_walk(t):
+    for rules in ALL_RULES:
+        assert SK.bracket_abstract(t, rules, constants=L.free_vars(t)) == _ref_to_ski(t, rules), rules
+
+
 # --- decoding ----------------------------------------------------------------
 
 
@@ -210,10 +267,14 @@ ski_sides = st.builds(lambda t, rules: SK.bracket_abstract(t, rules, constants=L
 
 
 def _key_outcome(key, side, args, fuel):
-    """The probe key, ("overflow", value), or FuelExhausted."""
+    """The probe key, ("overflow", value), or FuelExhausted, which a key
+    reports by raising it (the references) or returning None
+    (`comparison_form`)."""
     try:
         k = key(side, args, fuel)
     except L.FuelExhausted:
+        return L.FuelExhausted
+    if k is None:
         return L.FuelExhausted
     return ("overflow", k.value) if isinstance(k, L.EvalOverflowError) else k
 

@@ -222,6 +222,15 @@ def test_backward_shape_error():
         SG.attention_backward(h, params, np.ones((3, 3)))
 
 
+def test_backward_rejects_zero_rows_as_forward_does():
+    _, params = SG.fixture_case(31, 1, 3)
+    empty = np.zeros((0, 3))
+    with pytest.raises(SG.ShapeMismatchError, match="^input must have at least one row$"):
+        SG.attention_forward(empty, params)
+    with pytest.raises(SG.ShapeMismatchError, match="^input must have at least one row$"):
+        SG.attention_backward(empty, params, empty)
+
+
 # --- finite differences ---------------------------------------------------------------
 
 

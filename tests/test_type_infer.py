@@ -51,7 +51,7 @@ def oracle_posterior(cs: TI.ConstraintSet, variables: list[str]) -> dict[tuple, 
 
 
 def test_add_with_literal_two_variables():
-    variables, cs = TI.build_constraints(p("#add x 1"), TI.ContextEnv())
+    variables, cs = TI.build_constraints(p("#add x 1"), {})
     assert len(variables) == 2
     numeric = [f for f in cs.factors if f.kind == "numeric"]
     assert len(numeric) == 1
@@ -68,7 +68,7 @@ def test_if_condition_forces_bool():
 
 
 def test_fully_annotated_env_zero_variables():
-    env = TI.ContextEnv(bindings={"x": TypeTag.INT, "y": TypeTag.INT})
+    env = {"x": TypeTag.INT, "y": TypeTag.INT}
     variables, cs = TI.build_constraints(p("#eq x y"), env)
     assert variables == []
     assert cs.factors == ()
@@ -83,7 +83,7 @@ def test_same_name_occurrences_chained():
 
 
 def test_env_binding_bakes_fixed_tag():
-    env = TI.ContextEnv(bindings={"x": TypeTag.REAL})
+    env = {"x": TypeTag.REAL}
     variables, cs = TI.build_constraints(p("#add x 1"), env)
     assert len(variables) == 1  # just the literal
     numeric = [f for f in cs.factors if f.kind == "numeric"]
@@ -91,7 +91,7 @@ def test_env_binding_bakes_fixed_tag():
 
 
 def test_usage_sites_recorded():
-    variables, cs = TI.build_constraints(p("#if x 1 2"), TI.ContextEnv())
+    variables, cs = TI.build_constraints(p("#if x 1 2"), {})
     assert [f for f in cs.factors if f.kind == "bool_cond"] == [
         TI.Factor("bool_cond", (variables[0],), TI.COND_FACTOR_WEIGHT)
     ]
@@ -326,7 +326,7 @@ def test_specialize_forced_bool_unchanged():
 
 
 def test_specialize_real_env_to_addr():
-    env = TI.ContextEnv(bindings={"x": TypeTag.REAL})
+    env = {"x": TypeTag.REAL}
     t = p("#add x 1")
     out = TI.specialize_operators(t, _map_for(t, env), env)
     assert out == L.apply_spine(L.Prim("addR"), L.Var("x"), L.IntLit(1))
@@ -442,7 +442,7 @@ class _RefSlot:
 class _RefExtractor:
     """The two mutually recursive walks the single `walk` replaced."""
 
-    def __init__(self, env: TI.ContextEnv):
+    def __init__(self, env: dict):
         self.env = env
         self.leaf_slots: list[_RefSlot] = []
         self.variables: list[str] = []
@@ -484,8 +484,8 @@ class _RefExtractor:
                 bound = next((b for b in binders if b[0] == name), None)
                 if bound is not None:
                     self._add_variable(name, idx, group=("lam", name, bound[1]))
-                elif name in self.env.bindings:
-                    self.leaf_slots.append(_RefSlot(var=None, tag=self.env.bindings[name]))
+                elif name in self.env:
+                    self.leaf_slots.append(_RefSlot(var=None, tag=self.env[name]))
                 else:
                     self._add_variable(name, idx, group=("free", name))
             case L.IntLit(v):
@@ -610,8 +610,7 @@ inference_terms = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(inference_terms, st.dictionaries(st.sampled_from(_NAMES), st.sampled_from(TypeTag)), st.data())
-def test_extractor_matches_reference_walks(t, bindings, data):
-    env = TI.ContextEnv(bindings=bindings)
+def test_extractor_matches_reference_walks(t, env, data):
     variables, cs = TI.build_constraints(t, env)
     assert (variables, cs.factors) == reference_build_constraints(t, env)
     drawn = {v: data.draw(st.sampled_from(TypeTag), label=v) for v in variables}
