@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple, Optional, Union
 
 PRIM_OPS = ("add", "sub", "mul", "eq", "if", "addZ", "addR")
@@ -82,47 +82,80 @@ class FuelExhausted(LambdaError):
 # --- terms ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Node:
+    """The base of the term classes: immutable `__slots__` nodes that
+    compare by exact class, then by the fields' tuple, hash as that tuple
+    and print and match by field name, as frozen dataclasses do.  Their
+    `__init__` sets the slots through the descriptors: `__setattr__` refuses."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = fields = cls.__slots__
+        get = operator.attrgetter(*fields)  # two fields read as a tuple, one as its value
+        key = get if len(fields) == 2 else lambda t: (get(t),)
+        cls.__eq__ = lambda t, u: get(t) == get(u) if u.__class__ is t.__class__ else NotImplemented
+        cls.__hash__ = lambda t: hash(key(t))
+        cls.__reduce__ = lambda t: (t.__class__, key(t))
+        if "__init__" in vars(cls):
+            return
+        setters = [getattr(cls, f).__set__ for f in fields]
+        if len(setters) == 2:
+            set_a, set_b = setters
+
+            def __init__(self, a, b):
+                set_a(self, a)
+                set_b(self, b)
+        else:
+            (set_a,) = setters
+
+            def __init__(self, a):
+                set_a(self, a)
+        cls.__init__ = __init__
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Lam:
-    param: str
-    body: "Term"
+class Var(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class App:
-    fun: "Term"
-    arg: "Term"
+class Lam(_Node):
+    __slots__ = ("param", "body")
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class App(_Node):
+    __slots__ = ("fun", "arg")
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
+class IntLit(_Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Prim:
-    op: str
-
-    def __post_init__(self):
-        if self.op not in PRIM_OPS:
-            raise ValueError(f"unknown primitive #{self.op}")
+class BoolLit(_Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Comb:
+class Prim(_Node):
+    __slots__ = ("op",)
+
+    def __init__(self, op: str):
+        if op not in PRIM_OPS:
+            raise ValueError(f"unknown primitive #{op}")
+        Prim.op.__set__(self, op)
+
+
+class Comb(_Node):
     """A combinator constant: "S", "K" or "I"."""
 
-    name: str
+    __slots__ = ("name",)
 
 
 S = Comb("S")
@@ -455,6 +488,23 @@ _PRIM_ARITY = {op: 3 if op == "if" else 2 for op in PRIM_OPS}
 _OPERAND, _BODY, _ARGS = range(3)
 
 
+def _build(t: Union[Term, tuple]) -> Term:
+    """The term an argument-stack entry stands for: an S step leaves `(y z)`
+    as the pair `(y, z)`, whose parts may be pairs too.  Each pair becomes
+    one `App`, bottom-up and without recursion, so shared pairs stay shared."""
+    if type(t) is not tuple:
+        return t
+    built: dict[int, Term] = {}  # by the id of the pair
+    todo = [t]
+    while todo:
+        unbuilt = [q for q in todo[-1] if type(q) is tuple and id(q) not in built]
+        if unbuilt:
+            todo += unbuilt
+        elif id(pair := todo.pop()) not in built:
+            built[id(pair)] = App(*(built.get(id(q), q) for q in pair))
+    return built[id(t)]
+
+
 def _normalize(t: Term, fuel: Fuel) -> Term:
     """Reduce to beta-delta normal form, leftmost-outermost.
 
@@ -464,19 +514,28 @@ def _normalize(t: Term, fuel: Fuel) -> Term:
     `frames`.  A beta, combinator or delta step spends one unit of fuel,
     a delta step after its operands reach weak head normal form;
     operands that are not literals leave the application stuck.
+
+    An S step leaves its `(y z)` on `args` as the pair `(y, z)`, which
+    unwinds as an application does, and a K step drops unbuilt.  The pair
+    becomes an `App` (`_build`) only where it leaves the stack: as the
+    value a beta step substitutes, or inside a stuck operand's spine.
     """
     spend = fuel.spend
     args: list[Term] = []
     frames: list[tuple] = []
     while True:
         kind = type(t)
-        while kind is App:
-            args.append(t.arg)
-            t = t.fun
+        while kind is App or kind is tuple:
+            if kind is App:
+                args.append(t.arg)
+                t = t.fun
+            else:  # an unbuilt pair (y, z) stands for App(y, z)
+                args.append(t[1])
+                t = t[0]
             kind = type(t)
         if kind is Lam and args:
             spend()
-            t = substitute(t.body, t.param, args.pop())
+            t = substitute(t.body, t.param, _build(args.pop()))
             continue
         if kind is Comb and len(args) >= _COMB_ARITY[t.name]:
             spend()
@@ -485,7 +544,7 @@ def _normalize(t: Term, fuel: Fuel) -> Term:
                 args.pop()
             elif name == "S":  # S x y z -> x z (y z)
                 y, z = args.pop(), args[-1]
-                args[-1] = App(y, z)
+                args[-1] = (y, z)
                 args.append(z)
             continue
         if kind is Prim and len(args) >= _PRIM_ARITY[t.op]:
@@ -495,7 +554,7 @@ def _normalize(t: Term, fuel: Fuel) -> Term:
         # (t, args) is a weak head normal form; an operand frame takes it back
         while frames and frames[-1][0] == _OPERAND:
             _, prim, outer, i = frames.pop()
-            outer[-i] = apply_spine(t, *reversed(args))
+            outer[-i] = apply_spine(t, *map(_build, reversed(args))) if args else t
             op = prim.op
             if i == 1 and op != "if":
                 frames.append((_OPERAND, prim, outer, 2))

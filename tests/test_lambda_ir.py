@@ -1,4 +1,6 @@
+import dataclasses
 import operator
+import pickle
 import random
 import string
 import sys
@@ -86,6 +88,46 @@ def test_parse_integer_literal_range():
         with pytest.raises(L.ParseError) as exc:
             L.parse_program(f"#add {value} 1")
         assert str(exc.value) == f"1:6: integer literal {value} exceeds 64-bit signed range"
+
+
+# --- term nodes -------------------------------------------------------------
+
+
+_NODES = {
+    "Var(name='x')": L.Var("x"),
+    "Lam(param='x', body=Var(name='x'))": L.Lam("x", L.Var("x")),
+    "App(fun=Var(name='x'), arg=IntLit(value=1))": L.App(L.Var("x"), L.IntLit(1)),
+    "IntLit(value=1)": L.IntLit(1),
+    "BoolLit(value=True)": L.BoolLit(True),
+    "Prim(op='add')": L.Prim("add"),
+    "Comb(name='S')": L.S,
+}
+
+
+def test_term_nodes_keep_the_frozen_dataclass_contract():
+    for text, node in _NODES.items():
+        fields = tuple(getattr(node, f) for f in type(node).__match_args__)
+        for f in type(node).__match_args__:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, f, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, f)
+        assert repr(node) == text
+        assert hash(node) == hash(fields)
+        assert node == type(node)(*fields) and not node != type(node)(*fields)
+        assert pickle.loads(pickle.dumps(node)) == node
+    assert [type(n).__match_args__ for n in _NODES.values()] == [
+        ("name",), ("param", "body"), ("fun", "arg"), ("value",), ("value",), ("op",), ("name",),
+    ]
+    assert L.IntLit(1) != L.BoolLit(True) and L.IntLit(0) != L.BoolLit(False) and L.Var("S") != L.Comb("S")
+    assert hash(L.App(L.Var("a"), L.Var("b"))) == hash((L.Var("a"), L.Var("b")))
+    match L.App(L.Lam("x", L.Var("x")), L.apply_spine(L.Prim("if"), L.BoolLit(True), L.IntLit(2))):
+        case L.App(L.Lam(param, L.Var(name)), L.App(L.App(L.Prim(op), L.BoolLit(b)), L.IntLit(v))):
+            assert (param, name, op, b, v) == ("x", "x", "if", True, 2)
+        case _:
+            pytest.fail("class patterns do not match")
+    with pytest.raises(ValueError, match=r"^unknown primitive #nope$"):
+        L.Prim("nope")
 
 
 # --- the lexer against a reference copy ---------------------------------------
@@ -335,8 +377,38 @@ reducer_terms = st.recursive(
 )
 
 
+def _nested_pair_into_beta():
+    """`F2 p` where Fk = S (K Fk-1) hk: each level's S step leaves the pair
+    (hk, <the level below's pair>), so \\v.\\x. v receives the nested pair
+    `h (x p)`; only the inner pair holds the `x` its binder must avoid."""
+    f = p(r"\v.\x. v")
+    for h in ("h", "x"):
+        f = L.apply_spine(L.S, L.App(L.K, f), L.Var(h))
+    return L.App(f, L.Var("p"))
+
+
+# each way the pair an S step leaves on the argument stack can leave it
+_PAIR_EXITS = {
+    # a beta step substitutes it under a binder its `y z` must avoid
+    "beta": L.apply_spine(L.S, p(r"\a.\b.\x. b"), L.Var("y"), L.Var("x")),
+    # it is an argument of a stuck primitive operand's head
+    "operand": L.apply_spine(L.Prim("add"), L.apply_spine(L.S, L.Var("x"), L.Var("y"), L.Var("z")), L.IntLit(1)),
+    # it is an argument of a stuck spine, reduced to its normal form there
+    "spine": L.apply_spine(L.S, L.Var("x"), L.App(L.K, L.I), L.Var("z")),
+    # a K step drops it unreduced
+    "dropped": L.apply_spine(L.S, L.K, p(r"\x. x x"), p(r"\x. x x")),
+    # it holds the pair of an earlier S step, and a beta step substitutes it
+    "nested": _nested_pair_into_beta(),
+}
+
+
 @settings(max_examples=400, deadline=None)
 @given(reducer_terms, st.one_of(st.integers(0, 50), st.just(L.DEFAULT_FUEL)))
+@example(_PAIR_EXITS["beta"], L.DEFAULT_FUEL)
+@example(_PAIR_EXITS["operand"], L.DEFAULT_FUEL)
+@example(_PAIR_EXITS["spine"], L.DEFAULT_FUEL)
+@example(_PAIR_EXITS["dropped"], L.DEFAULT_FUEL)
+@example(_PAIR_EXITS["nested"], L.DEFAULT_FUEL)
 # the delta step spends after its operands and before the range check
 @example(p(f"#add {L.INT64_MAX} 1"), 0)
 # the second operand reaches WHNF (and overflows) before a stuck first
@@ -361,6 +433,51 @@ def test_deep_operand_chain_and_spine_reduce_without_recursion():
     for i in range(depth):
         spine = L.App(L.I, spine) if i % 2 else L.apply_spine(L.K, spine, L.Var("x"))
     assert SK.ski_reduce(spine, fuel=depth) == L.IntLit(7)
+    # Fk = S (K Fk-1) h: `Fk p` leaves the pair nested k deep, h (h (... (h p))),
+    # which the beta step of F0 = \v. v substitutes
+    nested = L.Lam("v", L.Var("v"))
+    for _ in range(depth):
+        nested = L.apply_spine(L.S, L.App(L.K, nested), L.Var("h"))
+    t = L._normalize(L.App(nested, L.Var("p")), L.Fuel(2 * depth + 1))
+    for _ in range(depth):
+        assert type(t) is L.App and t.fun == L.Var("h")
+        t = t.arg
+    assert t == L.Var("p")
+
+
+def test_unbuilt_pairs_leave_the_argument_stack_only_as_terms(monkeypatch):
+    """A beta step substitutes, and a stuck operand's spine holds, terms
+    with no pair left inside."""
+    def no_pairs(*terms):
+        todo = list(terms)
+        while todo:
+            t = todo.pop()
+            assert type(t) is not tuple
+            todo += (t.fun, t.arg) if type(t) is L.App else (t.body,) if type(t) is L.Lam else ()
+
+    substitute, apply_spine = L.substitute, L.apply_spine
+    monkeypatch.setattr(L, "substitute", lambda t, name, value: no_pairs(value) or substitute(t, name, value))
+    monkeypatch.setattr(L, "apply_spine", lambda *terms: no_pairs(*terms) or apply_spine(*terms))
+    for t in _PAIR_EXITS.values():
+        L._normalize(t, L.Fuel(L.DEFAULT_FUEL))
+
+
+def test_forcing_keeps_shared_pairs_shared(monkeypatch):
+    """Bk = S (S (K Bk-1)) y passes Bk-1 its argument q as the pair
+    (q, (y, q)), so forcing the pair 12 levels down without sharing would
+    build 8,190 applications where 24 suffice."""
+    values = []
+    substitute = L.substitute
+    monkeypatch.setattr(L, "substitute", lambda t, name, value: values.append(value) or substitute(t, name, value))
+    b = p(r"\v. 1")
+    for _ in range(12):
+        b = L.apply_spine(L.S, L.apply_spine(L.S, L.App(L.K, b)), L.Var("y"))
+    assert L._normalize(L.App(b, L.Var("z")), L.Fuel(L.DEFAULT_FUEL)) == L.IntLit(1)
+    (q,) = values
+    for _ in range(12):
+        assert q.fun is q.arg.arg and q.arg.fun == L.Var("y")
+        q = q.fun
+    assert q == L.Var("z")
 
 
 # --- alpha equivalence ----------------------------------------------------------
