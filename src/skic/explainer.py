@@ -149,25 +149,35 @@ def parse_explanation(doc: ExplanationDoc) -> Term:
         if sent.anchor in by_path:
             raise TemplateParseError(idx, f"duplicate anchor {sent.anchor}")
         by_path[sent.anchor] = idx
-    prefixes = set()
+    prefixes = set()  # closed under prefixes, so each path stops at its first known prefix
     for path in by_path:
-        for cut in range(len(path) + 1):
+        for cut in range(len(path), -1, -1):
+            if path[:cut] in prefixes:
+                break
             prefixes.add(path[:cut])
 
     def rebuild(path: Path) -> Term:
-        idx = by_path.get(path)
-        if idx is not None:
-            text = doc.sentences[idx].text
-            leaf = _parse_leaf_text(text)
-            if leaf is not None:
-                return leaf
-            if " applied to " not in text:
-                raise TemplateParseError(idx, f"unknown template {text!r}")
-            # composed spine sentence: structure comes from child anchors
-        if path + (0,) not in prefixes or path + (1,) not in prefixes:
-            anchor_idx = idx if idx is not None else 0
-            raise TemplateParseError(anchor_idx, f"missing children under anchor {path}")
-        return App(rebuild(path + (0,)), rebuild(path + (1,)))
+        """The term at `path`, checked in pre-order: a loop walks a spine of any
+        length down to its head; arguments, whose depth the parser bounds, recurse."""
+        apps: list[Path] = []
+        while True:
+            idx = by_path.get(path)
+            if idx is not None:
+                text = doc.sentences[idx].text
+                term = _parse_leaf_text(text)
+                if term is not None:
+                    break
+                if " applied to " not in text:
+                    raise TemplateParseError(idx, f"unknown template {text!r}")
+                # composed spine sentence: structure comes from child anchors
+            if path + (0,) not in prefixes or path + (1,) not in prefixes:
+                anchor_idx = idx if idx is not None else 0
+                raise TemplateParseError(anchor_idx, f"missing children under anchor {path}")
+            apps.append(path)
+            path += (0,)
+        for app in reversed(apps):
+            term = App(term, rebuild(app + (1,)))
+        return term
 
     term = rebuild(())
     expected = explain_term(term)

@@ -61,11 +61,7 @@ class DuplicateDefinitionError(ParseError):
         self.name = name
 
 
-class EvalError(LambdaError):
-    """Raised for deterministic evaluation failures (e.g. overflow)."""
-
-
-class EvalOverflowError(EvalError):
+class EvalOverflowError(LambdaError):
     def __init__(self, op: str, value: int):
         super().__init__(f"#{op} result {value} exceeds 64-bit signed range")
         self.op = op
@@ -464,12 +460,6 @@ class Fuel:
         self.remaining -= 1
 
 
-def _check_range(op: str, value: int) -> int:
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise EvalOverflowError(op, value)
-    return value
-
-
 # the two-operand primitives on integer literals; `eq` gives a BoolLit
 _BINARY = {
     "add": operator.add, "addZ": operator.add, "addR": operator.add,
@@ -569,7 +559,9 @@ def _normalize(t: Term, fuel: Fuel) -> Term:
             elif type(outer[-1]) is IntLit and type(outer[-2]) is IntLit:
                 spend()
                 v = _BINARY[op](outer.pop().value, outer.pop().value)
-                t, args = (BoolLit(v) if op == "eq" else IntLit(_check_range(op, v))), outer
+                if op != "eq" and not INT64_MIN <= v <= INT64_MAX:
+                    raise EvalOverflowError(op, v)
+                t, args = (BoolLit(v) if op == "eq" else IntLit(v)), outer
                 break
             t, args = prim, outer  # stuck: the primitive's spine is a WHNF too
         else:

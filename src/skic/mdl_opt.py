@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import lambda_ir, metrics, ski_core
-from .lambda_ir import DEFAULT_FUEL, App, Program, Term, Var, pretty_print, term_size
+from .lambda_ir import DEFAULT_FUEL, App, Fuel, Program, Term, Var, pretty_print, term_size
 from .ski_core import ProbeConfig, RuleSet, gael_print_program
 
 MIN_EXTRACT_NODES = 3
@@ -32,7 +32,7 @@ ALL_RULE_SETS = (RuleSet.NAIVE, RuleSet.WITH_I, RuleSet.ETA_OPTIMIZED)
 class MdlConfig:
     lambda_weight: float = 0.99
     beam_width: int = 8
-    max_probes: int = 216
+    max_probes: int = ProbeConfig.max_tuples
     rule_sets: tuple[RuleSet, ...] = ALL_RULE_SETS
     extraction_enabled: bool = True
     fuel: int = DEFAULT_FUEL
@@ -46,10 +46,8 @@ class MdlConfig:
             raise ValueError("rule_sets must be nonempty")
         if len(set(self.rule_sets)) < len(self.rule_sets):
             raise ValueError("rule_sets must not repeat")
-        if self.fuel < 0:
-            raise ValueError("fuel must be nonnegative")
-        if self.max_probes < 1:
-            raise ValueError("probe tuple count must be positive")
+        Fuel(self.fuel)  # each raises the ValueError of its own rule
+        self.probes_for_arity(0)
 
     def probes_for_arity(self, arity: int) -> ProbeConfig:
         return ProbeConfig(arity, max_tuples=self.max_probes)

@@ -179,9 +179,6 @@ class EquivalenceResult:
     distance: float  # the mean PENALTY over the probe tuples
     witness: Optional[tuple[int, ...]] = None
 
-    def __bool__(self) -> bool:
-        return self.verdict is Verdict.EQUAL
-
 
 def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> object:
     """What one probe of `side` compares by: the de Bruijn form of the

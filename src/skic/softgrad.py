@@ -3,7 +3,7 @@
 The keep-probability relaxation makes the token compression rate
 differentiable: soft_cr(p) = 1 - mean(p), which coincides with the
 discrete rate on 0/1 indicator vectors.  The attention map is the
-standard scaled dot-product form
+paper's scaled dot-product form, its scores always divided by sqrt(d),
 
     out = softmax(H Wq (H Wk)^T / sqrt(d)) (H Wv)
 
@@ -79,7 +79,7 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _attention(h: np.ndarray, params: AttnParams, scale: bool) -> tuple[np.ndarray, ...]:
+def _attention(h: np.ndarray, params: AttnParams) -> tuple[np.ndarray, ...]:
     """q, k, v and the attention weights of a checked input."""
     if h.ndim != 2 or h.shape[1] != params.d:
         raise ShapeMismatchError(f"input must be n x {params.d}, got {h.shape}")
@@ -88,16 +88,13 @@ def _attention(h: np.ndarray, params: AttnParams, scale: bool) -> tuple[np.ndarr
     q = h @ params.w_q
     k = h @ params.w_k
     v = h @ params.w_v
-    scores = q @ k.T
-    if scale:
-        scores = scores / np.sqrt(params.d)
-    return q, k, v, _softmax_rows(scores)
+    return q, k, v, _softmax_rows(q @ k.T / np.sqrt(params.d))
 
 
-def attention_forward(h: np.ndarray, params: AttnParams, scale: bool = True) -> np.ndarray:
+def attention_forward(h: np.ndarray, params: AttnParams) -> np.ndarray:
     """Row-wise attention: each output row is a convex combination of
     the value rows."""
-    _, _, v, attn = _attention(h, params, scale)
+    _, _, v, attn = _attention(h, params)
     return attn @ v
 
 
@@ -109,11 +106,9 @@ class AttnGradients:
     d_w_v: np.ndarray
 
 
-def attention_backward(
-    h: np.ndarray, params: AttnParams, upstream: np.ndarray, scale: bool = True
-) -> AttnGradients:
+def attention_backward(h: np.ndarray, params: AttnParams, upstream: np.ndarray) -> AttnGradients:
     """Analytic gradients of attention_forward contracted with upstream."""
-    q, k, v, attn = _attention(h, params, scale)
+    q, k, v, attn = _attention(h, params)
     if upstream.shape != h.shape:
         raise ShapeMismatchError(
             f"upstream must match output shape {h.shape}, got {upstream.shape}"
@@ -121,9 +116,7 @@ def attention_backward(
 
     d_v = attn.T @ upstream
     d_attn = upstream @ v.T
-    d_scores = attn * (d_attn - (attn * d_attn).sum(axis=1, keepdims=True))
-    if scale:
-        d_scores = d_scores / np.sqrt(params.d)
+    d_scores = attn * (d_attn - (attn * d_attn).sum(axis=1, keepdims=True)) / np.sqrt(params.d)
     d_q = d_scores @ k
     d_k = d_scores.T @ q
     d_w_q = h.T @ d_q

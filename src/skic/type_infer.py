@@ -2,7 +2,9 @@
 
 Each untyped leaf occurrence of a term (variables the context does not
 type, plus integer literals, which may be Int or Real) becomes an
-inference variable.  Usage sites emit weighted factors; an assignment's
+inference variable.  Usage sites emit weighted factors, and a term's
+constraints are the tuple of them; each `Factor` checks on construction
+that its clique is nonempty and its weight positive.  An assignment's
 energy is the weighted count of violated factors, and the posterior is
 the softmax of negated energies over the full enumerated candidate set.
 The pipeline reads only the MAP assignment, which `map_by_elimination`
@@ -79,6 +81,12 @@ class Factor:
     weight: float
     fixed: tuple[TypeTag, ...] = ()
 
+    def __post_init__(self):
+        if not self.clique:
+            raise ValueError("factor clique must be nonempty")
+        if self.weight <= 0:
+            raise ValueError("factor weight must be positive")
+
     def violated(self, assignment: dict[str, TypeTag]) -> bool:
         tags = []
         for v in self.clique:
@@ -92,18 +100,6 @@ class Factor:
         if self.kind == "numeric":
             return not (same and tags[0] in NUMERIC_TAGS)
         return not same  # agree / binding
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    factors: tuple[Factor, ...]
-
-    def __post_init__(self):
-        for f in self.factors:
-            if not f.clique:
-                raise ValueError("factor clique must be nonempty")
-            if f.weight <= 0:
-                raise ValueError("factor weight must be positive")
 
 
 @dataclass(frozen=True)
@@ -188,7 +184,7 @@ class _Extractor:
             self.factors.append(Factor(kind, clique, weight, fixed))
 
 
-def build_constraints(t: Term, env: Optional[Mapping[str, TypeTag]] = None) -> tuple[list[str], ConstraintSet]:
+def build_constraints(t: Term, env: Optional[Mapping[str, TypeTag]] = None) -> tuple[list[str], tuple[Factor, ...]]:
     """Extract inference variables and factors from a term.
 
     Variables are named `<display>@<leaf-index>` in left-to-right leaf
@@ -201,15 +197,15 @@ def build_constraints(t: Term, env: Optional[Mapping[str, TypeTag]] = None) -> t
         for members in ex.groups.values()
         for pair in zip(members, members[1:])
     ]
-    return ex.variables, ConstraintSet(factors=tuple(ex.factors + binding))
+    return ex.variables, tuple(ex.factors + binding)
 
 
 # --- energy and posterior -------------------------------------------------
 
 
-def energy(assignment: dict[str, TypeTag], cs: ConstraintSet) -> float:
+def energy(assignment: dict[str, TypeTag], factors: tuple[Factor, ...]) -> float:
     """Weighted count of violated factors; 0 iff every factor holds."""
-    return sum(f.weight for f in cs.factors if f.violated(assignment))
+    return sum(f.weight for f in factors if f.violated(assignment))
 
 
 def posterior_from_energies(
@@ -229,7 +225,7 @@ def posterior_from_energies(
 
 
 def posterior(
-    cs: ConstraintSet, variables: list[str], max_variables: int = MAX_ENUM_VARIABLES
+    factors: tuple[Factor, ...], variables: list[str], max_variables: int = MAX_ENUM_VARIABLES
 ) -> TypePosterior:
     """Exact posterior over all |tags|^n assignments (guarded enumeration)."""
     n = len(variables)
@@ -238,7 +234,7 @@ def posterior(
     assignments = [
         dict(zip(variables, combo)) for combo in itertools.product(TypeTag, repeat=n)
     ]
-    energies = [energy(a, cs) for a in assignments]
+    energies = [energy(a, factors) for a in assignments]
     return posterior_from_energies(assignments, energies, tuple(variables))
 
 
@@ -254,8 +250,8 @@ def map_assignment(p: TypePosterior) -> dict[str, TypeTag]:
     return min(p.support, key=key).assignment
 
 
-def map_by_elimination(cs: ConstraintSet, variables: list[str]) -> Optional[dict[str, TypeTag]]:
-    """`map_assignment(posterior(cs, variables))` by min-sum variable
+def map_by_elimination(factors: tuple[Factor, ...], variables: list[str]) -> Optional[dict[str, TypeTag]]:
+    """`map_assignment(posterior(factors, variables))` by min-sum variable
     elimination; None when some step would span more than
     MAX_ENUM_VARIABLES variables, which no item of at most that many
     variables can reach.
@@ -269,11 +265,11 @@ def map_by_elimination(cs: ConstraintSet, variables: list[str]) -> Optional[dict
     the |tags|^MAX_ENUM_VARIABLES of the largest guarded enumeration.
     """
     order = {v: i for i, v in enumerate(variables)}
-    for f in cs.factors:
+    for f in factors:
         for v in f.clique:
             if v not in order:
                 raise MissingVariableError(v)
-    factor_scopes = [tuple(sorted(set(f.clique), key=order.__getitem__)) for f in cs.factors]
+    factor_scopes = [tuple(sorted(set(f.clique), key=order.__getitem__)) for f in factors]
     scopes = factor_scopes
     steps: list[tuple[str, tuple[str, ...]]] = []  # (variable, its remaining neighbours)
     for v in reversed(variables):
@@ -287,7 +283,7 @@ def map_by_elimination(cs: ConstraintSet, variables: list[str]) -> Optional[dict
     tables = [
         (scope, {key: f.weight if f.violated(dict(zip(scope, key))) else 0.0
                  for key in itertools.product(TypeTag, repeat=len(scope))})
-        for f, scope in zip(cs.factors, factor_scopes)
+        for f, scope in zip(factors, factor_scopes)
     ]
     choices: dict[str, tuple[tuple[str, ...], dict]] = {}
     for v, rest in steps:
@@ -371,8 +367,8 @@ def specialize_program(prog: Program) -> tuple[Program, dict[str, dict[str, str]
     for i, (name, body) in enumerate(prog.items()):
         label = name or "main"
         env = {dep: TypeTag.FUNC for dep, _ in prog.defs[:i]}
-        variables, constraints = build_constraints(body, env)
-        assignment = map_by_elimination(constraints, variables)
+        variables, factors = build_constraints(body, env)
+        assignment = map_by_elimination(factors, variables)
         if assignment is None:
             summary[label] = {
                 "_skipped": f"{len(variables)} variables: an elimination step spans more than {MAX_ENUM_VARIABLES}"

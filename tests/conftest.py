@@ -73,7 +73,7 @@ def gen_normalizing_term(rng: random.Random, max_depth: int = 6, fuel: int = 500
         t = gen_closed_term(rng, max_depth)
         try:
             SK.ski_reduce(t, fuel)
-        except (L.FuelExhausted, L.EvalError):
+        except (L.FuelExhausted, L.EvalOverflowError):
             continue
         return t
 
@@ -104,7 +104,7 @@ def gen_normalizing_ski(rng: random.Random, max_depth: int = 4, fuel: int = 2000
         t = gen_ski_term(rng, max_depth)
         try:
             SK.ski_reduce(t, fuel)
-        except (L.FuelExhausted, L.EvalError):
+        except (L.FuelExhausted, L.EvalOverflowError):
             continue
         return t
 

@@ -125,7 +125,7 @@ def test_c04_encode_round_trip_500_terms():
     )
 
 
-def _random_constraints(rng: random.Random) -> tuple[list[str], TI.ConstraintSet]:
+def _random_constraints(rng: random.Random) -> tuple[list[str], tuple[TI.Factor, ...]]:
     if rng.random() < 0.5:
         # extracted from a random term
         t = gen_normalizing_term(rng, max_depth=4)
@@ -145,7 +145,7 @@ def _random_constraints(rng: random.Random) -> tuple[list[str], TI.ConstraintSet
             fixed = (rng.choice(list(TI.TypeTag)),)
         weight = rng.choice([1.0, 2.0, 4.0])
         factors.append(TI.Factor(kind, clique, weight, fixed))
-    return variables, TI.ConstraintSet(factors=tuple(factors))
+    return variables, tuple(factors)
 
 
 def test_c05_posterior_contract():

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -285,10 +287,32 @@ def test_cli_invalid_values_exit_1_before_compiling(tmp_path, capsys, argv, mess
     assert not report_file.exists()
 
 
+# the option census: each MdlConfig field, its one flag and a value other than its default
+_CONFIG_FLAGS = {
+    "lambda_weight": (["--lambda", "0.5"], 0.5),
+    "beam_width": (["--beam", "3"], 3),
+    "rule_sets": (["--rules", "eta"], (SK.RuleSet.ETA_OPTIMIZED,)),
+    "fuel": (["--fuel", "7"], 7),
+    "max_probes": (["--probes", "5"], 5),
+    "extraction_enabled": (["--no-extract"], False),
+}
+
+
 @pytest.mark.parametrize("command", ["compress", "corpus"])
 def test_cli_defaults_are_mdl_config_defaults(command):
-    args = CP._build_parser().parse_args([command, "x.lam"])
+    parser = CP._build_parser()
+    args = parser.parse_args([command, "x.lam"])
     assert CP._config_from_args(args) == MdlConfig()
+    # a new knob, in MdlConfig, ProbeConfig or on the command line, needs an edit here
+    assert {f.name for f in dataclasses.fields(MdlConfig)} == _CONFIG_FLAGS.keys()
+    assert [f.name for f in dataclasses.fields(SK.ProbeConfig)] == ["arity", "values", "max_tuples"]
+    for field, (flag, value) in _CONFIG_FLAGS.items():
+        args = parser.parse_args([command, "x.lam", *flag])
+        assert CP._config_from_args(args) == dataclasses.replace(MdlConfig(), **{field: value}), flag
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in subparsers.choices[command]._actions for s in a.option_strings}
+    other = {"-h", "--help", "--report", "--c"} | ({"--emit"} if command == "compress" else set())
+    assert options == {flag[0] for flag, _ in _CONFIG_FLAGS.values()} | other
 
 
 def test_cli_compress_missing_file_exit_1(tmp_path, capsys):

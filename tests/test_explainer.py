@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -125,6 +126,12 @@ def _nest(t: L.Term, depth: int) -> L.Term:
 def test_explain_term_matches_rephrasing_walk(inner, depth):
     term = _nest(inner, depth)
     assert EX.explain_term(term) == _ref_explain(term)
+
+
+def test_round_trip_spine_longer_than_the_recursion_limit():
+    t = L.apply_spine(L.S, *(L.IntLit(i) for i in range(sys.getrecursionlimit() + 500)))
+    back = EX.parse_explanation(EX.explain_term(t))
+    assert L.spine(back) == L.spine(t)  # `==` on the terms would recurse down `.fun`
 
 
 def test_coverage_counts():

@@ -199,23 +199,6 @@ def test_backward_matches_finite_differences_over_seeded_fixtures():
         assert err <= 1e-5, (seed, n, d, err)
 
 
-def test_backward_unscaled_variant():
-    h, params = SG.fixture_case(23, 3, 2)
-
-    def f(x):
-        hh, pp = unpack(x, 3, 2)
-        return float(SG.attention_forward(hh, pp, scale=False).sum())
-
-    def grad(x):
-        hh, pp = unpack(x, 3, 2)
-        g = SG.attention_backward(hh, pp, np.ones((3, 2)), scale=False)
-        return np.concatenate(
-            [g.d_h.ravel(), g.d_w_q.ravel(), g.d_w_k.ravel(), g.d_w_v.ravel()]
-        )
-
-    assert SG.finite_diff_check(f, grad, pack(h, params)) <= 1e-5
-
-
 def test_backward_shape_error():
     h, params = SG.fixture_case(29, 4, 3)
     with pytest.raises(SG.ShapeMismatchError):

@@ -26,13 +26,13 @@ def p(src: str) -> L.Term:
 # --- independent brute-force oracle (separate code path) -------------------------
 
 
-def oracle_posterior(cs: TI.ConstraintSet, variables: list[str]) -> dict[tuple, float]:
+def oracle_posterior(cs: tuple[TI.Factor, ...], variables: list[str]) -> dict[tuple, float]:
     """Plain enumeration + raw softmax, no stabilization shift."""
     table = {}
     for combo in itertools.product(list(TypeTag), repeat=len(variables)):
         assignment = dict(zip(variables, combo))
         e = 0.0
-        for f in cs.factors:
+        for f in cs:
             tags = [assignment[v] for v in f.clique] + list(f.fixed)
             if f.kind == "bool_cond":
                 bad = tags[0] is not TypeTag.BOOL
@@ -53,7 +53,7 @@ def oracle_posterior(cs: TI.ConstraintSet, variables: list[str]) -> dict[tuple, 
 def test_add_with_literal_two_variables():
     variables, cs = TI.build_constraints(p("#add x 1"), {})
     assert len(variables) == 2
-    numeric = [f for f in cs.factors if f.kind == "numeric"]
+    numeric = [f for f in cs if f.kind == "numeric"]
     assert len(numeric) == 1
     assert numeric[0].clique == tuple(variables)
     assert numeric[0].weight == 1.0
@@ -61,7 +61,7 @@ def test_add_with_literal_two_variables():
 
 def test_if_condition_forces_bool():
     variables, cs = TI.build_constraints(p("#if x 1 2"))
-    cond = [f for f in cs.factors if f.kind == "bool_cond"]
+    cond = [f for f in cs if f.kind == "bool_cond"]
     assert len(cond) == 1
     assert cond[0].weight == 2.0
     assert cond[0].clique[0].startswith("x@")
@@ -71,12 +71,12 @@ def test_fully_annotated_env_zero_variables():
     env = {"x": TypeTag.INT, "y": TypeTag.INT}
     variables, cs = TI.build_constraints(p("#eq x y"), env)
     assert variables == []
-    assert cs.factors == ()
+    assert cs == ()
 
 
 def test_same_name_occurrences_chained():
     variables, cs = TI.build_constraints(p(r"\x. #add x (#mul x 2)"))
-    binding = [f for f in cs.factors if f.kind == "binding"]
+    binding = [f for f in cs if f.kind == "binding"]
     assert len(binding) == 1
     assert binding[0].weight == 4.0
     assert all(v.startswith("x@") for v in binding[0].clique)
@@ -86,13 +86,23 @@ def test_env_binding_bakes_fixed_tag():
     env = {"x": TypeTag.REAL}
     variables, cs = TI.build_constraints(p("#add x 1"), env)
     assert len(variables) == 1  # just the literal
-    numeric = [f for f in cs.factors if f.kind == "numeric"]
+    numeric = [f for f in cs if f.kind == "numeric"]
     assert numeric[0].fixed == (TypeTag.REAL,)
+
+
+@pytest.mark.parametrize("clique, weight, message", [
+    ((), 1.0, "factor clique must be nonempty"),
+    (("a@0",), 0.0, "factor weight must be positive"),
+    (("a@0",), -1.0, "factor weight must be positive"),
+])
+def test_factor_rejects_empty_clique_and_nonpositive_weight(clique, weight, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TI.Factor("agree", clique, weight)
 
 
 def test_usage_sites_recorded():
     variables, cs = TI.build_constraints(p("#if x 1 2"), {})
-    assert [f for f in cs.factors if f.kind == "bool_cond"] == [
+    assert [f for f in cs if f.kind == "bool_cond"] == [
         TI.Factor("bool_cond", (variables[0],), TI.COND_FACTOR_WEIGHT)
     ]
 
@@ -206,7 +216,7 @@ def test_monotonicity_in_energy():
 
 def test_too_many_variables_guard():
     variables = [f"v{i}" for i in range(9)]
-    cs = TI.ConstraintSet(factors=())
+    cs = ()
     with pytest.raises(TI.TooManyVariablesError):
         TI.posterior(cs, variables)
     # guard is configurable
@@ -269,17 +279,17 @@ def factor_sets(draw):
         clique = tuple(draw(st.permutations(variables))[:size])
         fixed = () if tie or kind == "bool_cond" else tuple(draw(st.lists(st.sampled_from(TypeTag), max_size=2 - size)))
         factors.append(TI.Factor(kind, clique, draw(st.sampled_from(_WEIGHTS)), fixed))
-    return TI.ConstraintSet(tuple(factors)), variables
+    return tuple(factors), variables
 
 
 # every assignment ties at energy 0: expect all INT
-_FULL_TIE = (TI.ConstraintSet(()), ["a@0", "b@1", "c@2"])
+_FULL_TIE = ((), ["a@0", "b@1", "c@2"])
 # the condition's Bool factor outweighs its numeric one: expect c BOOL, n INT
 _BOOL_FORCED = (
-    TI.ConstraintSet((
+    (
         TI.Factor("bool_cond", ("c@0",), TI.COND_FACTOR_WEIGHT),
         TI.Factor("numeric", ("c@0", "n@1"), TI.ARITH_FACTOR_WEIGHT),
-    )),
+    ),
     ["c@0", "n@1"],
 )
 
@@ -299,7 +309,7 @@ def test_map_by_elimination_examples():
 
 
 def test_map_by_elimination_missing_variable():
-    cs = TI.ConstraintSet((TI.Factor("agree", ("a@0", "b@1"), TI.EQ_FACTOR_WEIGHT),))
+    cs = (TI.Factor("agree", ("a@0", "b@1"), TI.EQ_FACTOR_WEIGHT),)
     with pytest.raises(TI.MissingVariableError):
         TI.map_by_elimination(cs, ["a@0"])
 
@@ -360,14 +370,14 @@ def test_specialization_preserves_behavior():
 
 def test_combinator_alone_gives_no_variables():
     variables, cs = TI.build_constraints(L.S)
-    assert variables == [] and cs.factors == ()
+    assert variables == [] and cs == ()
 
 
 def test_combinator_operand_is_a_fixed_func_tag():
     t = SK.parse_gael_program("#add K 1").main
     variables, cs = TI.build_constraints(t)
     assert variables == ["1@2"]
-    assert cs.factors == (TI.Factor("numeric", ("1@2",), TI.ARITH_FACTOR_WEIGHT, (TypeTag.FUNC,)),)
+    assert cs == (TI.Factor("numeric", ("1@2",), TI.ARITH_FACTOR_WEIGHT, (TypeTag.FUNC,)),)
     assert TI.specialize_operators(t, {"1@2": TypeTag.INT}) == t
     assert TI.specialize_operators(L.App(L.Prim("add"), L.K), {}) == L.App(L.Prim("add"), L.K)
 
@@ -612,13 +622,13 @@ inference_terms = st.recursive(
 @given(inference_terms, st.dictionaries(st.sampled_from(_NAMES), st.sampled_from(TypeTag)), st.data())
 def test_extractor_matches_reference_walks(t, env, data):
     variables, cs = TI.build_constraints(t, env)
-    assert (variables, cs.factors) == reference_build_constraints(t, env)
+    assert (variables, cs) == reference_build_constraints(t, env)
     drawn = {v: data.draw(st.sampled_from(TypeTag), label=v) for v in variables}
     assert TI.specialize_operators(t, drawn, env) == reference_specialize(t, drawn, env)
     if len(variables) <= 5:
         assignment = TI.map_assignment(TI.posterior(cs, variables))
         ref_vars, ref_factors = reference_build_constraints(t, env)
-        assert assignment == TI.map_assignment(TI.posterior(TI.ConstraintSet(ref_factors), ref_vars))
+        assert assignment == TI.map_assignment(TI.posterior(ref_factors, ref_vars))
         assert TI.specialize_operators(t, assignment, env) == reference_specialize(t, assignment, env)
 
 
