@@ -77,12 +77,10 @@ def symbolic_density(data: bytes, c: float = DEFAULT_BOUND_CONSTANT) -> DensityR
     exceed 1 on incompressible inputs (stream overhead); it is reported
     as-is, never clamped.
     """
-    if not data:
-        raise ValueError("empty input")
+    k = approx_kolmogorov(data)  # raises on empty input, before the constant is checked
     if not 0 <= c < math.inf:
         raise ValueError("bound constant must be finite and nonnegative")
     n = len(data)
-    k = approx_kolmogorov(data)
     slack = k - (n - c * math.log2(n))
     return DensityReport(
         byte_length=n,
@@ -113,7 +111,3 @@ def prng_bytes(seed: int, count: int) -> bytes:
     """`count` bytes: the low 8 bits of successive SplitMix64 outputs."""
     gen = splitmix64_stream(seed)
     return bytes(next(gen) & 0xFF for _ in range(count))
-
-
-def repeated_bytes(byte: int = 0x61, count: int = 4096) -> bytes:
-    return bytes([byte]) * count

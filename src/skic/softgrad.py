@@ -53,23 +53,21 @@ class SoftKeepVector:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1:
             raise ShapeMismatchError("keep probabilities must be a vector")
-        if p.size and (p.min() < 0.0 or p.max() > 1.0):
+        if p.size == 0:
+            raise ValueError("empty keep vector")
+        if p.min() < 0.0 or p.max() > 1.0:
             raise ValueError("keep probabilities must lie in [0, 1]")
         object.__setattr__(self, "probs", p)
 
 
 def soft_cr(keep: SoftKeepVector) -> float:
     """1 - mean(keep); exact compression rate on 0/1 indicators."""
-    if keep.probs.size == 0:
-        raise ValueError("empty keep vector")
     return 1.0 - float(keep.probs.mean())
 
 
 def soft_cr_grad(keep: SoftKeepVector) -> np.ndarray:
     """Constant gradient -1/n per position."""
     n = keep.probs.size
-    if n == 0:
-        raise ValueError("empty keep vector")
     return np.full(n, -1.0 / n)
 
 

@@ -126,7 +126,6 @@ class _Extractor:
     def __init__(self, env: Optional[Mapping[str, TypeTag]]):
         self.env = env or {}  # known name types; None binds none
         self.slots: list[_Slot] = []  # one per leaf occurrence, left to right
-        self.variables: list[str] = []
         self.groups: dict[tuple, list[str]] = {}
         self.factors: list[Factor] = []
         self.lam_counter = 0
@@ -165,7 +164,6 @@ class _Extractor:
 
     def _add_variable(self, display: str, group: Optional[tuple]) -> str:
         name = f"{display}@{len(self.slots)}"  # numbered by leaf index
-        self.variables.append(name)
         if group is not None:
             self.groups.setdefault(group, []).append(name)
         return name
@@ -197,7 +195,7 @@ def build_constraints(t: Term, env: Optional[Mapping[str, TypeTag]] = None) -> t
         for members in ex.groups.values()
         for pair in zip(members, members[1:])
     ]
-    return ex.variables, tuple(ex.factors + binding)
+    return [s for s in ex.slots if isinstance(s, str)], tuple(ex.factors + binding)
 
 
 # --- energy and posterior -------------------------------------------------
@@ -322,17 +320,14 @@ def specialize_operators(
     """
     ex = _Extractor(env)
     ex.walk(t, {})
-    counter = itertools.count()
-
-    def resolve(idx: int) -> Optional[TypeTag]:
-        slot = ex.slots[idx]
-        return slot if isinstance(slot, TypeTag) else assignment.get(slot)
+    slots = iter(ex.slots)  # `go` reaches the leaves in the walk's order
 
     def go(node: Term) -> tuple[Term, Optional[TypeTag]]:
         if isinstance(node, Lam):
             return Lam(node.param, go(node.body)[0]), TypeTag.FUNC
         if not isinstance(node, App):
-            return node, resolve(next(counter))
+            slot = next(slots)
+            return node, slot if isinstance(slot, TypeTag) else assignment.get(slot)
         head, args = spine(node)
         new_head, _ = go(head)
         new_args, tags = zip(*(go(a) for a in args))
@@ -373,8 +368,6 @@ def specialize_program(prog: Program) -> tuple[Program, dict[str, dict[str, str]
             summary[label] = {
                 "_skipped": f"{len(variables)} variables: an elimination step spans more than {MAX_ENUM_VARIABLES}"
             }
-        elif not variables:
-            summary[label] = {}
         else:
             summary[label] = {v: assignment[v].name for v in variables}
             body = specialize_operators(body, assignment, env)

@@ -178,7 +178,7 @@ def test_c06_density_bound_diagnostics():
     assert rnd.rho >= Fraction(9, 10)
     assert rnd.bound_slack >= 0.0
     assert rnd.k_approx == 4101  # golden, recorded at first run
-    rep = M.symbolic_density(M.repeated_bytes())
+    rep = M.symbolic_density(b"a" * 4096)
     assert rep.rho <= Fraction(5, 100)
     assert rep.k_approx == 22  # golden
     _report(

@@ -399,7 +399,7 @@ def test_cli_explain_round_trip(tmp_path, capsys):
 
 def test_cli_density(tmp_path, capsys):
     f = tmp_path / "data.bin"
-    f.write_bytes(M.repeated_bytes())
+    f.write_bytes(b"a" * 4096)
     assert CP.main(["density", str(f)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["k_approx_bytes"] == 22

@@ -50,8 +50,10 @@ def test_soft_cr_gradient_constant():
 
 
 def test_soft_cr_empty_and_range_errors():
-    with pytest.raises(ValueError):
-        SG.soft_cr(SG.SoftKeepVector(np.array([])))
+    with pytest.raises(ValueError, match="^empty keep vector$"):
+        SG.SoftKeepVector(np.array([]))
+    with pytest.raises(ValueError, match="^empty keep vector$"):
+        SG.soft_cr_grad(SG.SoftKeepVector(np.array([])))
     with pytest.raises(ValueError):
         SG.SoftKeepVector(np.array([1.5]))
 

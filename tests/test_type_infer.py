@@ -391,6 +391,11 @@ def test_specialize_program_types_earlier_definitions_as_functions():
     assert specialized.defs[0][1] == L.parse_term("\\x. #addZ x 1")
     assert specialized.main == prog.main
     assert summary == {"inc": {"x@1": "INT", "1@2": "INT"}, "main": {"2@1": "INT"}}
+    # a variable-free item passes through unchanged, with an empty summary
+    prog = L.parse_program("inc := \\x. #add x 1;\ninc")
+    specialized, summary = TI.specialize_program(prog)
+    assert specialized.main == prog.main
+    assert summary["main"] == {}
 
 
 def test_specialize_program_specialises_a_nine_variable_chain():
