@@ -5,10 +5,16 @@ The scalarized objective is
     objective = w * gael_tokens(encoding) + (1 - w) * distance(source, encoding)
 
 with w in [0,1] and distance in [0,1] (fraction of disagreeing probe
-tuples, undecided probes counting 0.5).  The search runs beam
-search over two kinds of decisions: the bracket-abstraction rule set
-for each program item, then greedy common-subterm extraction moves
-accepted only when they strictly shrink the GAEL token count.
+tuples, undecided probes counting 0.5).  The search makes two kinds of
+decisions: the bracket-abstraction rule set for each program item, then
+greedy common-subterm extraction moves accepted only when they strictly
+shrink the GAEL token count.
+
+With w above 0.5 one token outweighs any distance gap, so distance only
+breaks token ties; where tokens alone decide the rule sets
+(`_Search.token_decided`) the search probes nothing, else a beam search
+probes rule prefixes where its order is open.  Verification probes every
+item either way.
 """
 
 from __future__ import annotations
@@ -170,6 +176,29 @@ class _Search:
             self.encodings[i, r] = term, line, metrics.token_count(line, "gael")
         return self.encodings[i, r]
 
+    def token_decided(self) -> Optional[tuple[int, ...]]:
+        """The beam's rules when GAEL tokens alone decide them, else None.
+
+        Each item takes its first rule set of fewest tokens, whose line
+        every rule set of as few tokens must share.  At each beam step's
+        padded token count T, T tokens at distance 1 must sort before
+        T + 1 at distance 0, and so, `objective` being monotone in both,
+        before every longer candidate: the beam's first candidate has
+        this text at every step."""
+        rules = []
+        for i in range(len(self.items)):
+            encodings = [self.encode(i, r) for r in range(len(self.cfg.rule_sets))]
+            fewest = min(n for _, _, n in encodings)
+            if len({line for _, line, n in encodings if n == fewest}) > 1:
+                return None
+            rules.append(next(r for r, (_, _, n) in enumerate(encodings) if n == fewest))
+        padded = sum(self.encode(i, 0)[2] for i in range(len(self.items)))
+        for i, r in enumerate(rules):
+            padded += self.encode(i, r)[2] - self.encode(i, 0)[2]
+            if not objective(self.cfg, padded, 1.0) < objective(self.cfg, padded + 1, 0.0):
+                return None
+        return tuple(rules)
+
     def candidate(self, state: tuple[int, ...]) -> _Candidate:
         """A state padded with the first rule set; the program text joins
         the item lines, and no token spans a line."""
@@ -234,7 +263,9 @@ class _Search:
 
 
 def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> CompressionPlan:
-    """Beam search over per-item rule sets, then extraction moves.
+    """Per-item rule sets, decided by tokens alone where
+    `_Search.token_decided` can, else by beam search; then extraction
+    moves.
 
     A state is a rule prefix; the items past it take the first rule set.
     A beam step keeps the `beam_width` candidates that sort first by
@@ -247,18 +278,19 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
     if not items:
         raise ValueError("program has no definitions and no main expression")
     search = _Search(items, cfg)
-    key = functools.cmp_to_key(search.compare)
-    beam: list[tuple[int, ...]] = [()]
-    for step in range(1, len(items) + 1):
-        states = [state + (r,) for state in beam for r in range(len(cfg.rule_sets))]
-        chosen = heapq.nsmallest(cfg.beam_width, map(search.candidate, states), key=key)
-        beam = [c.rules[:step] for c in chosen]
+    rules = search.token_decided()
+    if rules is None:
+        key = functools.cmp_to_key(search.compare)
+        beam: list[tuple[int, ...]] = [()]
+        for step in range(1, len(items) + 1):
+            states = [state + (r,) for state in beam for r in range(len(cfg.rule_sets))]
+            chosen = heapq.nsmallest(cfg.beam_width, map(search.candidate, states), key=key)
+            beam = [c.rules[:step] for c in chosen]
+        rules = chosen[0].rules
 
-    best = chosen[0]
-    encoded = Program.of_items([
-        (item.name, search.encode(i, r)[0]) for i, (item, r) in enumerate(zip(items, best.rules))
-    ])
-    tokens = best.tokens
+    lines = [search.encode(i, r) for i, r in enumerate(rules)]
+    encoded = Program.of_items([(item.name, term) for item, (term, _, _) in zip(items, lines)])
+    tokens = sum(e[2] for e in lines)
     if cfg.extraction_enabled:
         encoded, _, tokens = _extract_with_trace(encoded, tokens)
     return CompressionPlan(encoded, tokens)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import zlib
 
@@ -387,12 +388,83 @@ def test_search_probes_each_source_item_once(monkeypatch):
 
     monkeypatch.setattr(MD, "_items_of", recorded)
     monkeypatch.setattr(SK, "comparison_form", counted)
-    cfg = MdlConfig()
+    cfg = MdlConfig(lambda_weight=0.5)  # at the default weight tokens decide, and nothing is probed
     for source in [FIVE_DEF_CHAIN] + GENERATED_CHAINS:
         source_calls[0] = 0
         MD.compress_program(L.parse_program(source), cfg)
         bound = sum(len(cfg.probes_for_arity(item.arity).tuples()) for item in items)
         assert 0 < source_calls[0] <= bound, (source, source_calls[0], bound)
+
+
+@pytest.fixture
+def comparison_calls(monkeypatch) -> list[int]:
+    """Counts SK.comparison_form calls, one per probe tuple and side, in its one element."""
+    calls = [0]
+    comparison_form = SK.comparison_form
+
+    def counted(side, args, fuel):
+        calls[0] += 1
+        return comparison_form(side, args, fuel)
+
+    monkeypatch.setattr(SK, "comparison_form", counted)
+    return calls
+
+
+def test_default_config_plans_probe_nothing(comparison_calls):
+    # at the default weight GAEL tokens alone decide these plans: the
+    # search probes nothing, and each plan is still the full sort's
+    cfg = MdlConfig()
+    for source in [FIVE_DEF_CHAIN] + GENERATED_CHAINS + [src for _, src in corpus_sources()]:
+        prog = L.parse_program(source)
+        comparison_calls[0] = 0
+        plan = MD.compress_program(prog, cfg)
+        assert comparison_calls[0] == 0, source
+        assert plan == eager_compress(prog, cfg)[0], source
+
+
+def test_token_decided_plans_match_eager_reference():
+    # random configs on both sides of the token-decided condition: weights
+    # around 0.5 (at 0.5 a token and a whole distance tie), widths, rule
+    # subsets and orders, fuel and probe counts
+    rng = random.Random(2121)
+    weights = (0.0, 0.25, 0.5, math.nextafter(0.5, 1), 0.5 + 1e-9, 0.75, 0.99, 1.0)
+    decided = []
+    for _ in range(60):
+        prog = L.parse_program(gen_chain(rng, rng.randint(1, 5)))
+        rules = tuple(rng.sample(MD.ALL_RULE_SETS, rng.randint(1, 3)))
+        cfg = MdlConfig(lambda_weight=rng.choice(weights), beam_width=rng.randint(1, 8), rule_sets=rules,
+                        fuel=rng.randint(50, 10_000), max_probes=rng.randint(1, 216))
+        decided.append(MD._Search(MD._items_of(prog), cfg).token_decided() is not None)
+        assert MD.compress_program(prog, cfg) == eager_compress(prog, cfg)[0], (prog, cfg)
+    assert set(decided) == {False, True}
+
+
+class _SeededSearch(MD._Search):
+    """A search whose first rule set encodes item 0 as `seed`."""
+
+    seed: L.Term = SK.parse_gael_program("S #add (K 2)").main
+
+    def __init__(self, items, cfg):
+        super().__init__(items, cfg)
+        line = SK.gael_print_program(L.Program.of_items([(items[0].name, self.seed)]))
+        self.encodings[0, 0] = self.seed, line, M.token_count(line, "gael")
+
+
+def test_token_tie_with_different_text_falls_back_to_the_beam(monkeypatch, comparison_calls):
+    # eta's line for inc, "S #add (K 1)", ties in tokens with the seeded
+    # "S #add (K 2)" of rule set 0; tokens alone would take rule set 0,
+    # and only the beam's probes find it wrong
+    prog = L.parse_program("inc := \\x. #add x 1;\ninc 3")
+    cfg = MdlConfig()
+    plan = MD.compress_program(prog, cfg)
+    assert comparison_calls[0] == 0
+    monkeypatch.setattr(MD, "_Search", _SeededSearch)
+    search = _SeededSearch(MD._items_of(prog), cfg)
+    (_, seeded, seeded_tokens), (_, eta, eta_tokens) = search.encode(0, 0), search.encode(0, 2)
+    assert seeded != eta and seeded_tokens == eta_tokens
+    assert search.token_decided() is None
+    assert MD.compress_program(prog, cfg) == plan
+    assert comparison_calls[0] > 0
 
 
 class _RecordedSearch(MD._Search):
