@@ -10,11 +10,11 @@ decisions: the bracket-abstraction rule set for each program item, then
 greedy common-subterm extraction moves accepted only when they strictly
 shrink the GAEL token count.
 
-With w above 0.5 one token outweighs any distance gap, so distance only
-breaks token ties; where tokens alone decide the rule sets
-(`_Search.token_decided`) the search probes nothing, else a beam search
-probes rule prefixes where its order is open.  Verification probes every
-item either way.
+One search chooses the rule sets: a beam over each item's choices
+(`_Search.choices`) that probes rule prefixes only where its order is
+open.  Where one token outweighs any distance gap, each item keeps its
+fewest-token rule sets, and where those print one line each nothing is
+probed.  Verification probes every item either way.
 """
 
 from __future__ import annotations
@@ -162,48 +162,43 @@ class _Search:
 
     def __init__(self, items: list[_Item], cfg: MdlConfig):
         self.items, self.cfg = items, cfg
-        self.encodings: dict[tuple[int, int], tuple[Term, str, int]] = {}
+        self.encodings: dict[tuple[int, int], tuple[Term, str, int]] = {}  # term, GAEL line, its tokens
+        for i, item in enumerate(items):
+            for r, rule_set in enumerate(cfg.rule_sets):
+                term = ski_core.bracket_abstract(item.source, rule_set, constants=item.constants)
+                line = gael_print_program(Program.of_items([(item.name, term)]))
+                self.encodings[i, r] = term, line, metrics.token_count(line, "gael")
         self.closings: dict[tuple[int, ...], Term] = {}
         self.distances: dict[tuple[int, ...], float] = {}  # rule prefix -> its last item's distance
         self.source_keys: dict[int, ski_core.ProbeKeys] = {}  # item index -> its source side's keys
 
-    def encode(self, i: int, r: int) -> tuple[Term, str, int]:
-        """Item i under rule set r: its term, its GAEL line and the line's tokens."""
-        if (i, r) not in self.encodings:
-            item = self.items[i]
-            term = ski_core.bracket_abstract(item.source, self.cfg.rule_sets[r], constants=item.constants)
-            line = gael_print_program(Program.of_items([(item.name, term)]))
-            self.encodings[i, r] = term, line, metrics.token_count(line, "gael")
-        return self.encodings[i, r]
+    def choices(self) -> list[list[int]]:
+        """The rule sets the beam may give each item: its fewest-token
+        ones where one token outweighs any distance, else all of them.
 
-    def token_decided(self) -> Optional[tuple[int, ...]]:
-        """The beam's rules when GAEL tokens alone decide them, else None.
-
-        Each item takes its first rule set of fewest tokens, whose line
-        every rule set of as few tokens must share.  At each beam step's
-        padded token count T, T tokens at distance 1 must sort before
-        T + 1 at distance 0, and so, `objective` being monotone in both,
-        before every longer candidate: the beam's first candidate has
-        this text at every step."""
-        rules = []
-        for i in range(len(self.items)):
-            encodings = [self.encode(i, r) for r in range(len(self.cfg.rule_sets))]
-            fewest = min(n for _, _, n in encodings)
-            if len({line for _, line, n in encodings if n == fewest}) > 1:
-                return None
-            rules.append(next(r for r, (_, _, n) in enumerate(encodings) if n == fewest))
-        padded = sum(self.encode(i, 0)[2] for i in range(len(self.items)))
-        for i, r in enumerate(rules):
-            padded += self.encode(i, r)[2] - self.encode(i, 0)[2]
+        If at each step's padded token count T, T tokens at distance 1
+        sort before T + 1 at distance 0 (`objective` is monotone in both),
+        the fewest-token candidates lead every step in the same order,
+        whatever else the beam holds.  If each item's fewest-token rule
+        sets also print one line, all candidates share one text, and the
+        beam keeps the first."""
+        every = range(len(self.cfg.rule_sets))
+        tokens = [[self.encodings[i, r][2] for r in every] for i in range(len(self.items))]
+        padded = sum(row[0] for row in tokens)
+        for row in tokens:
+            padded += min(row) - row[0]
             if not objective(self.cfg, padded, 1.0) < objective(self.cfg, padded + 1, 0.0):
-                return None
-        return tuple(rules)
+                return [list(every) for _ in tokens]
+        fewest = [[r for r in every if row[r] == min(row)] for row in tokens]
+        if all(len({self.encodings[i, r][1] for r in rules}) == 1 for i, rules in enumerate(fewest)):
+            return [rules[:1] for rules in fewest]
+        return fewest
 
     def candidate(self, state: tuple[int, ...]) -> _Candidate:
         """A state padded with the first rule set; the program text joins
         the item lines, and no token spans a line."""
         rules = state + (0,) * (len(self.items) - len(state))
-        lines = [self.encode(i, r) for i, r in enumerate(rules)]
+        lines = [self.encodings[i, r] for i, r in enumerate(rules)]
         prefixes = [rules[: i + 1] for i in range(len(rules))]
         return _Candidate(rules, sum(e[2] for e in lines), "\n".join(e[1] for e in lines), prefixes)
 
@@ -214,7 +209,7 @@ class _Search:
         for k in range(1, len(prefix) + 1):
             if prefix[:k] not in self.closings:
                 earlier = {self.items[j].name: self.closings[prefix[: j + 1]] for j in range(k - 1)}
-                body = self.encode(k - 1, prefix[k - 1])[0]
+                body = self.encodings[k - 1, prefix[k - 1]][0]
                 self.closings[prefix[:k]] = ski_core.substitute_free(body, earlier)
         return self.closings[prefix]
 
@@ -263,9 +258,8 @@ class _Search:
 
 
 def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> CompressionPlan:
-    """Per-item rule sets, decided by tokens alone where
-    `_Search.token_decided` can, else by beam search; then extraction
-    moves.
+    """Per-item rule sets by beam search over `_Search.choices`, then
+    extraction moves.
 
     A state is a rule prefix; the items past it take the first rule set.
     A beam step keeps the `beam_width` candidates that sort first by
@@ -278,17 +272,14 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
     if not items:
         raise ValueError("program has no definitions and no main expression")
     search = _Search(items, cfg)
-    rules = search.token_decided()
-    if rules is None:
-        key = functools.cmp_to_key(search.compare)
-        beam: list[tuple[int, ...]] = [()]
-        for step in range(1, len(items) + 1):
-            states = [state + (r,) for state in beam for r in range(len(cfg.rule_sets))]
-            chosen = heapq.nsmallest(cfg.beam_width, map(search.candidate, states), key=key)
-            beam = [c.rules[:step] for c in chosen]
-        rules = chosen[0].rules
+    key = functools.cmp_to_key(search.compare)
+    beam: list[tuple[int, ...]] = [()]
+    for step, rules in enumerate(search.choices(), 1):
+        states = [state + (r,) for state in beam for r in rules]
+        chosen = heapq.nsmallest(cfg.beam_width, map(search.candidate, states), key=key)
+        beam = [c.rules[:step] for c in chosen]
 
-    lines = [search.encode(i, r) for i, r in enumerate(rules)]
+    lines = [search.encodings[i, r] for i, r in enumerate(chosen[0].rules)]
     encoded = Program.of_items([(item.name, term) for item, (term, _, _) in zip(items, lines)])
     tokens = sum(e[2] for e in lines)
     if cfg.extraction_enabled:

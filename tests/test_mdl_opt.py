@@ -354,12 +354,15 @@ def distance_calls(monkeypatch) -> list[int]:
 
 
 def test_search_probes_at_most_half_of_eager(distance_calls):
+    # at weight 0.5 a token and a whole distance tie, so the beam runs over
+    # every rule set; at the default weight tokens decide and nothing is probed
+    cfg = MdlConfig(lambda_weight=0.5)
     programs = [L.parse_program(source) for _, source in corpus_sources()]
     for prog in programs:
-        eager_compress(prog, MdlConfig())
+        eager_compress(prog, cfg)
     eager_calls, distance_calls[0] = distance_calls[0], 0
     for prog in programs:
-        MD.compress_program(prog, MdlConfig())
+        MD.compress_program(prog, cfg)
     assert distance_calls[0] * 2 <= eager_calls, (distance_calls[0], eager_calls)
 
 
@@ -367,8 +370,19 @@ def test_search_probes_nothing_after_the_beam(distance_calls):
     # the search probes only where the beam compares two candidates; the
     # chosen program's distance is verification's to measure
     for _, source in corpus_sources():
-        MD.compress_program(L.parse_program(source), MdlConfig())
+        MD.compress_program(L.parse_program(source), MdlConfig(lambda_weight=0.5))
     assert distance_calls[0] <= 18, distance_calls[0]
+
+
+def test_beam_probes_on_ten_def_chains(distance_calls):
+    # no benchmark workload runs the beam: they all run at the default
+    # weight, where tokens decide; these bounds are the beam's counts at
+    # weight 0.5, so a beam that probes more fails here
+    cfg = MdlConfig(lambda_weight=0.5)
+    for seed, bound in ((1, 359), (2, 361)):
+        distance_calls[0] = 0
+        MD.compress_program(L.parse_program(gen_chain(random.Random(seed), 10)), cfg)
+        assert distance_calls[0] <= bound, (seed, distance_calls[0], bound)
 
 
 def test_search_probes_each_source_item_once(monkeypatch):
@@ -423,20 +437,22 @@ def test_default_config_plans_probe_nothing(comparison_calls):
 
 
 def test_token_decided_plans_match_eager_reference():
-    # random configs on both sides of the token-decided condition: weights
-    # around 0.5 (at 0.5 a token and a whole distance tie), widths, rule
-    # subsets and orders, fuel and probe counts
+    # random configs on both sides of the condition under which
+    # `_Search.choices` prunes: weights around 0.5 (at 0.5 a token and a
+    # whole distance tie), widths, rule subsets and orders, fuel and probe
+    # counts
     rng = random.Random(2121)
     weights = (0.0, 0.25, 0.5, math.nextafter(0.5, 1), 0.5 + 1e-9, 0.75, 0.99, 1.0)
-    decided = []
+    pruned = []
     for _ in range(60):
         prog = L.parse_program(gen_chain(rng, rng.randint(1, 5)))
         rules = tuple(rng.sample(MD.ALL_RULE_SETS, rng.randint(1, 3)))
         cfg = MdlConfig(lambda_weight=rng.choice(weights), beam_width=rng.randint(1, 8), rule_sets=rules,
                         fuel=rng.randint(50, 10_000), max_probes=rng.randint(1, 216))
-        decided.append(MD._Search(MD._items_of(prog), cfg).token_decided() is not None)
+        search = MD._Search(MD._items_of(prog), cfg)
+        pruned.append(search.choices() != [list(range(len(rules)))] * len(search.items))
         assert MD.compress_program(prog, cfg) == eager_compress(prog, cfg)[0], (prog, cfg)
-    assert set(decided) == {False, True}
+    assert set(pruned) == {False, True}
 
 
 class _SeededSearch(MD._Search):
@@ -452,19 +468,90 @@ class _SeededSearch(MD._Search):
 
 def test_token_tie_with_different_text_falls_back_to_the_beam(monkeypatch, comparison_calls):
     # eta's line for inc, "S #add (K 1)", ties in tokens with the seeded
-    # "S #add (K 2)" of rule set 0; tokens alone would take rule set 0,
-    # and only the beam's probes find it wrong
+    # "S #add (K 2)" of rule set 0; tokens alone would take rule set 0, so
+    # the beam keeps both, and only its probes find rule set 0 wrong
     prog = L.parse_program("inc := \\x. #add x 1;\ninc 3")
     cfg = MdlConfig()
     plan = MD.compress_program(prog, cfg)
     assert comparison_calls[0] == 0
     monkeypatch.setattr(MD, "_Search", _SeededSearch)
     search = _SeededSearch(MD._items_of(prog), cfg)
-    (_, seeded, seeded_tokens), (_, eta, eta_tokens) = search.encode(0, 0), search.encode(0, 2)
+    (_, seeded, seeded_tokens), (_, eta, eta_tokens) = search.encodings[0, 0], search.encodings[0, 2]
     assert seeded != eta and seeded_tokens == eta_tokens
-    assert search.token_decided() is None
+    assert search.choices() == [[0, 2], [0, 1, 2]]
     assert MD.compress_program(prog, cfg) == plan
     assert comparison_calls[0] > 0
+
+
+def _bump_literals(t: L.Term) -> L.Term:
+    """`t` with every integer literal one larger: as many GAEL tokens, a different line."""
+    if isinstance(t, L.IntLit):
+        return L.IntLit(t.value + 1)
+    if isinstance(t, L.App):
+        return L.App(_bump_literals(t.fun), _bump_literals(t.arg))
+    return t
+
+
+class _TiedSearch(MD._Search):
+    """A search whose encodings at the `tied` (item, rule set) pairs have
+    their literals bumped: a rule set that printed another's line now ties
+    with it in tokens, with a different, wrong text."""
+
+    tied: tuple[tuple[int, int], ...] = ()
+
+    def __init__(self, items, cfg):
+        super().__init__(items, cfg)
+        for i, r in self.tied:
+            term = _bump_literals(self.encodings[i, r][0])
+            line = SK.gael_print_program(L.Program.of_items([(items[i].name, term)]))
+            self.encodings[i, r] = term, line, M.token_count(line, "gael")
+
+
+class _UnprunedTiedSearch(_TiedSearch):
+    """The same seeded search with every rule set open to every item."""
+
+    def choices(self):
+        return [list(range(len(self.cfg.rule_sets))) for _ in self.items]
+
+
+@pytest.mark.parametrize("seed, distance", [(2222, None), (54, _scrambled_distance)], ids=["probed", "scrambled"])
+def test_pruned_choices_match_the_unpruned_beam(seed, distance, monkeypatch):
+    # token ties with different text, seeded at random: wherever
+    # `choices` prunes, the beam must still choose what it chooses over
+    # every rule set, and in all it should probe fewer rule prefixes.  The
+    # stand-in takes every distance; in its sample, a beam that dropped a
+    # rule set repeating another's line would choose differently
+    base, probed = distance or MD.semantic_distance, [0]
+
+    def counted(*args):
+        probed[0] += 1
+        return base(*args)
+
+    monkeypatch.setattr(MD, "semantic_distance", counted)
+    rng = random.Random(seed)
+    weights = (0.5, math.nextafter(0.5, 1), 0.75, 0.99, 1.0)
+    outcomes, calls = set(), {_TiedSearch: 0, _UnprunedTiedSearch: 0}
+    for _ in range(100):
+        prog = L.parse_program(gen_chain(rng, rng.randint(1, 5)))
+        rules = tuple(rng.sample(MD.ALL_RULE_SETS, rng.randint(2, 3)))
+        cfg = MdlConfig(lambda_weight=rng.choice(weights), beam_width=rng.randint(1, 8), rule_sets=rules,
+                        extraction_enabled=False)
+        items = MD._items_of(prog)
+        monkeypatch.setattr(_TiedSearch, "tied", ())
+        bumpable = [k for k, (term, _, _) in _TiedSearch(items, cfg).encodings.items() if _bump_literals(term) != term]
+        monkeypatch.setattr(_TiedSearch, "tied", tuple(rng.sample(bumpable, min(len(bumpable), rng.randint(1, 4)))))
+        plans = {}
+        for search_class in calls:
+            monkeypatch.setattr(MD, "_Search", search_class)
+            probed[0] = 0
+            plans[search_class] = MD.compress_program(prog, cfg)
+            calls[search_class] += probed[0]
+        assert plans[_TiedSearch] == plans[_UnprunedTiedSearch], (prog, cfg, _TiedSearch.tied)
+        choices = _TiedSearch(items, cfg).choices()
+        outcomes.add("unpruned" if choices == _UnprunedTiedSearch(items, cfg).choices()
+                     else "tied" if max(map(len, choices)) > 1 else "one line")
+    assert outcomes == {"unpruned", "tied", "one line"}
+    assert calls[_TiedSearch] < calls[_UnprunedTiedSearch], calls
 
 
 class _RecordedSearch(MD._Search):
