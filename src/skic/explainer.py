@@ -4,8 +4,8 @@ Every sentence comes from a closed template table and carries an anchor
 path into the term tree (0 = function side, 1 = argument side).  Leaf
 nodes get one sentence each; every application spine gets one composed
 sentence anchored at its topmost node.  The controlled grammar makes
-the mapping exactly invertible: parsing rebuilds the term from the
-anchors and validates the prose by re-explaining.
+the mapping exactly invertible: parsing reads the sentences back in the
+same pre-order and validates the prose by re-explaining.
 
 Serialized form, one sentence per line:
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .lambda_ir import INT64_MAX, INT64_MIN, App, BoolLit, Comb, I, IntLit, K, Prim, S, Term, Var, spine
+from .lambda_ir import INT64_MAX, INT64_MIN, App, BoolLit, I, IntLit, K, Prim, S, Term, Var, spine
 
 Path = tuple[int, ...]
 
@@ -49,35 +49,30 @@ class ExplanationDoc:
     @staticmethod
     def from_text(text: str) -> "ExplanationDoc":
         sentences = []
-        for idx, line in enumerate(text.splitlines()):
+        for line in text.splitlines():
             if not line.strip():
                 continue
             m = re.fullmatch(r"\[([01](?:\.[01])*)?\] (.*)", line)
             if m is None:
-                raise TemplateParseError(idx, f"malformed line {line!r}")
+                raise TemplateParseError(len(sentences), f"malformed line {line!r}")
             path = tuple(int(p) for p in m.group(1).split(".")) if m.group(1) else ()
             sentences.append(Sentence(anchor=path, text=m.group(2)))
         return ExplanationDoc(sentences=tuple(sentences))
 
 
-_COMBINATOR_TEXT = {
+_FIXED_TEXT = {
     S: "apply the first argument to the third and to the second applied to the third",
     K: "a constant function returning its first argument",
     I: "the identity function",
+    Prim("add"): "addition",
+    Prim("sub"): "subtraction",
+    Prim("mul"): "multiplication",
+    Prim("eq"): "equality comparison",
+    Prim("if"): "conditional choice",
+    Prim("addZ"): "integer addition",
+    Prim("addR"): "real addition",
 }
-
-_PRIM_TEXT = {
-    "add": "addition",
-    "sub": "subtraction",
-    "mul": "multiplication",
-    "eq": "equality comparison",
-    "if": "conditional choice",
-    "addZ": "integer addition",
-    "addR": "real addition",
-}
-
-_FIXED_LEAVES = {text: comb for comb, text in _COMBINATOR_TEXT.items()}
-_FIXED_LEAVES.update({text: Prim(op) for op, text in _PRIM_TEXT.items()})
+_FIXED_LEAVES = {text: leaf for leaf, text in _FIXED_TEXT.items()}
 
 _INT_RE = re.compile(r"the integer (-?\d+)")
 _BOOL_RE = re.compile(r"the boolean (true|false)")
@@ -85,11 +80,9 @@ _REF_RE = re.compile(r"the reference ([a-z][a-z0-9_]*)")
 
 
 def _leaf_text(t: Term) -> str:
+    if t in _FIXED_TEXT:
+        return _FIXED_TEXT[t]
     match t:
-        case Comb():
-            return _COMBINATOR_TEXT[t]
-        case Prim(op):
-            return _PRIM_TEXT[op]
         case IntLit(v):
             return f"the integer {v}"
         case BoolLit(v):
@@ -140,53 +133,44 @@ def explain_term(s: Term) -> ExplanationDoc:
 
 
 def parse_explanation(doc: ExplanationDoc) -> Term:
-    """Invert explain_term; raises TemplateParseError naming the first
-    offending sentence index."""
-    if not doc.sentences:
+    """Invert explain_term, reading the sentences in the pre-order it writes
+    them; raises TemplateParseError naming the first offending sentence index."""
+    sents = doc.sentences
+    if not sents:
         raise TemplateParseError(0, "empty document")
-    by_path: dict[Path, int] = {}
-    for idx, sent in enumerate(doc.sentences):
-        if sent.anchor in by_path:
-            raise TemplateParseError(idx, f"duplicate anchor {sent.anchor}")
-        by_path[sent.anchor] = idx
-    prefixes = set()  # closed under prefixes, so each path stops at its first known prefix
-    for path in by_path:
-        for cut in range(len(path), -1, -1):
-            if path[:cut] in prefixes:
-                break
-            prefixes.add(path[:cut])
+    pos = 0
 
-    def rebuild(path: Path) -> Term:
-        """The term at `path`, checked in pre-order: a loop walks a spine of any
-        length down to its head; arguments, whose depth the parser bounds, recurse."""
-        apps: list[Path] = []
-        while True:
-            idx = by_path.get(path)
-            if idx is not None:
-                text = doc.sentences[idx].text
-                term = _parse_leaf_text(text)
-                if term is not None:
-                    break
-                if " applied to " not in text:
-                    raise TemplateParseError(idx, f"unknown template {text!r}")
-                # composed spine sentence: structure comes from child anchors
-            if path + (0,) not in prefixes or path + (1,) not in prefixes:
-                anchor_idx = idx if idx is not None else 0
-                raise TemplateParseError(anchor_idx, f"missing children under anchor {path}")
-            apps.append(path)
-            path += (0,)
-        for app in reversed(apps):
-            term = App(term, rebuild(app + (1,)))
+    def read(path: Path, leaf: bool = False) -> Term:
+        """The term whose sentences start at `pos`, anchored at `path`: a spine's
+        sentence, its head's and its arguments' in turn.  A loop walks a spine of
+        any length; arguments, whose depth the parser bounds, recurse."""
+        nonlocal pos
+        at = pos
+        if at == len(sents) or sents[at].anchor != path:
+            raise TemplateParseError(at, f"expected a sentence at anchor {path}")
+        pos += 1
+        term = _parse_leaf_text(sents[at].text)
+        if term is not None:
+            return term
+        if leaf or " applied to " not in sents[at].text:
+            raise TemplateParseError(at, f"unknown {'leaf' if leaf else 'template'} {sents[at].text!r}")
+        head = sents[pos].anchor if pos < len(sents) else path
+        k = len(head) - len(path)
+        if k < 1 or head != path + (0,) * k:
+            raise TemplateParseError(pos, f"expected the head of the spine at anchor {path}")
+        term = read(head, leaf=True)
+        for j in range(k):
+            term = App(term, read(path + (0,) * (k - 1 - j) + (1,)))
         return term
 
-    term = rebuild(())
+    term = read(())
     expected = explain_term(term)
-    for idx, (got, want) in enumerate(zip(doc.sentences, expected.sentences)):
+    for idx, (got, want) in enumerate(zip(sents, expected.sentences)):
         if got != want:
             raise TemplateParseError(idx, f"expected {want.text!r}")
-    if len(doc.sentences) != len(expected.sentences):
+    if len(sents) != len(expected.sentences):
         raise TemplateParseError(
-            min(len(doc.sentences), len(expected.sentences)),
+            min(len(sents), len(expected.sentences)),
             "document length does not match the term structure",
         )
     return term

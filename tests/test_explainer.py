@@ -233,3 +233,75 @@ def test_leaf_outside_gael_is_an_unknown_template(text):
     with pytest.raises(EX.TemplateParseError, match="unknown template") as exc:
         EX.parse_explanation(bad)
     assert exc.value.index == 2
+
+
+def _tampered(rng: random.Random, sents: tuple) -> tuple:
+    """`sents` with one tampering: two sentences swapped, one deleted or
+    duplicated, an anchor lengthened or shortened, or a text replaced by
+    another sentence's."""
+    sents, i = list(sents), rng.randrange(len(sents))
+    kind = rng.randrange(6)
+    if kind == 0:
+        j = rng.randrange(len(sents))
+        sents[i], sents[j] = sents[j], sents[i]
+    elif kind == 1:
+        del sents[i]
+    elif kind == 2:
+        sents.insert(rng.randrange(len(sents) + 1), sents[i])
+    elif kind == 3:
+        sents[i] = EX.Sentence(sents[i].anchor + (rng.randrange(2),), sents[i].text)
+    elif kind == 4:
+        sents[i] = EX.Sentence(sents[i].anchor[:-1], sents[i].text)
+    else:
+        sents[i] = EX.Sentence(sents[i].anchor, rng.choice(sents).text)
+    return tuple(sents)
+
+
+def test_tampered_documents_parse_only_to_their_own_term():
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(2000):
+        doc = EX.ExplanationDoc(_tampered(rng, EX.explain_term(gen_ski_term(rng)).sentences))
+        try:
+            term = EX.parse_explanation(doc)
+        except EX.TemplateParseError as exc:
+            assert 0 <= exc.index <= len(doc.sentences)
+            outcomes.add("rejected")
+            continue
+        assert EX.explain_term(term) == doc
+        outcomes.add("accepted")
+    assert outcomes == {"accepted", "rejected"}
+
+
+def _rejected_at(sentences: list) -> int:
+    with pytest.raises(EX.TemplateParseError) as exc:
+        EX.parse_explanation(EX.ExplanationDoc(tuple(sentences)))
+    return exc.value.index
+
+
+def test_swapped_argument_subtrees_are_an_error():
+    top, head, inner, inner_head, inner_arg, last = EX.explain_term(g("K (I 1) 2")).sentences
+    assert last.anchor == (1,)
+    assert _rejected_at([top, head, last, inner, inner_head, inner_arg]) == 2
+
+
+def test_duplicated_anchor_is_an_error():
+    top, head, arg = EX.explain_term(g("I 5")).sentences
+    assert _rejected_at([top, head, head, arg]) == 2
+
+
+def test_extra_trailing_sentence_is_an_error():
+    sentences = EX.explain_term(g("I 5")).sentences
+    assert _rejected_at([*sentences, sentences[-1]]) == 3
+
+
+def test_spine_not_followed_by_its_head_is_an_error():
+    top, head, arg = EX.explain_term(g("I 5")).sentences
+    assert _rejected_at([top, arg, head]) == 1
+
+
+def test_malformed_line_names_its_sentence_index():
+    # blank lines take no sentence index: the bad line is the second sentence
+    with pytest.raises(EX.TemplateParseError) as exc:
+        EX.ExplanationDoc.from_text("[] the identity function\n\nbad line")
+    assert exc.value.index == 1
