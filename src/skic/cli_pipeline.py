@@ -57,8 +57,8 @@ class PipelineReport:
     map_types: dict[str, dict[str, str]]
     timings: dict[str, float]
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "schema_version": REPORT_SCHEMA_VERSION,
             "program_id": self.program_id,
             "p_tokens": self.p_tokens,
@@ -70,10 +70,8 @@ class PipelineReport:
             "equivalence": self.equivalence,
             "objective": self.objective,
             "map_types": self.map_types,
+            "timings": self.timings,
         }
-        if include_timings:
-            doc["timings"] = self.timings
-        return doc
 
 
 @dataclass(frozen=True)
@@ -95,10 +93,10 @@ class CorpusReport:
     mean_rho_source: float
     mean_rho_gael: float
 
-    def to_dict(self, include_timings: bool = True) -> dict:
+    def to_dict(self) -> dict:
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "programs": [r.to_dict(include_timings) for r in self.reports],
+            "programs": [r.to_dict() for r in self.reports],
             "errors": [{"program_id": pid, "error": msg} for pid, msg in self.errors],
             "aggregates": {
                 "count": len(self.reports),
@@ -355,18 +353,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compress.add_argument("--emit", default="gael",
                             help="comma list of targets to print: gael,lambda,pseudo")
     _add_common_options(p_compress)
+    p_compress.set_defaults(run=_cmd_compress)
 
     p_corpus = sub.add_parser("corpus", help="compress every source file in a directory")
     p_corpus.add_argument("dir")
     _add_common_options(p_corpus)
+    p_corpus.set_defaults(run=_cmd_corpus)
 
     p_explain = sub.add_parser("explain", help="explain a GAEL file in controlled English")
     p_explain.add_argument("file")
+    p_explain.set_defaults(run=_cmd_explain)
 
     p_density = sub.add_parser("density", help="density report for a file's bytes")
     p_density.add_argument("file")
     p_density.add_argument("--c", dest="density_c", type=float,
                            default=metrics.DEFAULT_BOUND_CONSTANT)
+    p_density.set_defaults(run=_cmd_density)
     return parser
 
 
@@ -425,14 +427,6 @@ def _cmd_density(args: argparse.Namespace) -> dict[str, str]:
     return {}
 
 
-_COMMANDS = {
-    "compress": _cmd_compress,
-    "corpus": _cmd_corpus,
-    "explain": _cmd_explain,
-    "density": _cmd_density,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one `skic` command; the one place an outcome becomes an exit code.
 
@@ -443,7 +437,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     """
     args = _build_parser().parse_args(argv)
     try:
-        verdicts = _COMMANDS[args.command](args)
+        verdicts = args.run(args)
     except _INPUT_ERRORS as exc:
         print(f"skic: error: {exc}", file=sys.stderr)
         return 1

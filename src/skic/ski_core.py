@@ -187,17 +187,16 @@ def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> object:
     out of fuel first.
 
     The applied term is reduced with combinators as constants first.  A
-    result still holding a combinator is decoded and finished in
-    `lambda_ir.canonical_normal_form`; one holding none is already a
-    beta-delta normal form, which `lambda_ir.canonical_closure` finishes.
+    result still holding a combinator is decoded and reduced again, so
+    every result reaches `lambda_ir.canonical_closure` in beta-delta
+    normal form.
     """
     applied = apply_spine(side, *(IntLit(v) for v in args))
     try:
         nf = ski_reduce(applied, fuel)
         if contains(nf, Comb):
-            nf = lambda_ir.canonical_normal_form(ski_decode(nf), fuel)
-        else:
-            nf = lambda_ir.canonical_closure(nf, fuel)
+            nf = ski_reduce(ski_decode(nf), fuel)
+        nf = lambda_ir.canonical_closure(nf, fuel)
     except lambda_ir.EvalOverflowError as exc:
         return exc
     except FuelExhausted:

@@ -64,9 +64,16 @@ def test_report_fields_recomputable():
 
 def test_pipeline_deterministic_reports():
     src = "f := \\x.\\y. #add (#mul x x) y;\nf 2 3"
-    a = CP.run_pipeline(src).report.to_dict(include_timings=False)
-    b = CP.run_pipeline(src).report.to_dict(include_timings=False)
+    a = CP.run_pipeline(src).report.to_dict()
+    b = CP.run_pipeline(src).report.to_dict()
+    del a["timings"], b["timings"]
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_report_carries_each_stage_timing():
+    timings = CP.run_pipeline("sq := \\x. #mul x x;\nsq 4").report.to_dict()["timings"]
+    assert set(timings) == {"parse_s", "infer_s", "compress_s", "emit_s", "metrics_s"}
+    assert all(isinstance(v, float) and v >= 0 for v in timings.values())
 
 
 def test_parse_error_propagates():
@@ -118,10 +125,20 @@ def test_corpus_two_identical_files(tmp_path):
     (tmp_path / "b.lam").write_text(src)
     report = CP.run_corpus(tmp_path)
     a, b = report.reports
-    da = a.to_dict(include_timings=False)
-    db = b.to_dict(include_timings=False)
+    da = a.to_dict()
+    db = b.to_dict()
+    del da["timings"], db["timings"]
     da["program_id"] = db["program_id"] = "x"
     assert da == db
+
+
+def test_corpus_report_carries_each_program_timings(tmp_path):
+    (tmp_path / "a.lam").write_text("inc := \\x. #add x 1;\ninc 1")
+    (tmp_path / "b.lam").write_text(r"\x. x")
+    programs = CP.run_corpus(tmp_path).to_dict()["programs"]
+    assert [p["program_id"] for p in programs] == ["a", "b"]
+    for program in programs:
+        assert set(program["timings"]) == {"parse_s", "infer_s", "compress_s", "emit_s", "metrics_s"}
 
 
 def test_corpus_singleton_aggregates(tmp_path):

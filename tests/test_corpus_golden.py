@@ -36,7 +36,9 @@ def _explain_output(gael_text: str) -> str:
 
 
 def golden_document() -> dict:
-    doc = {"corpus": CP.run_corpus(CORPUS_DIR).to_dict(include_timings=False)}
+    doc = {"corpus": CP.run_corpus(CORPUS_DIR).to_dict()}
+    for program in doc["corpus"]["programs"]:
+        del program["timings"]
     for key in ("gael", "lambda", "pseudocode", "explain"):
         doc[key] = {}
     for pid, source in corpus_sources():
