@@ -25,7 +25,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import FrozenInstanceError, dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 PRIM_OPS = ("add", "sub", "mul", "eq", "if", "addZ", "addR")
 
@@ -441,6 +441,21 @@ def substitute(t: Term, name: str, value: Term) -> Term:
     return t
 
 
+def substitute_closed(t: Term, env: Mapping[Optional[str], Term]) -> Term:
+    """t with each free name in `env` replaced by its closed value, in one
+    walk: it steps under every binder, leaving out the names the binder
+    shadows, and stops at one that shadows them all; it never enters a
+    value, and nothing can be captured."""
+    if isinstance(t, Var):
+        return env.get(t.name, t)
+    if isinstance(t, App):
+        return App(substitute_closed(t.fun, env), substitute_closed(t.arg, env))
+    if isinstance(t, Lam):
+        inner = {name: v for name, v in env.items() if name != t.param} if t.param in env else env
+        return Lam(t.param, substitute_closed(t.body, inner)) if inner else t
+    return t
+
+
 # --- normal-order reduction -------------------------------------------
 
 
@@ -474,6 +489,9 @@ _UNTAGGED = {Prim("addZ"): Prim("add"), Prim("addR"): Prim("add")}
 # operands a primitive's rule consumes
 _PRIM_ARITY = {op: 3 if op == "if" else 2 for op in PRIM_OPS}
 
+# the closed values a run of beta steps substitutes in one walk
+_LITERALS = (IntLit, BoolLit)
+
 # continuation frames of `_normalize`
 _OPERAND, _BODY, _ARGS = range(3)
 
@@ -503,7 +521,9 @@ def _normalize(t: Term, fuel: Fuel) -> Term:
     body and each argument of a stuck spine are reduced under a frame on
     `frames`.  A beta, combinator or delta step spends one unit of fuel,
     a delta step after its operands reach weak head normal form;
-    operands that are not literals leave the application stuck.
+    operands that are not literals leave the application stuck.  Beta
+    steps whose arguments are literals, under consecutive lambdas, take
+    one step each and substitute in one walk (`substitute_closed`).
 
     An S step leaves its `(y z)` on `args` as the pair `(y, z)`, which
     unwinds as an application does, and a K step drops unbuilt.  The pair
@@ -524,8 +544,16 @@ def _normalize(t: Term, fuel: Fuel) -> Term:
                 t = t[0]
             kind = type(t)
         if kind is Lam and args:
-            spend()
-            t = substitute(t.body, t.param, _build(args.pop()))
+            if type(args[-1]) in _LITERALS:  # a run of literal arguments: a step each, one walk
+                env = {}
+                while type(t) is Lam and args and type(args[-1]) in _LITERALS:
+                    spend()
+                    env[t.param] = args.pop()
+                    t = t.body
+                t = substitute_closed(t, env)
+            else:
+                spend()
+                t = substitute(t.body, t.param, _build(args.pop()))
             continue
         if kind is Comb and len(args) >= _COMB_ARITY[t.name]:
             spend()

@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 from . import lambda_ir, metrics, ski_core
 from .lambda_ir import DEFAULT_FUEL, App, Fuel, Program, Term, Var, pretty_print, term_size
-from .ski_core import ProbeConfig, RuleSet, gael_print_program
+from .ski_core import ProbeConfig, RuleSet, gael_print_program, gael_program_tokens
 
 MIN_EXTRACT_NODES = 3
 
@@ -120,10 +120,6 @@ def _items_of(prog: Program) -> list[_Item]:
     ]
 
 
-def _program_length(prog: Program) -> int:
-    return metrics.token_count(gael_print_program(prog), "gael")
-
-
 def item_checks(
     source: Program, encoded: Program, cfg: MdlConfig
 ) -> Iterator[tuple[Term, Term, ProbeConfig]]:
@@ -166,8 +162,8 @@ class _Search:
         for i, item in enumerate(items):
             for r, rule_set in enumerate(cfg.rule_sets):
                 term = ski_core.bracket_abstract(item.source, rule_set, constants=item.constants)
-                line = gael_print_program(Program.of_items([(item.name, term)]))
-                self.encodings[i, r] = term, line, metrics.token_count(line, "gael")
+                one = Program.of_items([(item.name, term)])
+                self.encodings[i, r] = term, gael_print_program(one), gael_program_tokens(one)
         self.closings: dict[tuple[int, ...], Term] = {}
         self.distances: dict[tuple[int, ...], float] = {}  # rule prefix -> its last item's distance
         self.source_keys: dict[int, ski_core.ProbeKeys] = {}  # item index -> its source side's keys
@@ -347,7 +343,7 @@ def _extract_with_trace(prog: Program, tokens: int) -> tuple[Program, list[str],
         candidates.sort(key=lambda c: (-c[1], -c[2], pretty_print(c[0])))
         for term, _, _ in candidates:
             replaced = _apply_extraction(prog, term, name)
-            replaced_tokens = _program_length(replaced)
+            replaced_tokens = gael_program_tokens(replaced)
             if replaced_tokens < tokens:
                 prog, tokens = replaced, replaced_tokens
                 moves.append(name)
@@ -360,4 +356,4 @@ def extract_common_subterms(prog: Program, cfg: MdlConfig = MdlConfig()) -> Prog
     """Extract repeated subterms while each move strictly shrinks tokens."""
     if not cfg.extraction_enabled:
         return prog
-    return _extract_with_trace(prog, _program_length(prog))[0]
+    return _extract_with_trace(prog, gael_program_tokens(prog))[0]

@@ -255,6 +255,29 @@ def behavioral_equal(
 # --- GAEL text ----------------------------------------------------------
 
 
+def gael_tokens(t: Term) -> int:
+    """The GAEL token count of `t`'s printed text, without printing it:
+    one token per leaf and two parentheses per argument that is an
+    application.  A lambda is not GAEL: ValueError."""
+    count, todo = 0, [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is App:
+            todo += t.fun, t.arg
+            count += 2 * (type(t.arg) is App)
+        elif type(t) is Lam:
+            raise ValueError("a GAEL term holds no lambda")
+        else:
+            count += 1
+    return count
+
+
+def gael_program_tokens(prog: Program) -> int:
+    """`gael_tokens` of `gael_print_program(prog)`: each definition adds
+    its name, `:=` and `;`."""
+    return sum(gael_tokens(body) for _, body in prog.items()) + 3 * len(prog.defs)
+
+
 def gael_print_program(prog: Program) -> str:
     return lambda_ir.pretty_print_program(prog)
 
@@ -266,16 +289,8 @@ def parse_gael_program(source: str) -> Program:
 
 def substitute_free(t: Term, env: Mapping[Optional[str], Term]) -> Term:
     """t with each free name in `env` replaced by its closed value, in one
-    walk: it steps under every binder, leaving out the names the binder
-    shadows, never enters a value, and nothing can be captured."""
-    if isinstance(t, Var):
-        return env.get(t.name, t)
-    if isinstance(t, App):
-        return App(substitute_free(t.fun, env), substitute_free(t.arg, env))
-    if isinstance(t, Lam):
-        inner = {name: v for name, v in env.items() if name != t.param} if t.param in env else env
-        return Lam(t.param, substitute_free(t.body, inner))
-    return t
+    walk (`lambda_ir.substitute_closed`)."""
+    return lambda_ir.substitute_closed(t, env)
 
 
 def inline_ski_defs(prog: Program) -> dict[Optional[str], Term]:

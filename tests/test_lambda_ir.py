@@ -357,13 +357,23 @@ def _reduction_outcome(normalize, t, budget):
 
 
 _NAMES = ("x", "y", "z")
+_reducer_literals = st.one_of(
+    st.sampled_from([-2, -1, 0, 1, 2, 2**62, L.INT64_MAX, L.INT64_MIN]).map(L.IntLit),
+    st.booleans().map(L.BoolLit),
+)
 _reducer_leaves = st.one_of(
     st.sampled_from([L.S, L.K, L.I]),
     st.sampled_from(_NAMES).map(L.Var),
-    st.sampled_from([-2, -1, 0, 1, 2, 2**62, L.INT64_MAX, L.INT64_MIN]).map(L.IntLit),
-    st.booleans().map(L.BoolLit),
+    _reducer_literals,
     st.sampled_from(L.PRIM_OPS).map(L.Prim),
 )
+
+
+def _lambda_chain(params, body):
+    for param in reversed(params):
+        body = L.Lam(param, body)
+    return body
+
 reducer_terms = st.recursive(
     _reducer_leaves,
     lambda sub: st.one_of(
@@ -372,6 +382,10 @@ reducer_terms = st.recursive(
         st.builds(lambda head, args: L.apply_spine(head, *args),
                   st.sampled_from([L.S, L.K, L.I, *map(L.Prim, L.PRIM_OPS)]), st.lists(sub, min_size=1, max_size=4)),
         st.builds(lambda name, body, arg: L.App(L.Lam(name, body), arg), st.sampled_from(_NAMES), sub, sub),
+        # a lambda chain applied to a run of literals, then maybe to other arguments
+        st.builds(lambda params, body, literals, rest: L.apply_spine(_lambda_chain(params, body), *literals, *rest),
+                  st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4), sub,
+                  st.lists(_reducer_literals, min_size=1, max_size=4), st.lists(sub, max_size=2)),
     ),
     max_leaves=24,
 )
@@ -420,6 +434,36 @@ def test_normalize_matches_recursive_reference(t, budget):
     except RecursionError:
         assume(False)  # the reference cannot decide terms nested this deep
     assert _reduction_outcome(L._normalize, t, budget) == expected
+
+
+@pytest.mark.parametrize("src,expected", [
+    (r"(\x.\x. x) 1 2", "2"),
+    (r"(\x.\y.\x. x y) 1 2 3", "3 2"),
+    (r"(\x.\y. \z. #if y x z) 1 true 2", "1"),
+    (r"(\x.\y. y (\x. x) x) 1 2 3", "2 (\\x. x) 1 3"),
+])
+def test_literal_run_substitutes_under_every_lambda_it_consumes(src, expected):
+    assert L._normalize(p(src), L.Fuel(L.DEFAULT_FUEL)) == p(expected)
+
+
+def test_non_literal_argument_breaks_a_literal_run(monkeypatch):
+    values = []
+    substitute = L.substitute
+    monkeypatch.setattr(L, "substitute", lambda t, name, value: values.append(value) or substitute(t, name, value))
+    fuel = L.Fuel(L.DEFAULT_FUEL)
+    add = p(r"\a.\b. #add a b")
+    t = L.apply_spine(p(r"\x.\f.\y. f x y"), L.IntLit(1), add, L.IntLit(2))
+    assert L._normalize(t, fuel) == L.IntLit(3)
+    assert set(values) == {add}  # each literal goes through substitute_closed
+    assert L.DEFAULT_FUEL - fuel.remaining == 6  # a beta step per lambda, then #add's step
+
+
+@pytest.mark.parametrize("budget", range(5))
+def test_fuel_runs_out_inside_a_literal_run_as_one_step_at_a_time(budget):
+    t = p(r"(\x.\y.\z. #add x z) 1 true 2")
+    outcome = _reduction_outcome(L._normalize, t, budget)
+    assert outcome == _reduction_outcome(_ref_normalize, t, budget)
+    assert outcome == ((L.FuelExhausted, None, 0) if budget < 4 else (L.IntLit(3), None, budget - 4))
 
 
 def test_deep_operand_chain_and_spine_reduce_without_recursion():

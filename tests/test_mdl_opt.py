@@ -718,6 +718,11 @@ def test_extraction_leaves_closed_items_unchanged(prog):
     assert {name: after[name] for name in closed} == closed
 
 
+def test_extraction_refuses_a_program_holding_a_lambda():
+    with pytest.raises(ValueError, match="no lambda"):
+        MD.extract_common_subterms(_LAM_PROGRAM)
+
+
 def test_extraction_no_repeats_unchanged():
     prog = L.Program(defs=(), main=_ski("S (K #add) I"))
     assert MD.extract_common_subterms(prog, MdlConfig()) == prog

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from skic import lambda_ir as L
 from skic import mdl_opt as MD
+from skic import metrics as M
 from skic import ski_core as SK
 from skic.ski_core import RuleSet, Verdict
 
@@ -424,6 +425,39 @@ def test_gael_print_examples():
     assert L.pretty_print(SK.I) == "I"
     assert L.pretty_print(L.apply_spine(SK.S, SK.K, SK.K)) == "S K K"
     assert L.pretty_print(L.App(SK.S, L.App(SK.K, SK.I))) == "S (K I)"
+
+
+_GAEL_LEAVES = st.one_of(
+    st.sampled_from([SK.S, SK.K, SK.I, L.BoolLit(True), L.BoolLit(False), *map(L.Prim, L.PRIM_OPS)]),
+    st.sampled_from([L.INT64_MIN, L.INT64_MAX, -1, -42, 0, 7]).map(L.IntLit),
+    st.integers(L.INT64_MIN, -1).map(L.IntLit),
+    st.integers(0, 11).map(lambda i: L.Var(f"q{i}")),
+)
+
+
+@st.composite
+def gael_programs(draw) -> L.Program:
+    """Lambda-free programs of 0-4 definitions whose leaves are the
+    combinators, every primitive, the booleans, negative and extreme
+    integers, `qN` names and earlier definitions' names, with arguments
+    nested in arguments."""
+    defs: list[tuple[str, L.Term]] = []
+
+    def term() -> L.Term:
+        leaves = st.one_of(_GAEL_LEAVES, *([st.sampled_from([L.Var(n) for n, _ in defs])] if defs else []))
+        return draw(st.recursive(leaves, lambda sub: st.builds(L.App, sub, sub), max_leaves=16))
+
+    for i in range(draw(st.integers(0, 4))):
+        defs.append((draw(st.sampled_from(["d", "sq_", "main"])) + str(i), term()))
+    return L.Program(tuple(defs), term() if draw(st.booleans()) else None)
+
+
+@settings(deadline=None)
+@given(gael_programs())
+@example(L.Program((), None))
+@example(L.Program((("d0", SK.I),), L.App(L.Var("d0"), L.App(L.IntLit(L.INT64_MIN), L.App(SK.K, L.BoolLit(True))))))
+def test_gael_program_tokens_match_the_lexer(prog):
+    assert SK.gael_program_tokens(prog) == M.token_count(SK.gael_print_program(prog), "gael")
 
 
 def test_gael_parse_round_trip_random():
