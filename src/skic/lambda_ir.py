@@ -221,14 +221,6 @@ def leading_lambda_count(t: Term) -> int:
     return n
 
 
-def term_size(t: Term) -> int:
-    if isinstance(t, App):
-        return 1 + term_size(t.fun) + term_size(t.arg)
-    if isinstance(t, Lam):
-        return 1 + term_size(t.body)
-    return 1
-
-
 # --- lexer / parser ---------------------------------------------------
 
 

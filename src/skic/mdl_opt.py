@@ -25,13 +25,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from . import lambda_ir, metrics, ski_core
-from .lambda_ir import DEFAULT_FUEL, App, Fuel, Program, Term, Var, pretty_print, term_size
+from . import lambda_ir, ski_core
+from .lambda_ir import DEFAULT_FUEL, App, Fuel, Program, Term, Var, pretty_print
 from .ski_core import ProbeConfig, RuleSet, gael_print_program, gael_program_tokens
 
-MIN_EXTRACT_NODES = 3
-
-ALL_RULE_SETS = (RuleSet.NAIVE, RuleSet.WITH_I, RuleSet.ETA_OPTIMIZED)
+ALL_RULE_SETS = tuple(RuleSet)
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,8 @@ def objective(cfg: MdlConfig, length: int, dist: float) -> float:
 
 def mdl_objective(s: Term, p: Term, cfg: MdlConfig) -> float:
     """Scalarized objective for a single encoded term."""
-    length = metrics.token_count(pretty_print(s), "gael")
     probes = cfg.probes_for_arity(lambda_ir.leading_lambda_count(p))
-    return objective(cfg, length, semantic_distance(p, s, probes, cfg.fuel))
+    return objective(cfg, ski_core.gael_tokens(s), semantic_distance(p, s, probes, cfg.fuel))
 
 
 # --- program-level search -------------------------------------------------
@@ -275,9 +272,8 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
         chosen = heapq.nsmallest(cfg.beam_width, map(search.candidate, states), key=key)
         beam = [c.rules[:step] for c in chosen]
 
-    lines = [search.encodings[i, r] for i, r in enumerate(chosen[0].rules)]
-    encoded = Program.of_items([(item.name, term) for item, (term, _, _) in zip(items, lines)])
-    tokens = sum(e[2] for e in lines)
+    rules, tokens = chosen[0].rules, chosen[0].tokens
+    encoded = Program.of_items([(items[i].name, search.encodings[i, r][0]) for i, r in enumerate(rules)])
     if cfg.extraction_enabled:
         encoded, _, tokens = _extract_with_trace(encoded, tokens)
     return CompressionPlan(encoded, tokens)
@@ -287,24 +283,22 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
 
 
 def _census(prog: Program) -> tuple[dict[Term, list[int]], str]:
-    """One walk over the program: each subterm of at least
-    `MIN_EXTRACT_NODES` nodes with its [count, `term_size`], in pre-order
+    """One walk over a GAEL program, whose terms are applications and
+    leaves: each application with its [count, node count], in pre-order
     of first visit, and the first `qN` that names no definition and no
     free variable."""
     census: dict[Term, list[int]] = {}
     used = {name for name, _ in prog.defs}
 
     def visit(t: Term) -> int:
-        if isinstance(t, App):  # at least 3 nodes
+        if isinstance(t, App):
             entry = census.setdefault(t, [0, 0])
             entry[0] += 1
             entry[1] = 1 + visit(t.fun) + visit(t.arg)
             return entry[1]
-        used.update(lambda_ir.free_vars(t))
-        size = term_size(t)
-        if size >= MIN_EXTRACT_NODES:  # a Lam, which GAEL never holds
-            census.setdefault(t, [0, size])[0] += 1
-        return size
+        if isinstance(t, Var):
+            used.add(t.name)
+        return 1
 
     for _, body in prog.items():
         visit(body)

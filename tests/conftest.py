@@ -25,6 +25,15 @@ def corpus_sources() -> list[tuple[str, str]]:
     ]
 
 
+def term_size(t: L.Term) -> int:
+    """Node count: one per application, lambda and leaf."""
+    if isinstance(t, L.App):
+        return 1 + term_size(t.fun) + term_size(t.arg)
+    if isinstance(t, L.Lam):
+        return 1 + term_size(t.body)
+    return 1
+
+
 # --- closed lambda-term generator ------------------------------------------
 
 

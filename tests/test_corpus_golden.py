@@ -2,8 +2,11 @@
 
 `tests/fixtures/corpus_golden.json` holds every `corpus/*.lam` report
 (without timings), its GAEL, lambda and pseudocode text, and what
-`skic explain` prints for its GAEL text.  A change that moves any output
-must regenerate it on purpose and say why:
+`skic explain` prints for its GAEL text.  `higher_order_golden.json`
+holds the corpus report (without timings) of
+`tests/fixtures/higher_order/*.lam`: programs whose items take or return
+functions, or are under-applied conditionals.  A change that moves any
+output must regenerate them on purpose and say why:
 
     PYTHONPATH=src python tests/test_corpus_golden.py
 """
@@ -18,7 +21,9 @@ from skic import cli_pipeline as CP
 
 from conftest import CORPUS_DIR, corpus_sources
 
-GOLDEN = Path(__file__).resolve().parent / "fixtures" / "corpus_golden.json"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+GOLDEN = FIXTURES / "corpus_golden.json"
+HIGHER_ORDER_GOLDEN = FIXTURES / "higher_order_golden.json"
 
 
 def _dump(doc) -> str:
@@ -35,10 +40,15 @@ def _explain_output(gael_text: str) -> str:
     return out.getvalue()
 
 
-def golden_document() -> dict:
-    doc = {"corpus": CP.run_corpus(CORPUS_DIR).to_dict()}
-    for program in doc["corpus"]["programs"]:
+def corpus_report(directory: Path) -> dict:
+    report = CP.run_corpus(directory).to_dict()
+    for program in report["programs"]:
         del program["timings"]
+    return report
+
+
+def golden_document() -> dict:
+    doc = {"corpus": corpus_report(CORPUS_DIR)}
     for key in ("gael", "lambda", "pseudocode", "explain"):
         doc[key] = {}
     for pid, source in corpus_sources():
@@ -54,5 +64,11 @@ def test_corpus_reproduces_golden_reports_and_gael():
     assert _dump(golden_document()) == GOLDEN.read_text(encoding="utf-8")
 
 
+def test_higher_order_programs_reproduce_golden_report():
+    report = corpus_report(FIXTURES / "higher_order")
+    assert _dump(report) == HIGHER_ORDER_GOLDEN.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(_dump(golden_document()), encoding="utf-8")
+    HIGHER_ORDER_GOLDEN.write_text(_dump(corpus_report(FIXTURES / "higher_order")), encoding="utf-8")

@@ -4,7 +4,7 @@ import random
 import zlib
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skic import cli_pipeline as CP
@@ -15,7 +15,7 @@ from skic import ski_core as SK
 from skic.mdl_opt import MdlConfig
 from skic.ski_core import ProbeConfig, RuleSet
 
-from conftest import corpus_sources, gen_normalizing_term
+from conftest import corpus_sources, gen_normalizing_term, gen_ski_term, term_size
 from test_type_infer import arithmetic_programs
 
 THREE_DEF_FIXTURES = [
@@ -67,10 +67,21 @@ def test_zero_probes_rejected(make):
 
 
 def test_objective_lambda_one_is_token_count():
+    # the lexer's count of the printed term is the definition of a token
     t = L.parse_term(r"\x.\y. #add x y")
     s = SK.bracket_abstract(t, RuleSet.NAIVE)
     cfg = MdlConfig(lambda_weight=1.0)
     assert MD.mdl_objective(s, t, cfg) == M.token_count(L.pretty_print(s), "gael")
+    rng = random.Random(29)
+    for _ in range(40):
+        s = gen_ski_term(rng)
+        assert MD.mdl_objective(s, s, cfg) == M.token_count(L.pretty_print(s), "gael"), s
+
+
+def test_objective_refuses_an_encoding_holding_a_lambda():
+    t = L.parse_term(r"\x. x")
+    with pytest.raises(ValueError, match="no lambda"):
+        MD.mdl_objective(t, t, MdlConfig())
 
 
 def test_objective_lambda_zero_is_distance():
@@ -674,16 +685,14 @@ def ski_programs(draw) -> L.Program:
 
 
 def _separate_census(prog: L.Program) -> tuple[dict, str]:
-    """The extraction census as separate walks: each subterm of at least
-    MIN_EXTRACT_NODES nodes counted in pre-order (a Lam's body not
-    entered), sized by `term_size`, and the first qN naming no definition
-    and no free variable."""
+    """The extraction census as separate walks: each application counted
+    in pre-order, sized by `term_size`, and the first qN naming no
+    definition and no free variable."""
     counts: dict = {}
 
     def visit(t: L.Term) -> None:
-        if L.term_size(t) >= MD.MIN_EXTRACT_NODES:
-            counts[t] = counts.get(t, 0) + 1
         if isinstance(t, L.App):
+            counts[t] = counts.get(t, 0) + 1
             visit(t.fun)
             visit(t.arg)
 
@@ -691,7 +700,7 @@ def _separate_census(prog: L.Program) -> tuple[dict, str]:
         visit(body)
     used = {name for name, _ in prog.defs}.union(*(L.free_vars(body) for _, body in prog.items()))
     name = next(f"q{i}" for i in itertools.count() if f"q{i}" not in used)
-    return {t: [count, L.term_size(t)] for t, count in counts.items()}, name
+    return {t: [count, term_size(t)] for t, count in counts.items()}, name
 
 
 _LAM_PROGRAM = L.Program(
@@ -703,7 +712,6 @@ _LAM_PROGRAM = L.Program(
 @settings(deadline=None)
 @given(st.one_of(ski_programs(), st.builds(lambda p, n: L.Program(p.defs, L.App(L.Var(n), p.main or SK.I)),
                                            ski_programs(), st.sampled_from(("q0", "q1", "x")))))
-@example(_LAM_PROGRAM)
 def test_census_matches_separate_walks(prog):
     census, name = MD._census(prog)
     assert list(census.items()) == list(_separate_census(prog)[0].items())

@@ -10,7 +10,7 @@ from skic import metrics as M
 from skic import ski_core as SK
 from skic.ski_core import RuleSet, Verdict
 
-from conftest import gen_normalizing_ski, gen_normalizing_term, gen_ski_term, ref_probe_key
+from conftest import gen_normalizing_ski, gen_normalizing_term, gen_ski_term, ref_probe_key, term_size
 
 ALL_RULES = (RuleSet.NAIVE, RuleSet.WITH_I, RuleSet.ETA_OPTIMIZED)
 
@@ -42,7 +42,7 @@ def test_eta_strictly_smaller_on_add():
     t = p(r"\x.\y. #add x y")
     naive = SK.bracket_abstract(t, RuleSet.NAIVE)
     eta = SK.bracket_abstract(t, RuleSet.ETA_OPTIMIZED)
-    assert L.term_size(eta) < L.term_size(naive)
+    assert term_size(eta) < term_size(naive)
     assert SK.behavioral_equal(naive, t, SK.ProbeConfig(arity=2)).verdict is Verdict.EQUAL
     assert SK.behavioral_equal(eta, t, SK.ProbeConfig(arity=2)).verdict is Verdict.EQUAL
 
@@ -70,7 +70,7 @@ def test_size_monotone_across_rule_sets():
     rng = random.Random(5)
     for _ in range(80):
         t = gen_normalizing_term(rng)
-        sizes = {r: L.term_size(SK.bracket_abstract(t, r)) for r in ALL_RULES}
+        sizes = {r: term_size(SK.bracket_abstract(t, r)) for r in ALL_RULES}
         assert sizes[RuleSet.ETA_OPTIMIZED] <= sizes[RuleSet.WITH_I] <= sizes[RuleSet.NAIVE]
 
 
