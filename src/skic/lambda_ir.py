@@ -505,14 +505,16 @@ def _build(t: Union[Term, tuple]) -> Term:
     return built[id(t)]
 
 
-def _normalize(t: Term, fuel: Fuel) -> Term:
-    """Reduce to beta-delta normal form, leftmost-outermost.
+def _normalize(t: Term, fuel: Fuel, args: Optional[list] = None) -> Term:
+    """Reduce `t`, applied to the argument stack `args`, to beta-delta
+    normal form, leftmost-outermost.
 
     A stack machine with no recursion: `t` unwinds onto `args`, whose
-    last element is the first argument.  A primitive's operand, a lambda
-    body and each argument of a stuck spine are reduced under a frame on
-    `frames`.  A beta, combinator or delta step spends one unit of fuel,
-    a delta step after its operands reach weak head normal form;
+    last element is the first argument (a given stack is consumed, and
+    takes the steps its application would).  A primitive's operand, a
+    lambda body and each argument of a stuck spine are reduced under a
+    frame on `frames`.  A beta, combinator or delta step spends one unit
+    of fuel, a delta step after its operands reach weak head normal form;
     operands that are not literals leave the application stuck.  Beta
     steps whose arguments are literals, under consecutive lambdas, take
     one step each and substitute in one walk (`substitute_closed`).
@@ -523,7 +525,7 @@ def _normalize(t: Term, fuel: Fuel) -> Term:
     value a beta step substitutes, or inside a stuck operand's spine.
     """
     spend = fuel.spend
-    args: list[Term] = []
+    args = [] if args is None else args
     frames: list[tuple] = []
     while True:
         kind = type(t)
@@ -665,12 +667,15 @@ def canonical_pass(t: Term) -> Term:
     eta-expansion (arithmetic needs literal operands, and an expansion
     variable never is one).  A condition is read as it stands before the
     walk, which may eta-contract it into a literal.
+
+    A term the walk leaves unchanged comes back as itself, so the result
+    is `t` exactly when it equals `t`.
     """
     if isinstance(t, Lam):
         body = canonical_pass(t.body)
         if isinstance(body, App) and body.arg == Var(t.param) and t.param not in free_vars(body.fun):
             return body.fun
-        return Lam(t.param, body)
+        return t if body is t.body else Lam(t.param, body)
     if not isinstance(t, App):
         return _UNTAGGED.get(t, t)
     head, args = spine(t)
@@ -683,7 +688,9 @@ def canonical_pass(t: Term) -> Term:
         taken = canonical_pass(args[1])
         avoid = free_vars(taken)
         return Lam(_fresh("sat_b", avoid) if "sat_b" in avoid else "sat_b", taken)
-    return apply_spine(canonical_pass(head), *map(canonical_pass, args))
+    parts = (head, *args)
+    passed = [*map(canonical_pass, parts)]
+    return t if all(map(operator.is_, passed, parts)) else apply_spine(*passed)
 
 
 def canonical_normal_form(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
@@ -702,7 +709,7 @@ def canonical_closure(t: Term, fuel: int) -> Term:
     form, whose first normalisation would take no step."""
     while True:
         passed = canonical_pass(t)
-        if passed == t:
+        if passed is t:
             return t
         t = _normalize(passed, Fuel(fuel))
 

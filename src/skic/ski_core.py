@@ -14,6 +14,7 @@ left-associative juxtaposition:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -53,12 +54,18 @@ class RuleSet(Enum):
 
 
 def contains(t: Term, kind: type) -> bool:
-    """Structural scan for a node of class `kind`; GAEL terms hold no Lam."""
-    if isinstance(t, kind):
-        return True
-    if isinstance(t, App):
-        return contains(t.fun, kind) or contains(t.arg, kind)
-    return isinstance(t, Lam) and contains(t.body, kind)
+    """Structural scan for a node of class `kind`, in one iterative walk;
+    GAEL terms hold no Lam."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, kind):
+            return True
+        if type(t) is App:
+            todo += t.arg, t.fun
+        elif type(t) is Lam:
+            todo.append(t.body)
+    return False
 
 
 # --- encoding (bracket abstraction) -----------------------------------
@@ -127,14 +134,15 @@ def ski_decode(t: Term) -> Term:
 # --- reduction ----------------------------------------------------------
 
 
-def ski_reduce(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    """Normal-order rewriting to normal form.
+def ski_reduce(t: Term, fuel: int = DEFAULT_FUEL, args: tuple[Term, ...] = ()) -> Term:
+    """Normal-order rewriting of `t` applied to `args` to normal form.
 
     S x y z -> x z (y z); K x y -> x; I x -> x; plus beta and the
-    primitive delta rules.  Raises FuelExhausted when the budget runs
-    out.
+    primitive delta rules.  The arguments start on the reducer's stack,
+    so no application of them is built.  Raises FuelExhausted when the
+    budget runs out.
     """
-    return lambda_ir._normalize(t, Fuel(fuel))
+    return lambda_ir._normalize(t, Fuel(fuel), [*reversed(args)])
 
 
 # --- behavioral equivalence ---------------------------------------------
@@ -180,20 +188,26 @@ class EquivalenceResult:
     witness: Optional[tuple[int, ...]] = None
 
 
+# one literal per probe value, shared by every side and tuple probed on it
+_literal = functools.cache(IntLit)
+
+
 def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> object:
     """What one probe of `side` compares by: the de Bruijn form of the
     applied side's canonical normal form, so results compare up to alpha,
     the EvalOverflowError its reduction raises, or None if the side runs
     out of fuel first.
 
-    The applied term is reduced with combinators as constants first.  A
-    result still holding a combinator is decoded and reduced again, so
-    every result reaches `lambda_ir.canonical_closure` in beta-delta
-    normal form.
+    The side is reduced on its arguments with combinators as constants
+    first.  A literal result is its own key: the passes below leave it as
+    it is.  A result still holding a combinator is decoded and reduced
+    again, so every other result reaches `lambda_ir.canonical_closure` in
+    beta-delta normal form.
     """
-    applied = apply_spine(side, *(IntLit(v) for v in args))
     try:
-        nf = ski_reduce(applied, fuel)
+        nf = ski_reduce(side, fuel, tuple(map(_literal, args)))
+        if type(nf) in lambda_ir._LITERALS:
+            return nf
         if contains(nf, Comb):
             nf = ski_reduce(ski_decode(nf), fuel)
         nf = lambda_ir.canonical_closure(nf, fuel)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -56,6 +57,17 @@ def test_constants_survive_encoding():
     t = L.App(L.Var("helper"), L.IntLit(1))
     encoded = SK.bracket_abstract(t, RuleSet.ETA_OPTIMIZED, constants=frozenset({"helper"}))
     assert encoded == L.App(L.Var("helper"), L.IntLit(1))
+
+
+def test_contains_walks_a_spine_past_the_recursion_limit():
+    long = L.apply_spine(L.Prim("add"), *[L.IntLit(1)] * (sys.getrecursionlimit() + 500))
+    assert not SK.contains(long, L.Comb)
+    assert SK.contains(L.App(long, SK.K), L.Comb)
+    assert SK.contains(L.apply_spine(SK.I, *[L.IntLit(1)] * (sys.getrecursionlimit() + 500)), L.Comb)
+    deep = L.Var("x")
+    for _ in range(sys.getrecursionlimit() + 500):
+        deep = L.Lam("x", deep)
+    assert SK.contains(deep, L.Var) and not SK.contains(deep, L.Comb)
 
 
 def test_output_is_lambda_free():
@@ -280,9 +292,43 @@ def _key_outcome(key, side, args, fuel):
     return ("overflow", k.value) if isinstance(k, L.EvalOverflowError) else k
 
 
+def _outcome(reduce):
+    """A reduction's normal form, FuelExhausted, or ("overflow", value)."""
+    try:
+        return reduce()
+    except L.FuelExhausted:
+        return L.FuelExhausted
+    except L.EvalOverflowError as exc:
+        return ("overflow", exc.value)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(lambda_sides, ski_sides), st.lists(st.integers(-2, 3), max_size=2).map(tuple),
+@given(st.one_of(lambda_sides, ski_sides),
+       st.lists(st.one_of(st.integers(-2, 3).map(L.IntLit), lambda_sides, ski_sides), max_size=3).map(tuple),
+       st.one_of(st.integers(0, 50), st.just(L.DEFAULT_FUEL)))
+@example(L.apply_spine(SK.S, SK.K), (SK.K, L.IntLit(1)), 1)
+@example(L.Lam("x", L.Lam("y", L.Var("x"))), (L.IntLit(2), L.App(SK.I, L.IntLit(3))), 2)
+def test_reducing_from_the_stack_matches_the_applied_term(t, args, budget):
+    stacked, applied = L.Fuel(budget), L.Fuel(budget)
+    outcome = _outcome(lambda: L._normalize(t, stacked, list(reversed(args))))
+    assert outcome == _outcome(lambda: L._normalize(L.apply_spine(t, *args), applied))
+    assert stacked.remaining == applied.remaining
+    assert _outcome(lambda: SK.ski_reduce(t, budget, args)) == outcome
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lambda_sides, ski_sides))
+def test_canonical_pass_returns_an_unchanged_term_itself(t):
+    passed = L.canonical_pass(t)
+    assert (passed is t) == (passed == t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lambda_sides, ski_sides), st.lists(st.integers(-2, 3), max_size=3).map(tuple),
        st.one_of(st.integers(0, 50), st.just(L.DEFAULT_FUEL)), st.one_of(lambda_sides, ski_sides))
+# a combinator side whose result is a literal, and one whose result is a stuck application
+@example(L.apply_spine(SK.K, L.App(SK.K, SK.I)), (-2, -1, 0), L.DEFAULT_FUEL, SK.K)
+@example(L.apply_spine(SK.S, L.App(SK.K, SK.S), SK.K), (-2, -1, 0), L.DEFAULT_FUEL, SK.I)
 # a condition that eta contracts to a literal, then fires on a fresh budget
 @example(L.apply_spine(L.Prim("if"), L.Lam("z", L.App(L.BoolLit(True), L.Var("z")))), (1, 2), 1, SK.I)
 @example(L.App(L.Prim("addR"), L.Var("x")), (), 0, SK.I)
