@@ -68,6 +68,12 @@ class EvalOverflowError(LambdaError):
         self.value = value
 
 
+class LanesDiverge(LambdaError):
+    """A lane-valued reduction (`_normalize`) reached a step its lanes take
+    differently.  Its args: the primitive, and each lane's `#if` condition
+    or each lane's result, where some leave the 64-bit range."""
+
+
 class FuelExhausted(LambdaError):
     """The step budget ran out before a normal form was reached.
 
@@ -473,6 +479,19 @@ _BINARY = {
     "sub": operator.sub, "mul": operator.mul, "eq": operator.eq,
 }
 
+
+def _lanewise(op: str, a, b):
+    """`#op a b` where `a` or `b` holds lanes: lane by lane, one value where
+    the lanes all agree, and LanesDiverge where some leave the 64-bit range."""
+    n = len(a if type(a) is tuple else b)
+    v = tuple(map(_BINARY[op], a if type(a) is tuple else (a,) * n, b if type(b) is tuple else (b,) * n))
+    if v.count(v[0]) == n:
+        return v[0]
+    if op != "eq" and not INT64_MIN <= min(v) <= max(v) <= INT64_MAX:
+        raise LanesDiverge(op, v)
+    return v
+
+
 # `#addZ`/`#addR` are `#add` tagged Int/Real: they evaluate alike, and a
 # canonical normal form reads them as `#add`
 _UNTAGGED = {Prim("addZ"): Prim("add"), Prim("addR"): Prim("add")}
@@ -523,6 +542,12 @@ def _normalize(t: Term, fuel: Fuel, args: Optional[list] = None) -> Term:
     unwinds as an application does, and a K step drops unbuilt.  The pair
     becomes an `App` (`_build`) only where it leaves the stack: as the
     value a beta step substitutes, or inside a stuck operand's spine.
+
+    A literal's value may be a tuple, one value per lane, not all equal:
+    the term then stands for one term per lane.  Every choice here reads
+    node types alone but the `#if` condition and the binary delta step,
+    which go lane by lane after spending their unit; LanesDiverge stops
+    the run where the lanes part.
     """
     spend = fuel.spend
     args = [] if args is None else args
@@ -575,13 +600,16 @@ def _normalize(t: Term, fuel: Fuel, args: Optional[list] = None) -> Term:
             if op == "if":
                 if type(outer[-1]) is BoolLit:
                     spend()
-                    cond, x, y = outer.pop(), outer.pop(), outer.pop()
-                    t, args = (x if cond.value else y), outer
+                    cond, x, y = outer.pop().value, outer.pop(), outer.pop()
+                    if type(cond) is tuple:
+                        raise LanesDiverge(op, cond)
+                    t, args = (x if cond else y), outer
                     break
             elif type(outer[-1]) is IntLit and type(outer[-2]) is IntLit:
                 spend()
-                v = _BINARY[op](outer.pop().value, outer.pop().value)
-                if op != "eq" and not INT64_MIN <= v <= INT64_MAX:
+                a, b = outer.pop().value, outer.pop().value
+                v = _lanewise(op, a, b) if type(a) is tuple or type(b) is tuple else _BINARY[op](a, b)
+                if op != "eq" and type(v) is not tuple and not INT64_MIN <= v <= INT64_MAX:
                     raise EvalOverflowError(op, v)
                 t, args = (BoolLit(v) if op == "eq" else IntLit(v)), outer
                 break

@@ -196,18 +196,80 @@ def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> object:
     """What one probe of `side` compares by: the de Bruijn form of the
     applied side's canonical normal form, so results compare up to alpha,
     the EvalOverflowError its reduction raises, or None if the side runs
-    out of fuel first.
+    out of fuel first.  `comparison_forms` of the one tuple."""
+    return comparison_forms(side, [args], fuel)[0]
 
-    The side is reduced on its arguments with combinators as constants
-    first.  A literal result is its own key: the passes below leave it as
-    it is.  A result still holding a combinator is decoded and reduced
-    again, so every other result reaches `lambda_ir.canonical_closure` in
-    beta-delta normal form.
-    """
+
+def comparison_forms(side: Term, tuples: list[tuple[int, ...]], fuel: int) -> list:
+    """`comparison_form` of `side` on each of `tuples`, reducing it once
+    per group of tuples run as lanes: each argument literal holds every
+    lane's value (`lambda_ir._normalize`).  Where an `#if` or an overflow
+    tells lanes apart, the run stops; overflowing lanes settle as their
+    own EvalOverflowError, and the rest regroup and run again from the
+    start.  Groups only shrink, so n tuples take at most 2n - 1 runs, and
+    a group of one is a plain reduction.  The normal form is split per
+    lane and finished (`_finish`), once if it holds no lane value."""
+    keys: list = [None] * len(tuples)
+    groups = [range(len(tuples))] if tuples else []
+    while groups:
+        group = groups.pop()
+        columns = zip(*(tuples[i] for i in group))
+        args = tuple(_literal(c[0]) if c.count(c[0]) == len(c) else IntLit(c) for c in columns)
+        try:
+            nf = ski_reduce(side, fuel, args)
+        except lambda_ir.LanesDiverge as split:
+            op, values = split.args
+            parts: dict[bool, list[int]] = {}
+            for i, v in zip(group, values):
+                if op != "if" and not lambda_ir.INT64_MIN <= v <= lambda_ir.INT64_MAX:
+                    keys[i] = lambda_ir.EvalOverflowError(op, v)
+                else:
+                    parts.setdefault(op == "if" and v, []).append(i)
+            groups += parts.values()
+            continue
+        except lambda_ir.EvalOverflowError as exc:  # at a value every lane shares
+            for i in group:
+                keys[i] = exc
+            continue
+        except FuelExhausted:
+            continue
+        lanes = _lanes(nf, len(group))
+        finished = [_finish(t, fuel) for t in lanes or [nf]]
+        for lane, i in enumerate(group):
+            keys[i] = finished[lane if lanes else 0]
+    return keys
+
+
+def _lanes(t: Term, n: int) -> Optional[list[Term]]:
+    """`t` in each of its `n` lanes, or None if it holds no lane value: one
+    iterative post-order walk, where a lane literal reads its lane's value
+    and a subterm holding none stays itself."""
+    todo, built = [t], []  # built: a subterm, or the list of its n lanes
+    while todo:
+        t = todo.pop()
+        if type(t) is App or type(t) is Lam:
+            todo += (t,), *((t.arg, t.fun) if type(t) is App else (t.body,))
+        elif type(t) is tuple:  # a node whose parts are built
+            node, k = t[0], 2 if type(t[0]) is App else 1
+            parts, built[-k:] = built[-k:], []
+            if any(type(p) is list for p in parts):
+                cols = zip(*(p if type(p) is list else [p] * n for p in parts))
+                node = [App(*ps) if k == 2 else Lam(node.param, *ps) for ps in cols]
+            built.append(node)
+        else:
+            built.append([*map(type(t), t.value)] if type(t) in lambda_ir._LITERALS and type(t.value) is tuple else t)
+    return built[0] if type(built[0]) is list else None
+
+
+def _finish(nf: Term, fuel: int) -> object:
+    """`comparison_form`'s key for a reduced result with no lane value.  A
+    literal is its own key: the passes below leave it as it is.  A result
+    still holding a combinator is decoded and reduced again, so every
+    other result reaches `lambda_ir.canonical_closure` in beta-delta
+    normal form."""
+    if type(nf) in lambda_ir._LITERALS:
+        return nf
     try:
-        nf = ski_reduce(side, fuel, tuple(map(_literal, args)))
-        if type(nf) in lambda_ir._LITERALS:
-            return nf
         if contains(nf, Comb):
             nf = ski_reduce(ski_decode(nf), fuel)
         nf = lambda_ir.canonical_closure(nf, fuel)
@@ -223,7 +285,8 @@ ProbeKeys = list[tuple[tuple[int, ...], object]]
 
 def probe_keys(side: Term, probes: ProbeConfig, fuel: int) -> ProbeKeys:
     """(tuple, `comparison_form` key) per probe tuple."""
-    return [(tup, comparison_form(side, tup, fuel)) for tup in probes.tuples()]
+    tuples = probes.tuples()
+    return list(zip(tuples, comparison_forms(side, tuples, fuel)))
 
 
 def compare_keys(keys: ProbeKeys, other: Term, fuel: int) -> EquivalenceResult:
@@ -238,8 +301,9 @@ def compare_keys(keys: ProbeKeys, other: Term, fuel: int) -> EquivalenceResult:
     tuple was undecided and none disagreed.
     """
     penalty, witness, undecided = 0.0, None, False
+    other_keys = iter(comparison_forms(other, [tup for tup, ka in keys if ka is not None], fuel))
     for tup, ka in keys:
-        kb = None if ka is None else comparison_form(other, tup, fuel)
+        kb = None if ka is None else next(other_keys)
         if ka is None or kb is None:
             agree = None
         elif all(isinstance(k, lambda_ir.EvalOverflowError) for k in (ka, kb)):

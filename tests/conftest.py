@@ -87,6 +87,26 @@ def gen_normalizing_term(rng: random.Random, max_depth: int = 6, fuel: int = 500
         return t
 
 
+def gen_chain(rng: random.Random, n: int, literals: tuple[str, str] = ("1", "2")) -> str:
+    """A chain of n one- and two-argument definitions, each over earlier
+    ones and two literals, and a main that applies the last."""
+    lines, arities = [], []
+    for k in range(n):
+        arity = rng.choice((1, 1, 2))
+        params = ["x", "y"][:arity]
+
+        def operand() -> str:
+            if arities and rng.random() < 0.6:
+                j = rng.randrange(len(arities))
+                return f"(d{j} {' '.join(rng.choice(params) for _ in range(arities[j]))})"
+            return rng.choice(params + list(literals))
+
+        op = rng.choice(("add", "mul", "sub"))
+        lines.append(f"d{k} := \\{' '.join(params)}. #{op} {operand()} {operand()};")
+        arities.append(arity)
+    return "\n".join(lines) + f"\nd{n - 1} {' '.join(['3'] * arities[-1])}"
+
+
 # --- combinator-term generators ---------------------------------------------
 
 

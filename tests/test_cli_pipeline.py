@@ -458,13 +458,13 @@ def test_corpus_probes_each_emitted_program_once(corpus_dir, monkeypatch):
     # the search's probes plus one verification pass per emitted program,
     # which the search does not probe again after the beam
     calls = [0]
-    comparison_form = SK.comparison_form
+    comparison_forms = SK.comparison_forms
 
-    def counted(*args):
-        calls[0] += 1
-        return comparison_form(*args)
+    def counted(side, tuples, fuel):
+        calls[0] += len(tuples)
+        return comparison_forms(side, tuples, fuel)
 
-    monkeypatch.setattr(SK, "comparison_form", counted)
+    monkeypatch.setattr(SK, "comparison_forms", counted)
     CP.run_corpus(corpus_dir)
     assert calls[0] <= 2626, calls[0]
 

@@ -16,10 +16,15 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from skic import cli_pipeline as CP
+from skic import lambda_ir as L
+from skic import mdl_opt as MD
+from skic import ski_core as SK
 
-from conftest import CORPUS_DIR, corpus_sources
+from conftest import CORPUS_DIR, corpus_sources, ref_probe_key
+from test_ski_core import _key_outcome
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 GOLDEN = FIXTURES / "corpus_golden.json"
@@ -67,6 +72,31 @@ def test_corpus_reproduces_golden_reports_and_gael():
 def test_higher_order_programs_reproduce_golden_report():
     report = corpus_report(FIXTURES / "higher_order")
     assert _dump(report) == HIGHER_ORDER_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_higher_order_probes_match_the_reference_key():
+    # a second opinion from the test-side passes, on every tuple of every
+    # item and both sides: these programs are where lane results that are
+    # not literals get split per lane and finished
+    cfg, split = MD.MdlConfig(), []
+    lanes = SK._lanes
+
+    def recorded(t, n):
+        split.append(lanes(t, n))
+        return split[-1]
+
+    for path in sorted((FIXTURES / "higher_order").glob("*.lam")):
+        source = path.read_text(encoding="utf-8")
+        encoded = CP.run_pipeline(source, cfg, path.stem).plan.encoded
+        for p, s, probes in MD.item_checks(L.parse_program(source), encoded, cfg):
+            tuples = probes.tuples()
+            for side in (p, s):
+                with mock.patch.object(SK, "_lanes", recorded):
+                    keys = dict(zip(tuples, SK.comparison_forms(side, tuples, cfg.fuel)))
+                for tup in tuples:
+                    expected = _key_outcome(ref_probe_key, side, tup, cfg.fuel)
+                    assert _key_outcome(lambda *_: keys[tup], side, tup, cfg.fuel) == expected, (path.name, tup)
+    assert any(type(t) not in (L.IntLit, L.BoolLit) for terms in split if terms for t in terms)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from skic import ski_core as SK
 from skic.mdl_opt import MdlConfig
 from skic.ski_core import ProbeConfig, RuleSet
 
-from conftest import corpus_sources, gen_normalizing_term, gen_ski_term, term_size
+from conftest import corpus_sources, gen_chain, gen_normalizing_term, gen_ski_term, term_size
 from test_type_infer import arithmetic_programs
 
 THREE_DEF_FIXTURES = [
@@ -272,26 +272,6 @@ def eager_compress(prog: L.Program, cfg: MdlConfig) -> tuple[MD.CompressionPlan,
     return MD.CompressionPlan(encoded, tokens), objective
 
 
-def gen_chain(rng: random.Random, n: int, literals: tuple[str, str] = ("1", "2")) -> str:
-    """A chain of n one- and two-argument definitions, each over earlier
-    ones and two literals, and a main that applies the last."""
-    lines, arities = [], []
-    for k in range(n):
-        arity = rng.choice((1, 1, 2))
-        params = ["x", "y"][:arity]
-
-        def operand() -> str:
-            if arities and rng.random() < 0.6:
-                j = rng.randrange(len(arities))
-                return f"(d{j} {' '.join(rng.choice(params) for _ in range(arities[j]))})"
-            return rng.choice(params + list(literals))
-
-        op = rng.choice(("add", "mul", "sub"))
-        lines.append(f"d{k} := \\{' '.join(params)}. #{op} {operand()} {operand()};")
-        arities.append(arity)
-    return "\n".join(lines) + f"\nd{n - 1} {' '.join(['3'] * arities[-1])}"
-
-
 GENERATED_CHAINS = [gen_chain(random.Random(seed), n) for seed, n in ((1, 4), (2, 6), (3, 8))]
 REFERENCE_SOURCES = THREE_DEF_FIXTURES + [FIVE_DEF_CHAIN] + GENERATED_CHAINS
 RULE_ORDERS = [
@@ -399,7 +379,7 @@ def test_beam_probes_on_ten_def_chains(distance_calls):
 def test_search_probes_each_source_item_once(monkeypatch):
     # however many rule prefixes of an item the beam compares, the search
     # probes the item's closed source once per probe tuple
-    items_of, comparison_form = MD._items_of, SK.comparison_form
+    items_of, comparison_forms = MD._items_of, SK.comparison_forms
     items: list[MD._Item] = []
     source_calls = [0]
 
@@ -407,12 +387,12 @@ def test_search_probes_each_source_item_once(monkeypatch):
         items[:] = items_of(prog)
         return items
 
-    def counted(side, args, fuel):
-        source_calls[0] += any(side is item.inlined for item in items)
-        return comparison_form(side, args, fuel)
+    def counted(side, tuples, fuel):
+        source_calls[0] += len(tuples) * any(side is item.inlined for item in items)
+        return comparison_forms(side, tuples, fuel)
 
     monkeypatch.setattr(MD, "_items_of", recorded)
-    monkeypatch.setattr(SK, "comparison_form", counted)
+    monkeypatch.setattr(SK, "comparison_forms", counted)
     cfg = MdlConfig(lambda_weight=0.5)  # at the default weight tokens decide, and nothing is probed
     for source in [FIVE_DEF_CHAIN] + GENERATED_CHAINS:
         source_calls[0] = 0
@@ -423,15 +403,15 @@ def test_search_probes_each_source_item_once(monkeypatch):
 
 @pytest.fixture
 def comparison_calls(monkeypatch) -> list[int]:
-    """Counts SK.comparison_form calls, one per probe tuple and side, in its one element."""
+    """Counts the tuples SK.comparison_forms probes, one per probe tuple and side, in its one element."""
     calls = [0]
-    comparison_form = SK.comparison_form
+    comparison_forms = SK.comparison_forms
 
-    def counted(side, args, fuel):
-        calls[0] += 1
-        return comparison_form(side, args, fuel)
+    def counted(side, tuples, fuel):
+        calls[0] += len(tuples)
+        return comparison_forms(side, tuples, fuel)
 
-    monkeypatch.setattr(SK, "comparison_form", counted)
+    monkeypatch.setattr(SK, "comparison_forms", counted)
     return calls
 
 

@@ -1,5 +1,6 @@
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +12,8 @@ from skic import metrics as M
 from skic import ski_core as SK
 from skic.ski_core import RuleSet, Verdict
 
-from conftest import gen_normalizing_ski, gen_normalizing_term, gen_ski_term, ref_probe_key, term_size
+from conftest import (gen_chain, gen_closed_term, gen_normalizing_ski, gen_normalizing_term, gen_ski_term,
+                      ref_probe_key, term_size)
 
 ALL_RULES = (RuleSet.NAIVE, RuleSet.WITH_I, RuleSet.ETA_OPTIMIZED)
 
@@ -393,6 +395,55 @@ def test_comparison_form_skips_decoding_exactly(side, args, fuel):
     # leaves it as it is, and normalising it again takes no step, so it
     # cannot run out of fuel even on a budget of 0
     assert _key_outcome(SK.comparison_form, side, args, fuel) == _key_outcome(decoded_probe_key, side, args, fuel)
+
+
+def _chain_item(seed: int, index: int, big: bool, rules) -> L.Term:
+    """A closed item of a generated definition chain, encoded under `rules`
+    unless None; a `big` chain's literals are 1 and INT64_MAX, so some
+    probe tuples overflow and others do not."""
+    literals = ("1", str(L.INT64_MAX)) if big else ("1", "2")
+    items = list(SK.inline_ski_defs(L.parse_program(gen_chain(random.Random(seed), 1 + index, literals))).values())
+    return items[index] if rules is None else SK.bracket_abstract(items[index], rules)
+
+
+_IF_EQ = L.parse_term(r"\x y. #if (#eq x y) ((\z. z z) (\z. z z)) (#add x y)")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(lambda_sides, ski_sides, st.randoms(use_true_random=False).map(gen_closed_term),
+                 st.randoms(use_true_random=False).map(gen_ski_term),
+                 st.builds(_chain_item, st.integers(0, 2**16), st.integers(0, 4), st.booleans(),
+                           st.sampled_from((None,) + ALL_RULES))),
+       st.integers(0, 3),
+       st.lists(st.sampled_from((-2, -1, 0, 1, 2, 3, L.INT64_MAX, L.INT64_MIN)), min_size=1, max_size=6, unique=True),
+       st.one_of(st.integers(0, 50), st.just(L.DEFAULT_FUEL)))
+# an #if (#eq x y) whose lanes split, and whose x == y lanes split again
+@example(L.parse_term(r"\x y. #if (#eq x y) (#if (#eq x 0) 1 2) 3"), 2, [-2, -1, 0, 1, 2, 3], L.DEFAULT_FUEL)
+# some lanes overflow at #add, some of the rest at #mul, and the others finish
+@example(L.parse_term(rf"\x y. #mul (#add x {L.INT64_MAX}) y"), 2, [-2, -1, 0, 1, 2, 3], L.DEFAULT_FUEL)
+# fuel runs out on the split's unit, so no lane is inspected; right after
+# it in every regrouped lane; and after it in the x == y lanes only
+@example(_IF_EQ, 2, [-1, 0, 2], 3)
+@example(_IF_EQ, 2, [-1, 0, 2], 4)
+@example(_IF_EQ, 2, [-1, 0, 2], 50)
+@example(L.parse_term(r"(\x. x x x) (\x. x x x)"), 1, [0, 1], L.DEFAULT_FUEL)
+def test_comparison_forms_match_the_reference_tuple_by_tuple(side, arity, values, fuel):
+    tuples = SK.ProbeConfig(arity, tuple(values)).tuples()
+    try:
+        expected = [_key_outcome(ref_probe_key, side, tup, fuel) for tup in tuples]
+    except RecursionError:
+        assume(False)  # the reference cannot walk normal forms nested this deep
+    runs, reduce = [0], SK.ski_reduce
+
+    def counted(t, budget=L.DEFAULT_FUEL, args=()):
+        runs[0] += t is side
+        return reduce(t, budget, args)
+
+    with mock.patch.object(SK, "ski_reduce", counted):
+        keys = dict(zip(tuples, SK.comparison_forms(side, tuples, fuel)))
+    assert [_key_outcome(lambda _, tup, __: keys[tup], side, tup, fuel) for tup in tuples] == expected
+    # a run that splits its group leaves smaller groups
+    assert runs[0] <= 2 * len(tuples) - 1
 
 
 def test_encode_equal_for_all_rule_sets_random():

@@ -20,8 +20,7 @@ from skic import ski_core as SK
 from skic.mdl_opt import MdlConfig
 from skic.ski_core import RuleSet
 
-from conftest import corpus_sources, gen_normalizing_term
-from test_mdl_opt import gen_chain
+from conftest import corpus_sources, gen_chain, gen_normalizing_term
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("perfbench_skiref", ROOT / "perfbench" / "skiref.py")
