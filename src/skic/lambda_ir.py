@@ -500,7 +500,7 @@ _UNTAGGED = {Prim("addZ"): Prim("add"), Prim("addR"): Prim("add")}
 # operands a primitive's rule consumes
 _PRIM_ARITY = {op: 3 if op == "if" else 2 for op in PRIM_OPS}
 
-# the closed values a run of beta steps substitutes in one walk
+# the literal classes, whose value may hold lanes
 _LITERALS = (IntLit, BoolLit)
 
 # continuation frames of `_normalize`
@@ -524,19 +524,15 @@ def _build(t: Union[Term, tuple]) -> Term:
     return built[id(t)]
 
 
-def _normalize(t: Term, fuel: Fuel, args: Optional[list] = None) -> Term:
-    """Reduce `t`, applied to the argument stack `args`, to beta-delta
-    normal form, leftmost-outermost.
+def _normalize(t: Term, fuel: Fuel) -> Term:
+    """Reduce to beta-delta normal form, leftmost-outermost.
 
     A stack machine with no recursion: `t` unwinds onto `args`, whose
-    last element is the first argument (a given stack is consumed, and
-    takes the steps its application would).  A primitive's operand, a
-    lambda body and each argument of a stuck spine are reduced under a
-    frame on `frames`.  A beta, combinator or delta step spends one unit
-    of fuel, a delta step after its operands reach weak head normal form;
-    operands that are not literals leave the application stuck.  Beta
-    steps whose arguments are literals, under consecutive lambdas, take
-    one step each and substitute in one walk (`substitute_closed`).
+    last element is the first argument.  A primitive's operand, a lambda
+    body and each argument of a stuck spine are reduced under a frame on
+    `frames`.  A beta, combinator or delta step spends one unit of fuel,
+    a delta step after its operands reach weak head normal form;
+    operands that are not literals leave the application stuck.
 
     An S step leaves its `(y z)` on `args` as the pair `(y, z)`, which
     unwinds as an application does, and a K step drops unbuilt.  The pair
@@ -550,7 +546,7 @@ def _normalize(t: Term, fuel: Fuel, args: Optional[list] = None) -> Term:
     the run where the lanes part.
     """
     spend = fuel.spend
-    args = [] if args is None else args
+    args: list = []
     frames: list[tuple] = []
     while True:
         kind = type(t)
@@ -563,16 +559,8 @@ def _normalize(t: Term, fuel: Fuel, args: Optional[list] = None) -> Term:
                 t = t[0]
             kind = type(t)
         if kind is Lam and args:
-            if type(args[-1]) in _LITERALS:  # a run of literal arguments: a step each, one walk
-                env = {}
-                while type(t) is Lam and args and type(args[-1]) in _LITERALS:
-                    spend()
-                    env[t.param] = args.pop()
-                    t = t.body
-                t = substitute_closed(t, env)
-            else:
-                spend()
-                t = substitute(t.body, t.param, _build(args.pop()))
+            spend()
+            t = substitute(t.body, t.param, _build(args.pop()))
             continue
         if kind is Comb and len(args) >= _COMB_ARITY[t.name]:
             spend()

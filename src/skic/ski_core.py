@@ -134,15 +134,14 @@ def ski_decode(t: Term) -> Term:
 # --- reduction ----------------------------------------------------------
 
 
-def ski_reduce(t: Term, fuel: int = DEFAULT_FUEL, args: tuple[Term, ...] = ()) -> Term:
-    """Normal-order rewriting of `t` applied to `args` to normal form.
+def ski_reduce(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
+    """Normal-order rewriting to normal form.
 
     S x y z -> x z (y z); K x y -> x; I x -> x; plus beta and the
-    primitive delta rules.  The arguments start on the reducer's stack,
-    so no application of them is built.  Raises FuelExhausted when the
-    budget runs out.
+    primitive delta rules.  Raises FuelExhausted when the budget runs
+    out.
     """
-    return lambda_ir._normalize(t, Fuel(fuel), [*reversed(args)])
+    return lambda_ir._normalize(t, Fuel(fuel))
 
 
 # --- behavioral equivalence ---------------------------------------------
@@ -208,15 +207,15 @@ def comparison_forms(side: Term, tuples: list[tuple[int, ...]], fuel: int) -> li
     own EvalOverflowError, and the rest regroup and run again from the
     start.  Groups only shrink, so n tuples take at most 2n - 1 runs, and
     a group of one is a plain reduction.  The normal form is split per
-    lane and finished (`_finish`), once if it holds no lane value."""
+    lane, and each lane is finished (`_finish`)."""
     keys: list = [None] * len(tuples)
     groups = [range(len(tuples))] if tuples else []
     while groups:
         group = groups.pop()
         columns = zip(*(tuples[i] for i in group))
-        args = tuple(_literal(c[0]) if c.count(c[0]) == len(c) else IntLit(c) for c in columns)
+        args = (_literal(c[0]) if c.count(c[0]) == len(c) else IntLit(c) for c in columns)
         try:
-            nf = ski_reduce(side, fuel, args)
+            nf = ski_reduce(apply_spine(side, *args), fuel)
         except lambda_ir.LanesDiverge as split:
             op, values = split.args
             parts: dict[bool, list[int]] = {}
@@ -233,17 +232,15 @@ def comparison_forms(side: Term, tuples: list[tuple[int, ...]], fuel: int) -> li
             continue
         except FuelExhausted:
             continue
-        lanes = _lanes(nf, len(group))
-        finished = [_finish(t, fuel) for t in lanes or [nf]]
-        for lane, i in enumerate(group):
-            keys[i] = finished[lane if lanes else 0]
+        for i, t in zip(group, _lanes(nf, len(group))):
+            keys[i] = _finish(t, fuel)
     return keys
 
 
-def _lanes(t: Term, n: int) -> Optional[list[Term]]:
-    """`t` in each of its `n` lanes, or None if it holds no lane value: one
-    iterative post-order walk, where a lane literal reads its lane's value
-    and a subterm holding none stays itself."""
+def _lanes(t: Term, n: int) -> list[Term]:
+    """`t` in each of its `n` lanes, `t` itself n times if it holds no lane
+    value: one iterative post-order walk, where a lane literal reads its
+    lane's value and a subterm holding none stays itself."""
     todo, built = [t], []  # built: a subterm, or the list of its n lanes
     while todo:
         t = todo.pop()
@@ -258,11 +255,11 @@ def _lanes(t: Term, n: int) -> Optional[list[Term]]:
             built.append(node)
         else:
             built.append([*map(type(t), t.value)] if type(t) in lambda_ir._LITERALS and type(t.value) is tuple else t)
-    return built[0] if type(built[0]) is list else None
+    return built[0] if type(built[0]) is list else [built[0]] * n
 
 
 def _finish(nf: Term, fuel: int) -> object:
-    """`comparison_form`'s key for a reduced result with no lane value.  A
+    """`comparison_form`'s key for one lane's reduced result.  A
     literal is its own key: the passes below leave it as it is.  A result
     still holding a combinator is decoded and reduced again, so every
     other result reaches `lambda_ir.canonical_closure` in beta-delta
