@@ -116,8 +116,8 @@ def _verify_equivalence(original: Program, encoded: Program, cfg: MdlConfig) -> 
     """The worst item verdict (`different` over `unknown` over `equal`)
     and the largest item distance."""
     results = [
-        ski_core.behavioral_equal(p, s, probes, cfg.fuel)
-        for p, s, probes in mdl_opt.item_checks(original, encoded, cfg)
+        ski_core.behavioral_equal(p, s, tuples, cfg.fuel)
+        for p, s, tuples in mdl_opt.item_checks(original, encoded, cfg)
     ]
     worst = max((r.verdict for r in results), key=[Verdict.EQUAL, Verdict.UNKNOWN, Verdict.DIFFERENT].index)
     return worst.value, max(r.distance for r in results)

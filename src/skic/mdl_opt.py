@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 from . import lambda_ir, ski_core
 from .lambda_ir import DEFAULT_FUEL, App, Fuel, Program, Term, Var, pretty_print
-from .ski_core import ProbeConfig, RuleSet, gael_print_program, gael_program_tokens
+from .ski_core import RuleSet, gael_print_program, gael_program_tokens
 
 ALL_RULE_SETS = tuple(RuleSet)
 
@@ -36,7 +36,7 @@ ALL_RULE_SETS = tuple(RuleSet)
 class MdlConfig:
     lambda_weight: float = 0.99
     beam_width: int = 8
-    max_probes: int = ProbeConfig.max_tuples
+    max_probes: int = 216
     rule_sets: tuple[RuleSet, ...] = ALL_RULE_SETS
     extraction_enabled: bool = True
     fuel: int = DEFAULT_FUEL
@@ -51,10 +51,10 @@ class MdlConfig:
         if len(set(self.rule_sets)) < len(self.rule_sets):
             raise ValueError("rule_sets must not repeat")
         Fuel(self.fuel)  # each raises the ValueError of its own rule
-        self.probes_for_arity(0)
+        self.probe_tuples(0)
 
-    def probes_for_arity(self, arity: int) -> ProbeConfig:
-        return ProbeConfig(arity, max_tuples=self.max_probes)
+    def probe_tuples(self, arity: int) -> list[tuple[int, ...]]:
+        return ski_core.probe_tuples(arity, self.max_probes)
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,16 @@ class CompressionPlan:
 
 
 def semantic_distance(
-    p: Term, s: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL,
+    p: Term, s: Term, tuples: list[tuple[int, ...]], fuel: int = DEFAULT_FUEL,
     p_keys: Optional[ski_core.ProbeKeys] = None,
 ) -> float:
     """`ski_core.compare_keys`'s distance: the fraction of probe tuples
     that differ, undecided ones counting 0.5.  `p_keys`, if given, is
-    `ski_core.probe_keys(p, probes, fuel)`, kept by a caller that compares
+    `ski_core.probe_keys(p, tuples, fuel)`, kept by a caller that compares
     `p` with many sides.  Verification's `behavioral_equal` reports the
     same distance with its verdict."""
     if p_keys is None:
-        p_keys = ski_core.probe_keys(p, probes, fuel)
+        p_keys = ski_core.probe_keys(p, tuples, fuel)
     return ski_core.compare_keys(p_keys, s, fuel).distance
 
 
@@ -87,8 +87,8 @@ def objective(cfg: MdlConfig, length: int, dist: float) -> float:
 
 def mdl_objective(s: Term, p: Term, cfg: MdlConfig) -> float:
     """Scalarized objective for a single encoded term."""
-    probes = cfg.probes_for_arity(lambda_ir.leading_lambda_count(p))
-    return objective(cfg, ski_core.gael_tokens(s), semantic_distance(p, s, probes, cfg.fuel))
+    tuples = cfg.probe_tuples(lambda_ir.leading_lambda_count(p))
+    return objective(cfg, ski_core.gael_tokens(s), semantic_distance(p, s, tuples, cfg.fuel))
 
 
 # --- program-level search -------------------------------------------------
@@ -119,18 +119,18 @@ def _items_of(prog: Program) -> list[_Item]:
 
 def item_checks(
     source: Program, encoded: Program, cfg: MdlConfig
-) -> Iterator[tuple[Term, Term, ProbeConfig]]:
+) -> Iterator[tuple[Term, Term, list[tuple[int, ...]]]]:
     """Per source item: its closed source side, its closed encoded side
-    and its probes.  `encoded` is closed once for the whole program."""
+    and its probe tuples.  `encoded` is closed once for the whole program."""
     closed = ski_core.inline_ski_defs(encoded)
     for item in _items_of(source):
-        yield item.inlined, closed[item.name], cfg.probes_for_arity(item.arity)
+        yield item.inlined, closed[item.name], cfg.probe_tuples(item.arity)
 
 
 def program_distance(source: Program, encoded: Program, cfg: MdlConfig) -> float:
     """Max per-item distance between a source program and its encoding."""
     checks = item_checks(source, encoded, cfg)
-    return max((semantic_distance(p, s, probes, cfg.fuel) for p, s, probes in checks), default=0.0)
+    return max((semantic_distance(p, s, tuples, cfg.fuel) for p, s, tuples in checks), default=0.0)
 
 
 @dataclass
@@ -163,7 +163,7 @@ class _Search:
                 self.encodings[i, r] = term, gael_print_program(one), gael_program_tokens(one)
         self.closings: dict[tuple[int, ...], Term] = {}
         self.distances: dict[tuple[int, ...], float] = {}  # rule prefix -> its last item's distance
-        self.source_keys: dict[int, ski_core.ProbeKeys] = {}  # item index -> its source side's keys
+        self.source_keys: dict[int, tuple[list, ski_core.ProbeKeys]] = {}  # item index -> its tuples, source keys
 
     def choices(self) -> list[list[int]]:
         """The rule sets the beam may give each item: its fewest-token
@@ -207,16 +207,16 @@ class _Search:
         return self.closings[prefix]
 
     def probe(self, prefix: tuple[int, ...]) -> None:
-        """Store the prefix's distance.  Its item's source side is probed
-        once, at the item's first prefix, and every prefix compares with
-        those keys."""
+        """Store the prefix's distance.  Its item's probe tuples are built
+        and its source side probed once, at the item's first prefix, and
+        every prefix compares with those keys."""
         i = len(prefix) - 1
         item, fuel = self.items[i], self.cfg.fuel
-        probes = self.cfg.probes_for_arity(item.arity)
         if i not in self.source_keys:
-            self.source_keys[i] = ski_core.probe_keys(item.inlined, probes, fuel)
-        self.distances[prefix] = semantic_distance(
-            item.inlined, self.closed(prefix), probes, fuel, self.source_keys[i])
+            tuples = self.cfg.probe_tuples(item.arity)
+            self.source_keys[i] = tuples, ski_core.probe_keys(item.inlined, tuples, fuel)
+        tuples, keys = self.source_keys[i]
+        self.distances[prefix] = semantic_distance(item.inlined, self.closed(prefix), tuples, fuel, keys)
 
     def distance_bounds(self, c: _Candidate) -> tuple[float, float]:
         """[lo, hi] holding the candidate's distance."""

@@ -147,27 +147,17 @@ def ski_reduce(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
 # --- behavioral equivalence ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Finite probe set: integer tuples of a fixed arity.
+PROBE_VALUES = (-2, -1, 0, 1, 2, 3)
 
-    The tuple set is the Cartesian product of `values`, arity-fold,
-    truncated to `max_tuples` in lexicographic order; it is never empty.
-    """
 
-    arity: int
-    values: tuple[int, ...] = (-2, -1, 0, 1, 2, 3)
-    max_tuples: int = 216
-
-    def __post_init__(self):
-        if self.arity < 0:
-            raise ValueError("probe arity must be nonnegative")
-        if self.max_tuples < 1 or not self.values:
-            raise ValueError("probe tuple count must be positive")
-
-    def tuples(self) -> list[tuple[int, ...]]:
-        product = itertools.product(self.values, repeat=self.arity)
-        return list(itertools.islice(product, self.max_tuples))
+def probe_tuples(arity: int, limit: int) -> list[tuple[int, ...]]:
+    """The probe set: the first `limit` arity-fold tuples over
+    `PROBE_VALUES`, in lexicographic order; it is never empty."""
+    if arity < 0:
+        raise ValueError("probe arity must be nonnegative")
+    if limit < 1:
+        raise ValueError("probe tuple count must be positive")
+    return list(itertools.islice(itertools.product(PROBE_VALUES, repeat=arity), limit))
 
 
 class Verdict(Enum):
@@ -280,9 +270,8 @@ def _finish(nf: Term, fuel: int) -> object:
 ProbeKeys = list[tuple[tuple[int, ...], object]]
 
 
-def probe_keys(side: Term, probes: ProbeConfig, fuel: int) -> ProbeKeys:
+def probe_keys(side: Term, tuples: list[tuple[int, ...]], fuel: int) -> ProbeKeys:
     """(tuple, `comparison_form` key) per probe tuple."""
-    tuples = probes.tuples()
     return list(zip(tuples, comparison_forms(side, tuples, fuel)))
 
 
@@ -319,12 +308,12 @@ def compare_keys(keys: ProbeKeys, other: Term, fuel: int) -> EquivalenceResult:
 
 
 def behavioral_equal(
-    a: Term, b: Term, probes: ProbeConfig, fuel: int = DEFAULT_FUEL
+    a: Term, b: Term, tuples: list[tuple[int, ...]], fuel: int = DEFAULT_FUEL
 ) -> EquivalenceResult:
     """`compare_keys` of `a`'s keys against `b`: every tuple of `a` is
     probed before `b`'s first, and every tuple is probed, a `different`
     one's later tuples too, since `distance` scores them all."""
-    return compare_keys(probe_keys(a, probes, fuel), b, fuel)
+    return compare_keys(probe_keys(a, tuples, fuel), b, fuel)
 
 
 # --- GAEL text ----------------------------------------------------------

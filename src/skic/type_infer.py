@@ -10,7 +10,10 @@ the softmax of negated energies over the full enumerated candidate set.
 The pipeline reads only the MAP assignment, which `map_by_elimination`
 computes by min-sum variable elimination without enumerating; the
 enumerative `posterior` and `map_assignment` stay as the public API and
-the reference it is tested against.
+the reference it is tested against.  The pipeline's MAP assignment
+never holds Real: its fixed slots are only Bool or Func, so mapping every
+Real to Int never raises the energy, Int sorts first, and the pipeline
+never writes `#addR`.
 
 Factor rules and weights:
   - arithmetic operands agree on a numeric tag   (weight 1.0 per pair)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from pathlib import Path
 
@@ -138,6 +139,73 @@ def gen_normalizing_ski(rng: random.Random, max_depth: int = 4, fuel: int = 2000
         return t
 
 
+# --- reference reducer ---------------------------------------------------------
+# A copy of the recursive reducer the stack machine replaced: `_ref_whnf`
+# unwinds a spine and rebuilds its argument list at every step,
+# `_ref_delta` brings operands to WHNF by recursion, and `ref_normalize`
+# recurses into lambda bodies and stuck arguments.  Its step order and
+# fuel are the contract `lambda_ir._normalize` keeps.  The reference
+# probe key below reduces with it, not with the stack machine.
+
+
+_REF_BINARY = {
+    "add": operator.add, "addZ": operator.add, "addR": operator.add,
+    "sub": operator.sub, "mul": operator.mul, "eq": operator.eq,
+}
+
+
+def _ref_delta(op, args, fuel):
+    if op in _REF_BINARY and len(args) >= 2:
+        a = _ref_whnf(args[0], fuel)
+        b = _ref_whnf(args[1], fuel)
+        args[0], args[1] = a, b
+        if isinstance(a, L.IntLit) and isinstance(b, L.IntLit):
+            fuel.spend()
+            v = _REF_BINARY[op](a.value, b.value)
+            if op != "eq" and not L.INT64_MIN <= v <= L.INT64_MAX:
+                raise L.EvalOverflowError(op, v)
+            return (L.BoolLit(v) if op == "eq" else L.IntLit(v)), args[2:]
+    elif op == "if" and len(args) >= 3:
+        c = _ref_whnf(args[0], fuel)
+        args[0] = c
+        if isinstance(c, L.BoolLit):
+            fuel.spend()
+            return (args[1] if c.value else args[2]), args[3:]
+    return None
+
+
+def _ref_whnf(t, fuel):
+    arity = {"I": 1, "K": 2, "S": 3}
+    head, args = L.spine(t)
+    while True:
+        if isinstance(head, L.Lam) and args:
+            fuel.spend()
+            replacement, rest = L.substitute(head.body, head.param, args[0]), args[1:]
+        elif isinstance(head, L.Comb) and len(args) >= arity[head.name]:
+            fuel.spend()
+            if head.name == "S":
+                x, y, z = args[0], args[1], args[2]
+                replacement, rest = L.App(L.App(x, z), L.App(y, z)), args[3:]
+            else:
+                replacement, rest = args[0], args[arity[head.name]:]
+        elif isinstance(head, L.Prim) and (fired := _ref_delta(head.op, args, fuel)) is not None:
+            replacement, rest = fired
+        else:
+            return L.apply_spine(head, *args)
+        head, inner_args = L.spine(replacement)
+        args = inner_args + rest
+
+
+def ref_normalize(t, fuel):
+    t = _ref_whnf(t, fuel)
+    if isinstance(t, L.Lam):
+        return L.Lam(t.param, ref_normalize(t.body, fuel))
+    head, args = L.spine(t)
+    if not args:
+        return head
+    return L.apply_spine(head, *(ref_normalize(a, fuel) for a in args))
+
+
 # --- reference canonical form: the separate passes it was built from ---------------
 # Saturation, eta contraction and the `#addZ`/`#addR` reading as three
 # walks, and the probe key assembled from them, kept as the oracle for
@@ -187,18 +255,18 @@ def ref_read_adds(t: L.Term) -> L.Term:
 
 
 def ref_canonical_normal_form(t: L.Term, fuel: int) -> L.Term:
-    t = L._normalize(t, L.Fuel(fuel))
+    t = ref_normalize(t, L.Fuel(fuel))
     while True:
         contracted = ref_eta_contract(ref_saturate_conditionals(t))
         if contracted == t:
             return t
-        t = L._normalize(contracted, L.Fuel(fuel))
+        t = ref_normalize(contracted, L.Fuel(fuel))
 
 
 def ref_probe_key(side: L.Term, args: tuple[int, ...], fuel: int) -> object:
     applied = L.apply_spine(side, *(L.IntLit(v) for v in args))
     try:
-        nf = ref_canonical_normal_form(SK.ski_decode(SK.ski_reduce(applied, fuel)), fuel)
+        nf = ref_canonical_normal_form(SK.ski_decode(ref_normalize(applied, L.Fuel(fuel))), fuel)
         return L._debruijn(ref_read_adds(nf), ())
     except L.EvalOverflowError as exc:
         return exc

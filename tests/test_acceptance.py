@@ -18,7 +18,7 @@ from skic import softgrad as SG
 from skic import type_infer as TI
 from skic.explainer import explain_term, parse_explanation
 from skic.mdl_opt import MdlConfig
-from skic.ski_core import ProbeConfig, RuleSet, Verdict
+from skic.ski_core import RuleSet, Verdict
 
 from conftest import CORPUS_DIR, gen_normalizing_term, gen_ski_term
 from test_mdl_opt import THREE_DEF_FIXTURES, exhaustive_best_objective, plan_objective
@@ -75,7 +75,7 @@ def _law_arg(rng: random.Random) -> L.Term:
 
 def test_c03_combinator_law_suite():
     rng = random.Random(2024)
-    probes = ProbeConfig(arity=0)
+    probes = SK.probe_tuples(0, 216)
     fuel = 20000
     checked = 0
     rejected = 0
@@ -94,7 +94,7 @@ def test_c03_combinator_law_suite():
         i_res = SK.behavioral_equal(L.App(SK.I, x), x, probes, fuel)
         assert i_res.verdict is Verdict.EQUAL, x
         checked += 1
-    skk = SK.behavioral_equal(L.apply_spine(SK.S, SK.K, SK.K), SK.I, ProbeConfig(arity=1), fuel)
+    skk = SK.behavioral_equal(L.apply_spine(SK.S, SK.K, SK.K), SK.I, SK.probe_tuples(1, 216), fuel)
     assert skk.verdict is Verdict.EQUAL
     _report("C3 combinator laws", f"1000 triples, 0 failures, {rejected} divergent rejections")
 
@@ -105,7 +105,7 @@ def test_c04_encode_round_trip_500_terms():
     unknowns: list[tuple[L.Term, RuleSet]] = []
     for _ in range(500):
         t = gen_normalizing_term(rng, max_depth=6)
-        probes = ProbeConfig(arity=L.leading_lambda_count(t))
+        probes = SK.probe_tuples(L.leading_lambda_count(t), 216)
         for rules in MD.ALL_RULE_SETS:
             encoded = SK.bracket_abstract(t, rules)
             res = SK.behavioral_equal(encoded, t, probes, fuel)
@@ -116,7 +116,7 @@ def test_c04_encode_round_trip_500_terms():
     assert len(unknowns) <= 0.01 * 1500
     for t, rules in unknowns:  # rerun with 10x fuel to resolution
         res = SK.behavioral_equal(
-            SK.bracket_abstract(t, rules), t, ProbeConfig(arity=L.leading_lambda_count(t)), fuel * 10
+            SK.bracket_abstract(t, rules), t, SK.probe_tuples(L.leading_lambda_count(t), 216), fuel * 10
         )
         assert res.verdict is Verdict.EQUAL, (L.pretty_print(t), rules)
     _report(

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -320,9 +321,9 @@ def test_cli_defaults_are_mdl_config_defaults(command):
     parser = CP._build_parser()
     args = parser.parse_args([command, "x.lam"])
     assert CP._config_from_args(args) == MdlConfig()
-    # a new knob, in MdlConfig, ProbeConfig or on the command line, needs an edit here
+    # a new knob, in MdlConfig, the probe set or on the command line, needs an edit here
     assert {f.name for f in dataclasses.fields(MdlConfig)} == _CONFIG_FLAGS.keys()
-    assert [f.name for f in dataclasses.fields(SK.ProbeConfig)] == ["arity", "values", "max_tuples"]
+    assert list(inspect.signature(SK.probe_tuples).parameters) == ["arity", "limit"]
     for field, (flag, value) in _CONFIG_FLAGS.items():
         args = parser.parse_args([command, "x.lam", *flag])
         assert CP._config_from_args(args) == dataclasses.replace(MdlConfig(), **{field: value}), flag
@@ -499,7 +500,7 @@ def test_cli_bad_rules_flag(tmp_path, capsys):
 
 def test_config_from_probes_flag(tmp_path):
     cfg = MdlConfig(max_probes=10)
-    assert len(cfg.probes_for_arity(2).tuples()) == 10
+    assert len(cfg.probe_tuples(2)) == 10
 
 
 _SOURCE_TOKENS = ("\\", ".", "(", ")", ";", ":=", " ", "\n", "-- c\n", "x", "y", "f", "S", "K",

@@ -88,8 +88,7 @@ def test_higher_order_probes_match_the_reference_key():
     for path in sorted((FIXTURES / "higher_order").glob("*.lam")):
         source = path.read_text(encoding="utf-8")
         encoded = CP.run_pipeline(source, cfg, path.stem).plan.encoded
-        for p, s, probes in MD.item_checks(L.parse_program(source), encoded, cfg):
-            tuples = probes.tuples()
+        for p, s, tuples in MD.item_checks(L.parse_program(source), encoded, cfg):
             for side in (p, s):
                 with mock.patch.object(SK, "_lanes", recorded):
                     keys = dict(zip(tuples, SK.comparison_forms(side, tuples, cfg.fuel)))

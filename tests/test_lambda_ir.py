@@ -1,5 +1,4 @@
 import dataclasses
-import operator
 import pickle
 import random
 import string
@@ -16,6 +15,7 @@ from conftest import (
     gen_closed_term,
     gen_normalizing_term,
     ref_eta_contract,
+    ref_normalize,
     ref_read_adds,
     ref_saturate_conditionals,
 )
@@ -279,71 +279,7 @@ def test_stuck_primitive_is_normal():
     assert L.is_normal_form(t)
 
 
-# --- the reducer against the recursive reference --------------------------------
-#
-# A copy of the recursive reducer the stack machine replaced: `_whnf`
-# unwinds a spine and rebuilds its argument list at every step, `_delta`
-# brings operands to WHNF by recursion, and `_normalize` recurses into
-# lambda bodies and stuck arguments.  Its step order and fuel are the
-# contract the machine keeps.
-
-_REF_BINARY = {
-    "add": operator.add, "addZ": operator.add, "addR": operator.add,
-    "sub": operator.sub, "mul": operator.mul, "eq": operator.eq,
-}
-
-
-def _ref_delta(op, args, fuel):
-    if op in _REF_BINARY and len(args) >= 2:
-        a = _ref_whnf(args[0], fuel)
-        b = _ref_whnf(args[1], fuel)
-        args[0], args[1] = a, b
-        if isinstance(a, L.IntLit) and isinstance(b, L.IntLit):
-            fuel.spend()
-            v = _REF_BINARY[op](a.value, b.value)
-            if op != "eq" and not L.INT64_MIN <= v <= L.INT64_MAX:
-                raise L.EvalOverflowError(op, v)
-            return (L.BoolLit(v) if op == "eq" else L.IntLit(v)), args[2:]
-    elif op == "if" and len(args) >= 3:
-        c = _ref_whnf(args[0], fuel)
-        args[0] = c
-        if isinstance(c, L.BoolLit):
-            fuel.spend()
-            return (args[1] if c.value else args[2]), args[3:]
-    return None
-
-
-def _ref_whnf(t, fuel):
-    arity = {"I": 1, "K": 2, "S": 3}
-    head, args = L.spine(t)
-    while True:
-        if isinstance(head, L.Lam) and args:
-            fuel.spend()
-            replacement, rest = L.substitute(head.body, head.param, args[0]), args[1:]
-        elif isinstance(head, L.Comb) and len(args) >= arity[head.name]:
-            fuel.spend()
-            if head.name == "S":
-                x, y, z = args[0], args[1], args[2]
-                replacement, rest = L.App(L.App(x, z), L.App(y, z)), args[3:]
-            else:
-                replacement, rest = args[0], args[arity[head.name]:]
-        elif isinstance(head, L.Prim) and (fired := _ref_delta(head.op, args, fuel)) is not None:
-            replacement, rest = fired
-        else:
-            return L.apply_spine(head, *args)
-        head, inner_args = L.spine(replacement)
-        args = inner_args + rest
-
-
-def _ref_normalize(t, fuel):
-    t = _ref_whnf(t, fuel)
-    if isinstance(t, L.Lam):
-        return L.Lam(t.param, _ref_normalize(t.body, fuel))
-    head, args = L.spine(t)
-    if not args:
-        return head
-    return L.apply_spine(head, *(_ref_normalize(a, fuel) for a in args))
-
+# --- the reducer against the recursive reference (conftest.ref_normalize) --------
 
 def _reduction_outcome(normalize, t, budget):
     """(normal form or exception class, overflow value, fuel left)."""
@@ -430,7 +366,7 @@ _PAIR_EXITS = {
 @example(p(rf"#add (\y. (\x. x x) (\x. x x)) (#add {L.INT64_MAX} 1)"), L.DEFAULT_FUEL)
 def test_normalize_matches_recursive_reference(t, budget):
     try:
-        expected = _reduction_outcome(_ref_normalize, t, budget)
+        expected = _reduction_outcome(ref_normalize, t, budget)
     except RecursionError:
         assume(False)  # the reference cannot decide terms nested this deep
     assert _reduction_outcome(L._normalize, t, budget) == expected
@@ -442,7 +378,7 @@ def test_normalize_matches_recursive_reference(t, budget):
     (r"(\x.\y. \z. #if y x z) 1 true 2", "1"),
     (r"(\x.\y. y (\x. x) x) 1 2 3", "2 (\\x. x) 1 3"),
 ])
-def test_literal_run_substitutes_under_every_lambda_it_consumes(src, expected):
+def test_consecutive_beta_steps_respect_shadowing(src, expected):
     assert L._normalize(p(src), L.Fuel(L.DEFAULT_FUEL)) == p(expected)
 
 
@@ -454,10 +390,10 @@ def test_literal_and_function_arguments_take_a_beta_step_each():
 
 
 @pytest.mark.parametrize("budget", range(5))
-def test_fuel_runs_out_inside_a_literal_run_as_one_step_at_a_time(budget):
+def test_each_beta_step_spends_one_fuel_unit(budget):
     t = p(r"(\x.\y.\z. #add x z) 1 true 2")
     outcome = _reduction_outcome(L._normalize, t, budget)
-    assert outcome == _reduction_outcome(_ref_normalize, t, budget)
+    assert outcome == _reduction_outcome(ref_normalize, t, budget)
     assert outcome == ((L.FuelExhausted, None, 0) if budget < 4 else (L.IntLit(3), None, budget - 4))
 
 

@@ -13,7 +13,7 @@ from skic import mdl_opt as MD
 from skic import metrics as M
 from skic import ski_core as SK
 from skic.mdl_opt import MdlConfig
-from skic.ski_core import ProbeConfig, RuleSet
+from skic.ski_core import RuleSet
 
 from conftest import corpus_sources, gen_chain, gen_normalizing_term, gen_ski_term, term_size
 from test_type_infer import arithmetic_programs
@@ -43,20 +43,19 @@ def test_distance_zero_for_encodings():
         t = gen_normalizing_term(rng, max_depth=4)
         for rules in MD.ALL_RULE_SETS:
             s = SK.bracket_abstract(t, rules)
-            assert MD.semantic_distance(t, s, ProbeConfig(arity=L.leading_lambda_count(t)), fuel=50000) == 0.0
+            assert MD.semantic_distance(t, s, SK.probe_tuples(L.leading_lambda_count(t), 216), fuel=50000) == 0.0
 
 
 def test_distance_positive_identity_vs_const():
     t = L.parse_term(r"\x. x")
-    dist = MD.semantic_distance(t, SK.K, ProbeConfig(arity=1))
+    dist = MD.semantic_distance(t, SK.K, SK.probe_tuples(1, 216))
     assert dist > 0.0
 
 
 @pytest.mark.parametrize("make", [
-    lambda: ProbeConfig(arity=1, max_tuples=0),
-    lambda: ProbeConfig(arity=1, values=()),
+    lambda: SK.probe_tuples(1, 0),
     lambda: MdlConfig(max_probes=0),
-], ids=["max_tuples", "values", "max_probes"])
+], ids=["max_tuples", "max_probes"])
 def test_zero_probes_rejected(make):
     # an empty probe set would make every distance 0 and every verdict `equal`
     with pytest.raises(ValueError, match="probe tuple count must be positive"):
@@ -89,7 +88,7 @@ def test_objective_lambda_zero_is_distance():
     cfg = MdlConfig(lambda_weight=0.0)
     assert MD.mdl_objective(SK.I, t, cfg) == 0.0
     assert MD.mdl_objective(SK.K, t, cfg) == MD.semantic_distance(
-        t, SK.K, cfg.probes_for_arity(1), cfg.fuel
+        t, SK.K, cfg.probe_tuples(1), cfg.fuel
     )
 
 
@@ -250,7 +249,7 @@ def eager_compress(prog: L.Program, cfg: MdlConfig) -> tuple[MD.CompressionPlan,
         closed = SK.inline_ski_defs(encoded)
         for i, item in enumerate(items):
             if full[: i + 1] not in distances:
-                probes = cfg.probes_for_arity(item.arity)
+                probes = cfg.probe_tuples(item.arity)
                 distances[full[: i + 1]] = MD.semantic_distance(item.inlined, closed[item.name], probes, cfg.fuel)
         dist = max(distances[full[: i + 1]] for i in range(n))
         text = SK.gael_print_program(encoded)
@@ -281,7 +280,7 @@ RULE_ORDERS = [
 ]
 
 
-def _scrambled_distance(p: L.Term, s: L.Term, probes: ProbeConfig, fuel: int, p_keys=None) -> float:
+def _scrambled_distance(p: L.Term, s: L.Term, probes: list, fuel: int, p_keys=None) -> float:
     """A stand-in for semantic_distance that takes every value in
     {0, 0.25, ..., 1}, fixed by the encoded side's text: correct encodings
     only ever give 0 or 0.5, and the search must be exact for any distance."""
@@ -298,9 +297,10 @@ def shared_distance(request, monkeypatch):
     memo: dict[tuple, float] = {}
 
     def shared(p, s, probes, fuel, p_keys=None):
-        if (p, s, probes, fuel) not in memo:
-            memo[p, s, probes, fuel] = base(p, s, probes, fuel, p_keys)
-        return memo[p, s, probes, fuel]
+        key = p, s, tuple(probes), fuel
+        if key not in memo:
+            memo[key] = base(p, s, probes, fuel, p_keys)
+        return memo[key]
 
     monkeypatch.setattr(MD, "semantic_distance", shared)
 
@@ -397,7 +397,7 @@ def test_search_probes_each_source_item_once(monkeypatch):
     for source in [FIVE_DEF_CHAIN] + GENERATED_CHAINS:
         source_calls[0] = 0
         MD.compress_program(L.parse_program(source), cfg)
-        bound = sum(len(cfg.probes_for_arity(item.arity).tuples()) for item in items)
+        bound = sum(len(cfg.probe_tuples(item.arity)) for item in items)
         assert 0 < source_calls[0] <= bound, (source, source_calls[0], bound)
 
 
@@ -565,7 +565,7 @@ def _assert_store_matches_fresh(prog: L.Program, cfg: MdlConfig) -> MD._Search:
     (search,) = _RecordedSearch.made
     for prefix, dist in search.distances.items():
         item = search.items[len(prefix) - 1]
-        probes = cfg.probes_for_arity(item.arity)
+        probes = cfg.probe_tuples(item.arity)
         assert dist == MD.semantic_distance(item.inlined, search.closed(prefix), probes, cfg.fuel), prefix
     return search
 
@@ -599,7 +599,7 @@ def test_search_store_holds_fuel_outs_and_overflows():
     seen = set()
     for source, fuel in cases.values():
         search = _assert_store_matches_fresh(L.parse_program(source), MdlConfig(lambda_weight=0.0, fuel=fuel))
-        for keys in search.source_keys.values():
+        for _, keys in search.source_keys.values():
             seen |= {"fuel" for _, k in keys if k is None}
             seen |= {"overflow" for _, k in keys if isinstance(k, L.EvalOverflowError)}
     assert seen == set(cases)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from unittest import mock
@@ -38,7 +39,7 @@ def test_const_encodes_to_k_under_eta():
     encoded = SK.bracket_abstract(t, RuleSet.ETA_OPTIMIZED)
     assert encoded == SK.K
     # probe-pair oracle: encoded and source agree on all probe pairs
-    assert SK.behavioral_equal(encoded, t, SK.ProbeConfig(arity=2)).verdict is Verdict.EQUAL
+    assert SK.behavioral_equal(encoded, t, SK.probe_tuples(2, 216)).verdict is Verdict.EQUAL
 
 
 def test_eta_strictly_smaller_on_add():
@@ -46,8 +47,8 @@ def test_eta_strictly_smaller_on_add():
     naive = SK.bracket_abstract(t, RuleSet.NAIVE)
     eta = SK.bracket_abstract(t, RuleSet.ETA_OPTIMIZED)
     assert term_size(eta) < term_size(naive)
-    assert SK.behavioral_equal(naive, t, SK.ProbeConfig(arity=2)).verdict is Verdict.EQUAL
-    assert SK.behavioral_equal(eta, t, SK.ProbeConfig(arity=2)).verdict is Verdict.EQUAL
+    assert SK.behavioral_equal(naive, t, SK.probe_tuples(2, 216)).verdict is Verdict.EQUAL
+    assert SK.behavioral_equal(eta, t, SK.probe_tuples(2, 216)).verdict is Verdict.EQUAL
 
 
 def test_open_term_is_an_error():
@@ -165,7 +166,7 @@ def test_decode_consistency_on_random_terms():
     rng = random.Random(17)
     for _ in range(40):
         s = gen_normalizing_ski(rng)
-        res = SK.behavioral_equal(SK.ski_decode(s), s, SK.ProbeConfig(arity=0), fuel=20000)
+        res = SK.behavioral_equal(SK.ski_decode(s), s, SK.probe_tuples(0, 216), fuel=20000)
         assert res.verdict in (Verdict.EQUAL, Verdict.UNKNOWN)
         assert res.verdict is Verdict.EQUAL
 
@@ -205,18 +206,18 @@ def test_ski_normal_form_scan():
 
 def test_skk_equals_i_over_probes():
     skk = L.apply_spine(SK.S, SK.K, SK.K)
-    res = SK.behavioral_equal(skk, SK.I, SK.ProbeConfig(arity=1, values=tuple(range(8))))
+    res = SK.behavioral_equal(skk, SK.I, [(v,) for v in range(8)])
     assert res.verdict is Verdict.EQUAL
 
 
 def test_k_differs_from_i_with_first_witness():
-    res = SK.behavioral_equal(SK.K, SK.I, SK.ProbeConfig(arity=2))
+    res = SK.behavioral_equal(SK.K, SK.I, SK.probe_tuples(2, 216))
     assert res.verdict is Verdict.DIFFERENT
     assert res.witness == (-2, -2)  # first enumerated pair
 
 
 def test_probe_outcomes_fold_into_both_checks():
-    probes = SK.ProbeConfig(arity=1, values=(0, 1))
+    probes = [(0,), (1,)]
     omega = L.parse_term(r"(\x. x x) (\x. x x)")
     assert SK.behavioral_equal(SK.I, SK.I, probes) == SK.EquivalenceResult(Verdict.EQUAL, 0.0, None)
     assert SK.behavioral_equal(SK.I, L.App(SK.K, L.IntLit(1)), probes) == SK.EquivalenceResult(
@@ -234,7 +235,7 @@ def test_probe_outcomes_fold_into_both_checks():
 def test_overflow_is_a_probe_outcome():
     big = L.IntLit(L.INT64_MAX)
     add_big = L.apply_spine(L.Prim("add"), big)
-    probes = SK.ProbeConfig(arity=1, values=(1, -1))
+    probes = [(1,), (-1,)]
     # both sides overflow with the same value on 1, agree on -1
     res = SK.behavioral_equal(add_big, L.apply_spine(L.Prim("addZ"), big), probes)
     assert res.verdict is Verdict.EQUAL
@@ -243,18 +244,18 @@ def test_overflow_is_a_probe_outcome():
     assert res.verdict is Verdict.DIFFERENT and res.witness == (1,)
     # two overflows with different values leave the tuple undecided
     add_double_big = L.apply_spine(L.Prim("add"), L.apply_spine(L.Prim("mul"), big, L.IntLit(2)))
-    res = SK.behavioral_equal(add_big, add_double_big, SK.ProbeConfig(arity=1, values=(1,)))
+    res = SK.behavioral_equal(add_big, add_double_big, [(1,)])
     assert res.verdict is Verdict.UNKNOWN
     # running out of fuel still wins over an overflow on the other side
     omega = L.parse_term(r"(\x. x x) (\x. x x)")
-    res = SK.behavioral_equal(add_big, L.App(SK.K, omega), SK.ProbeConfig(arity=1, values=(1,)), fuel=50)
+    res = SK.behavioral_equal(add_big, L.App(SK.K, omega), [(1,)], fuel=50)
     assert res.verdict is Verdict.UNKNOWN
 
 
 def test_specialised_adds_compare_as_add():
     ident = L.parse_term(r"\z. z")
     stuck = {op: L.apply_spine(L.Prim(op), ident, L.IntLit(1)) for op in ("add", "addZ", "addR")}
-    probes = SK.ProbeConfig(arity=0)
+    probes = SK.probe_tuples(0, 216)
     for op in ("addZ", "addR"):
         assert SK.behavioral_equal(stuck["add"], stuck[op], probes).verdict is Verdict.EQUAL
     res = SK.behavioral_equal(stuck["add"], L.apply_spine(L.Prim("sub"), ident, L.IntLit(1)), probes)
@@ -320,13 +321,13 @@ def test_comparison_form_matches_separate_passes(side, args, fuel, other):
         assume(False)  # the reference cannot walk normal forms nested this deep
     assert _key_outcome(SK.comparison_form, side, args, fuel) == expected
     # verification scores a pair of sides as the search does
-    probes = SK.ProbeConfig(arity=len(args), values=(-1, 0, 2))
+    probes = list(itertools.product((-1, 0, 2), repeat=len(args)))
     verdict = SK.behavioral_equal(side, other, probes, fuel)
     assert verdict.distance == MD.semantic_distance(side, other, probes, fuel)
     assert (verdict.verdict is Verdict.EQUAL) == (verdict.distance == 0.0)
     # and folds each tuple's outcomes, computed here one tuple at a time
-    agrees = [_agree(side, other, tup, fuel) for tup in probes.tuples()]
-    witness = next((tup for tup, agree in zip(probes.tuples(), agrees) if agree is False), None)
+    agrees = [_agree(side, other, tup, fuel) for tup in probes]
+    witness = next((tup for tup, agree in zip(probes, agrees) if agree is False), None)
     assert verdict.witness == witness
     if witness is not None:
         assert verdict.verdict is Verdict.DIFFERENT
@@ -407,7 +408,7 @@ _IF_EQ = L.parse_term(r"\x y. #if (#eq x y) ((\z. z z) (\z. z z)) (#add x y)")
 @example(L.parse_term(r"\x.\y. y"), 1, [-2, -1, 0, 1, 2, 3], L.DEFAULT_FUEL)
 @example(L.App(SK.K, SK.I), 1, [-2, -1, 0, 1, 2, 3], L.DEFAULT_FUEL)
 def test_comparison_forms_match_the_reference_tuple_by_tuple(side, arity, values, fuel):
-    tuples = SK.ProbeConfig(arity, tuple(values)).tuples()
+    tuples = list(itertools.product(values, repeat=arity))
     try:
         expected = [_key_outcome(ref_probe_key, side, tup, fuel) for tup in tuples]
     except RecursionError:
@@ -433,7 +434,7 @@ def test_encode_equal_for_all_rule_sets_random():
     rng = random.Random(41)
     for _ in range(30):
         t = gen_normalizing_term(rng)
-        probes = SK.ProbeConfig(arity=L.leading_lambda_count(t))
+        probes = SK.probe_tuples(L.leading_lambda_count(t), 216)
         for rules in ALL_RULES:
             res = SK.behavioral_equal(SK.bracket_abstract(t, rules), t, probes, fuel=50000)
             assert res.verdict is Verdict.EQUAL, (L.pretty_print(t), rules)
@@ -493,9 +494,9 @@ def test_ski_reduce_of_encoding_matches_beta_reduce(case):
 
 
 def test_probe_cap_and_arity_zero():
-    assert SK.ProbeConfig(arity=0).tuples() == [()]
-    assert len(SK.ProbeConfig(arity=3).tuples()) == 216
-    assert len(SK.ProbeConfig(arity=4).tuples()) == 216  # capped
+    assert SK.probe_tuples(0, 216) == [()]
+    assert len(SK.probe_tuples(3, 216)) == 216
+    assert SK.probe_tuples(4, 216)[-1] == (-2, 3, 3, 3)  # capped, in lexicographic order
 
 
 # --- GAEL text --------------------------------------------------------------------

@@ -65,7 +65,7 @@ def disagreements(source: str, definitions: bool = False) -> tuple[list[str], in
         if (name is not None) != definitions:
             continue
         texts = {side: gael_naming(encoded, name) for side, encoded in sides.items()}
-        probes = cfg.probes_for_arity(L.leading_lambda_count(item))
+        probes = cfg.probe_tuples(L.leading_lambda_count(item))
         for args, key in SK.probe_keys(item, probes, cfg.fuel):
             overflow = isinstance(key, L.EvalOverflowError)
             if not (overflow or isinstance(key, (L.IntLit, L.BoolLit))):

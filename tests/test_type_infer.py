@@ -15,7 +15,7 @@ from skic import type_infer as TI
 from skic.mdl_opt import MdlConfig
 from skic.type_infer import TypeTag
 
-from conftest import corpus_sources, gen_normalizing_term
+from conftest import corpus_sources, gen_chain, gen_normalizing_term
 from test_ski_core import _key_outcome
 
 
@@ -360,7 +360,7 @@ def test_specialization_preserves_behavior():
     while checked < 25:
         t = gen_normalizing_term(rng, max_depth=4)
         out = TI.specialize_program(L.Program.of_items([(None, t)]))[0].main
-        res = SK.behavioral_equal(out, t, SK.ProbeConfig(arity=L.leading_lambda_count(t)), fuel=50000)
+        res = SK.behavioral_equal(out, t, SK.probe_tuples(L.leading_lambda_count(t), 216), fuel=50000)
         assert res.verdict is SK.Verdict.EQUAL
         checked += 1
 
@@ -656,7 +656,7 @@ def _assert_probe_outcomes_kept(prog: L.Program, probes_for) -> int:
         if specialised[name] == side:
             continue  # the same term probes the same
         changed += 1
-        for tup in probes_for(L.leading_lambda_count(side)).tuples():
+        for tup in probes_for(L.leading_lambda_count(side)):
             for fuel in _BUDGETS:
                 expected = _key_outcome(SK.comparison_form, side, tup, fuel)
                 assert _key_outcome(SK.comparison_form, specialised[name], tup, fuel) == expected, (
@@ -666,7 +666,7 @@ def _assert_probe_outcomes_kept(prog: L.Program, probes_for) -> int:
 
 def test_specialisation_keeps_corpus_probe_outcomes():
     cfg = MdlConfig()
-    changed = sum(_assert_probe_outcomes_kept(L.parse_program(source), cfg.probes_for_arity)
+    changed = sum(_assert_probe_outcomes_kept(L.parse_program(source), cfg.probe_tuples)
                   for _, source in corpus_sources())
     assert changed >= 10
 
@@ -713,4 +713,40 @@ def arithmetic_programs(draw) -> L.Program:
 @settings(max_examples=100, deadline=None)
 @given(arithmetic_programs())
 def test_specialisation_keeps_probe_outcomes(prog):
-    _assert_probe_outcomes_kept(prog, lambda arity: SK.ProbeConfig(arity, values=(-1, 2)))
+    _assert_probe_outcomes_kept(prog, lambda arity: list(itertools.product((-1, 2), repeat=arity)))
+
+
+# --- the MAP assignment never holds Real ------------------------------------------
+# Fixed slots are only Bool or Func, so mapping every Real to Int keeps each
+# factor that held and may satisfy more: the energy never rises, and Int
+# sorts first.  Specialisation therefore never writes #addR itself.
+
+
+def _prim_count(t: L.Term, op: str) -> int:
+    if isinstance(t, L.App):
+        return _prim_count(t.fun, op) + _prim_count(t.arg, op)
+    if isinstance(t, L.Lam):
+        return _prim_count(t.body, op)
+    return t == L.Prim(op)
+
+
+def _assert_no_real(prog: L.Program) -> None:
+    specialised, map_types = TI.specialize_program(prog)
+    assert all(tag != TypeTag.REAL.name for tags in map_types.values() for tag in tags.values()), map_types
+    for (name, before), (_, after) in zip(prog.items(), specialised.items()):
+        assert _prim_count(after, "addR") == _prim_count(before, "addR"), name
+
+
+def test_corpus_map_assignments_hold_no_real():
+    for _, source in corpus_sources():
+        _assert_no_real(L.parse_program(source))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.builds(lambda seed, n: L.parse_program(gen_chain(random.Random(seed), n)), st.integers(0, 2**16),
+              st.integers(1, 10)),
+    arithmetic_programs(),
+))
+def test_map_assignments_hold_no_real(prog):
+    _assert_no_real(prog)
