@@ -191,7 +191,8 @@ def run_pipeline(
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    prog = lambda_ir.parse_program(source)
+    tokens = metrics.tokenize(source, "source")  # lexed once: the parse and p_tokens share them
+    prog = lambda_ir._Parser(tokens).parse_program()
     timings["parse_s"] = time.perf_counter() - t0
 
     try:
@@ -211,7 +212,7 @@ def run_pipeline(
 
         t0 = time.perf_counter()
         equivalence, distance = _verify_equivalence(prog, plan.encoded, cfg)
-        p_tokens = metrics.token_count(source, "source")
+        p_tokens = len(tokens)
         cr = metrics.compression_rate(plan.token_length, p_tokens)
         density_source = metrics.symbolic_density(source.encode("utf-8"), c=density_c)
         density_gael = metrics.symbolic_density(gael_text.encode("utf-8"), c=density_c)

@@ -31,6 +31,7 @@ from .lambda_ir import (
     IntLit,
     K,
     Lam,
+    Prim,
     Program,
     S,
     Term,
@@ -53,9 +54,9 @@ class RuleSet(Enum):
     ETA_OPTIMIZED = "eta"  # adds eta-contraction: [x](M x) = M when x not in M
 
 
-def contains(t: Term, kind: type) -> bool:
-    """Structural scan for a node of class `kind`, in one iterative walk;
-    GAEL terms hold no Lam."""
+def contains(t: Term, kind: type | tuple[type, ...]) -> bool:
+    """Structural scan for a node of a class in `kind`, as isinstance
+    reads it, in one iterative walk; GAEL terms hold no Lam."""
     todo = [t]
     while todo:
         t = todo.pop()
@@ -250,12 +251,15 @@ def _lanes(t: Term, n: int) -> list[Term]:
 
 def _finish(nf: Term, fuel: int) -> object:
     """`comparison_form`'s key for one lane's reduced result.  A
-    literal is its own key: the passes below leave it as it is.  A result
-    still holding a combinator is decoded and reduced again, so every
-    other result reaches `lambda_ir.canonical_closure` in beta-delta
-    normal form."""
+    literal is its own key, and a stuck application of literals, such as
+    `-2 (-2 -2)`, its de Bruijn form: the passes below leave both as they
+    are.  A result still holding a combinator is decoded and reduced
+    again, so every other result reaches `lambda_ir.canonical_closure`
+    in beta-delta normal form."""
     if type(nf) in lambda_ir._LITERALS:
         return nf
+    if not contains(nf, (Var, Lam, Prim, Comb)):
+        return lambda_ir._debruijn(nf, ())
     try:
         if contains(nf, Comb):
             nf = ski_reduce(ski_decode(nf), fuel)

@@ -27,6 +27,7 @@ inference variable and their tag is baked into any factor they touch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -91,18 +92,21 @@ class Factor:
             raise ValueError("factor weight must be positive")
 
     def violated(self, assignment: dict[str, TypeTag]) -> bool:
-        tags = []
         for v in self.clique:
             if v not in assignment:
                 raise MissingVariableError(v)
-            tags.append(assignment[v])
-        tags.extend(self.fixed)
-        if self.kind == "bool_cond":
-            return tags[0] is not TypeTag.BOOL
-        same = all(t is tags[0] for t in tags)
-        if self.kind == "numeric":
-            return not (same and tags[0] in NUMERIC_TAGS)
-        return not same  # agree / binding
+        return _violates(self.kind, tuple(assignment[v] for v in self.clique) + self.fixed)
+
+
+def _violates(kind: str, tags: tuple[TypeTag, ...]) -> bool:
+    """The violation rule of a factor of `kind` on its clique's tags
+    followed by its fixed ones."""
+    if kind == "bool_cond":
+        return tags[0] is not TypeTag.BOOL
+    same = all(t is tags[0] for t in tags)
+    if kind == "numeric":
+        return not (same and tags[0] in NUMERIC_TAGS)
+    return not same  # agree / binding
 
 
 @dataclass(frozen=True)
@@ -251,6 +255,23 @@ def map_assignment(p: TypePosterior) -> dict[str, TypeTag]:
     return min(p.support, key=key).assignment
 
 
+@functools.cache
+def _violation_pattern(kind: str, fixed: tuple[TypeTag, ...], positions: tuple[int, ...], size: int) -> tuple[bool, ...]:
+    """`_violates` of a factor whose clique reads `positions` of a
+    `size`-variable scope, for each assignment of the scope in code
+    order; shared by every factor of that shape."""
+    return tuple(
+        _violates(kind, tuple(key[p] for p in positions) + fixed)
+        for key in itertools.product(TypeTag, repeat=size)
+    )
+
+
+def _factor_table(f: Factor, scope: tuple[str, ...]) -> list[float]:
+    """`f`'s energy on each assignment of `scope`, in code order."""
+    pattern = _violation_pattern(f.kind, f.fixed, tuple(map(scope.index, f.clique)), len(scope))
+    return [f.weight if bad else 0.0 for bad in pattern]
+
+
 def map_by_elimination(factors: tuple[Factor, ...], variables: list[str]) -> Optional[dict[str, TypeTag]]:
     """`map_assignment(posterior(factors, variables))` by min-sum variable
     elimination; None when some step would span more than
@@ -264,6 +285,13 @@ def map_by_elimination(factors: tuple[Factor, ...], variables: list[str]) -> Opt
     lexicographically least min-energy assignment.  The steps' scopes
     are found before any table is built, so a step never costs more than
     the |tags|^MAX_ENUM_VARIABLES of the largest guarded enumeration.
+
+    A table is a flat list indexed by the code of its scope's
+    assignment: the tags' values as base-4 digits, the first variable's
+    most significant (`itertools.product` order).  Factors of one shape
+    share one cached violation pattern.  A step projects the codes of
+    the neighbours followed by the variable onto each touching table, so
+    each block of four holds the variable's four tags.
     """
     order = {v: i for i, v in enumerate(variables)}
     for f in factors:
@@ -281,31 +309,28 @@ def map_by_elimination(factors: tuple[Factor, ...], variables: list[str]) -> Opt
         scopes = [s for s in scopes if v not in s] + [rest]
         steps.append((v, rest))
 
-    tables = [
-        (scope, {key: f.weight if f.violated(dict(zip(scope, key))) else 0.0
-                 for key in itertools.product(TypeTag, repeat=len(scope))})
-        for f, scope in zip(factors, factor_scopes)
-    ]
-    choices: dict[str, tuple[tuple[str, ...], dict]] = {}
+    tables = [(scope, _factor_table(f, scope)) for f, scope in zip(factors, factor_scopes)]
+    choices: dict[str, tuple[tuple[str, ...], list[int]]] = {}
     for v, rest in steps:
         full = rest + (v,)
-        touching = [(tuple(full.index(u) for u in scope), table) for scope, table in tables if v in scope]
+        energies = [0] * 4 ** len(full)
+        for scope, table in tables:
+            if v in scope:
+                proj = [0]  # the table's code at each code of `full`
+                for u in full:
+                    stride = 4 ** (len(scope) - 1 - scope.index(u)) if u in scope else 0
+                    proj = [c + stride * t for c in proj for t in range(4)]
+                energies = [e + table[c] for e, c in zip(energies, proj)]
         tables = [(scope, table) for scope, table in tables if v not in scope]
-        least: dict[tuple, float] = {}
-        choice: dict[tuple, TypeTag] = {}
-        for key in itertools.product(TypeTag, repeat=len(rest)):
-            for tag in TypeTag:  # declaration order: the first minimum is the least tag
-                point = key + (tag,)
-                e = sum(table[tuple(point[i] for i in idx)] for idx, table in touching)
-                if key not in least or e < least[key]:
-                    least[key], choice[key] = e, tag
+        blocks = [energies[i:i + 4] for i in range(0, len(energies), 4)]
+        least = [*map(min, blocks)]
         tables.append((rest, least))
-        choices[v] = (rest, choice)
-    assignment: dict[str, TypeTag] = {}
+        choices[v] = (rest, [*map(list.index, blocks, least)])  # the first minimum is the least tag
+    codes: dict[str, int] = {}
     for v in variables:
         rest, choice = choices[v]
-        assignment[v] = choice[tuple(assignment[u] for u in rest)]
-    return assignment
+        codes[v] = choice[functools.reduce(lambda code, u: 4 * code + codes[u], rest, 0)]
+    return {v: TypeTag(codes[v]) for v in variables}
 
 
 # --- operator specialization ----------------------------------------------

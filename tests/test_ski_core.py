@@ -367,11 +367,31 @@ def decoded_probe_key(side: L.Term, args: tuple[int, ...], fuel: int) -> object:
 @example(L.IntLit(1), (), 0)
 @example(L.parse_term(r"\x. #add x 1"), (2,), 1)
 @example(L.apply_spine(L.Prim("add"), L.IntLit(L.INT64_MAX)), (1,), 1)
+# a function-typed parameter probed with integers: stuck literal applications
+@example(p(r"\f. f 1"), (-2,), 1)
+@example(p(r"\f g. f (g true)"), (1, 2), 2)
+@example(p(r"\f. f f"), (3,), L.DEFAULT_FUEL)
 def test_comparison_form_skips_decoding_exactly(side, args, fuel):
     # a reduced result holding no combinator is a normal form: decoding
     # leaves it as it is, and normalising it again takes no step, so it
     # cannot run out of fuel even on a budget of 0
     assert _key_outcome(SK.comparison_form, side, args, fuel) == _key_outcome(decoded_probe_key, side, args, fuel)
+
+
+def test_a_stuck_literal_application_keys_without_the_canonical_passes(monkeypatch):
+    def no_closure(*args):
+        raise AssertionError("canonical_closure called")
+
+    monkeypatch.setattr(L, "canonical_closure", no_closure)
+    assert SK.comparison_form(p(r"\f. f 1"), (-2,), 1) == ("app", L.IntLit(-2), L.IntLit(1))
+    assert SK.comparison_form(p(r"\f g. f (g true)"), (1, 2), 2) == (
+        "app", L.IntLit(1), ("app", L.IntLit(2), L.BoolLit(True)))
+    assert SK.comparison_form(p(r"\f. f f"), (3,), 1) == ("app", L.IntLit(3), L.IntLit(3))
+    # a result holding a variable, a lambda, a primitive or a combinator
+    # still goes through the passes
+    for leaf in (L.Var("z"), p(r"\x. x"), L.Prim("add"), SK.K):
+        with pytest.raises(AssertionError, match="canonical_closure called"):
+            SK.comparison_form(L.Lam("f", L.App(L.Var("f"), leaf)), (1,), L.DEFAULT_FUEL)
 
 
 def _chain_item(seed: int, index: int, big: bool, rules) -> L.Term:

@@ -303,6 +303,28 @@ def test_map_by_elimination_matches_enumeration(problem):
     assert TI.map_by_elimination(cs, variables) == TI.map_assignment(TI.posterior(cs, variables))
 
 
+_NAMES = ("a@0", "b@1", "c@2")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("numeric", "agree", "bool_cond", "binding")),
+       st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4),
+       st.lists(st.sampled_from(TypeTag), max_size=2),
+       st.one_of(st.sampled_from(_WEIGHTS), st.floats(0.001, 1e6)),
+       st.randoms(use_true_random=False))
+def test_factor_table_matches_violated(kind, clique, fixed, weight, rng):
+    # the table comes from a pattern cached by the factor's shape: a key
+    # that missed the clique's positions in its scope would hand one
+    # scope order's pattern to the other
+    f = TI.Factor(kind, tuple(clique), weight, tuple(fixed))
+    scope = list(dict.fromkeys(clique))
+    rng.shuffle(scope)
+    for order in (tuple(scope), tuple(reversed(scope))):
+        table = TI._factor_table(f, order)
+        keys = list(itertools.product(TypeTag, repeat=len(order)))
+        assert table == [f.weight * f.violated(dict(zip(order, key))) for key in keys]
+
+
 def test_map_by_elimination_examples():
     assert TI.map_by_elimination(*_FULL_TIE) == {v: TypeTag.INT for v in _FULL_TIE[1]}
     assert TI.map_by_elimination(*_BOOL_FORCED) == {"c@0": TypeTag.BOOL, "n@1": TypeTag.INT}
@@ -438,6 +460,9 @@ def test_specialize_program_skips_a_ladder_too_wide_to_eliminate(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("a skipped item builds no table")
 
+    # `map_by_elimination` builds its tables through `_factor_table`, which
+    # runs on every call, whether its shape's pattern is cached or not
+    monkeypatch.setattr(TI, "_factor_table", no_enumeration)
     monkeypatch.setattr(TI.Factor, "violated", no_enumeration)
     monkeypatch.setattr(TI, "energy", no_enumeration)
     specialized, summary = TI.specialize_program(prog)
