@@ -24,6 +24,7 @@ from . import lambda_ir
 from .lambda_ir import (
     DEFAULT_FUEL,
     App,
+    BoolLit,
     Comb,
     Fuel,
     FuelExhausted,
@@ -31,7 +32,6 @@ from .lambda_ir import (
     IntLit,
     K,
     Lam,
-    Prim,
     Program,
     S,
     Term,
@@ -178,7 +178,8 @@ class EquivalenceResult:
     witness: Optional[tuple[int, ...]] = None
 
 
-# one literal per probe value, shared by every side and tuple probed on it
+# one literal per integer, shared by the probe arguments and the keys of
+# `_lane_keys`' walk, so equal integer keys are one object (`compare_keys`)
 _literal = functools.cache(IntLit)
 
 
@@ -197,8 +198,8 @@ def comparison_forms(side: Term, tuples: list[tuple[int, ...]], fuel: int) -> li
     tells lanes apart, the run stops; overflowing lanes settle as their
     own EvalOverflowError, and the rest regroup and run again from the
     start.  Groups only shrink, so n tuples take at most 2n - 1 runs, and
-    a group of one is a plain reduction.  The normal form is split per
-    lane, and each lane is finished (`_finish`)."""
+    a group of one is a plain reduction.  Each normal form gives every
+    lane's key at once (`_lane_keys`)."""
     keys: list = [None] * len(tuples)
     groups = [range(len(tuples))] if tuples else []
     while groups:
@@ -223,15 +224,46 @@ def comparison_forms(side: Term, tuples: list[tuple[int, ...]], fuel: int) -> li
             continue
         except FuelExhausted:
             continue
-        for i, t in zip(group, _lanes(nf, len(group))):
-            keys[i] = _finish(t, fuel)
+        for i, k in zip(group, _lane_keys(nf, len(group), fuel)):
+            keys[i] = k
     return keys
+
+
+def _lane_keys(nf: Term, n: int, fuel: int) -> list:
+    """The keys of a normal form's `n` lanes.  A result built only from
+    applications and literals is closed, binder-free and normal, so the
+    passes of `_finish` would leave each lane as it is: one iterative
+    post-order walk keys all lanes at once, as the de Bruijn form
+    `("app", f, a)` with its literals as leaves, each `IntLit` the shared
+    `_literal` of its lane's value, and a subkey holding no lane value
+    shared by every lane.  A result holding a `Var`, `Lam`, `Prim` or
+    `Comb` is split (`_lanes`) and each lane finished (`_finish`)."""
+    todo, built = [nf], []  # built: a subterm's key, or the list of its n lanes' keys
+    while todo:
+        t = todo.pop()
+        if type(t) is App:
+            todo += None, t.arg, t.fun  # None: both parts are keyed
+        elif t is None:
+            (f, a), built[-2:] = built[-2:], []
+            if type(f) is list or type(a) is list:
+                cols = zip(f if type(f) is list else [f] * n, a if type(a) is list else [a] * n)
+                built.append([("app", *fa) for fa in cols])
+            else:
+                built.append(("app", f, a))
+        elif type(t) is IntLit:
+            built.append([*map(_literal, t.value)] if type(t.value) is tuple else _literal(t.value))
+        elif type(t) is BoolLit:
+            built.append([*map(BoolLit, t.value)] if type(t.value) is tuple else t)
+        else:
+            return [_finish(lane, fuel) for lane in _lanes(nf, n)]
+    return built[0] if type(built[0]) is list else [built[0]] * n
 
 
 def _lanes(t: Term, n: int) -> list[Term]:
     """`t` in each of its `n` lanes, `t` itself n times if it holds no lane
     value: one iterative post-order walk, where a lane literal reads its
-    lane's value and a subterm holding none stays itself."""
+    lane's value and a subterm holding none stays itself.  Only results
+    that `_lane_keys` cannot key in its walk are split."""
     todo, built = [t], []  # built: a subterm, or the list of its n lanes
     while todo:
         t = todo.pop()
@@ -250,16 +282,11 @@ def _lanes(t: Term, n: int) -> list[Term]:
 
 
 def _finish(nf: Term, fuel: int) -> object:
-    """`comparison_form`'s key for one lane's reduced result.  A
-    literal is its own key, and a stuck application of literals, such as
-    `-2 (-2 -2)`, its de Bruijn form: the passes below leave both as they
-    are.  A result still holding a combinator is decoded and reduced
-    again, so every other result reaches `lambda_ir.canonical_closure`
-    in beta-delta normal form."""
-    if type(nf) in lambda_ir._LITERALS:
-        return nf
-    if not contains(nf, (Var, Lam, Prim, Comb)):
-        return lambda_ir._debruijn(nf, ())
+    """`comparison_form`'s key for one lane of a reduced result holding a
+    `Var`, `Lam`, `Prim` or `Comb` (`_lane_keys` keys the rest).  A
+    result still holding a combinator is decoded and reduced again, so
+    every result reaches `lambda_ir.canonical_closure` in beta-delta
+    normal form."""
     try:
         if contains(nf, Comb):
             nf = ski_reduce(ski_decode(nf), fuel)
@@ -296,7 +323,9 @@ def compare_keys(keys: ProbeKeys, other: Term, fuel: int) -> EquivalenceResult:
         kb = None if ka is None else next(other_keys)
         if ka is None or kb is None:
             agree = None
-        elif all(isinstance(k, lambda_ir.EvalOverflowError) for k in (ka, kb)):
+        elif ka is kb:
+            agree = True
+        elif isinstance(ka, lambda_ir.EvalOverflowError) and isinstance(kb, lambda_ir.EvalOverflowError):
             agree = ka.value == kb.value or None
         else:
             agree = ka == kb

@@ -256,12 +256,16 @@ def test_run_corpus_propagates_a_pass_bug(tmp_path, monkeypatch):
     ("(\\x. #add x 1) (\\z. z)", "equal"),
     ("(\\z. \\y. #add (y (#add 9223372036854775807 2)) (#add 9223372036854775807 1)) 0", "unknown"),
     ("(\\x. x x) (\\x. x x)", "unknown"),
+    ("f := \\g. (\\n. n n) (\\h.\\x. h (h (h (h (h x))))) g 1;\nf", "unknown"),
 ])
 def test_cli_compress_probe_edge_cases(tmp_path, capsys, source, verdict):
     # a probe that overflows on both sides with one value, and a stuck #add
     # the encoding specialises to #addZ, compare equal; under a binder the
     # source overflows on MAX+1 first and its encoding on MAX+2, undecided;
-    # omega runs out of fuel on both sides.  `unknown` exits 0 with a warning
+    # omega runs out of fuel on both sides; the Church numeral 5^5 applied to an
+    # integer g keys the source's 3,125-deep stuck `g (g (... 1))` without
+    # recursion, and its encoding runs out of fuel.  `unknown` exits 0 with
+    # a warning
     (tmp_path / "prog.lam").write_text(source)
     report_file = tmp_path / "report.json"
     assert CP.main(["compress", str(tmp_path / "prog.lam"), "--report", str(report_file)]) == 0

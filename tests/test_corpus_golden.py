@@ -77,20 +77,28 @@ def test_higher_order_programs_reproduce_golden_report():
 def test_higher_order_probes_match_the_reference_key():
     # a second opinion from the test-side passes, on every tuple of every
     # item and both sides: these programs are where lane results that are
-    # not literals get split per lane and finished
-    cfg, split = MD.MdlConfig(), []
-    lanes = SK._lanes
+    # not literals are keyed, stuck literal applications in `_lane_keys`'
+    # walk (03_church_mul, 04_twice_lambda) and the rest split per lane
+    # and finished
+    cfg, split, walked = MD.MdlConfig(), [], []
+    lanes, lane_keys = SK._lanes, SK._lane_keys
 
     def recorded(t, n):
         split.append(lanes(t, n))
         return split[-1]
+
+    def keyed(nf, n, fuel):
+        before = len(split)
+        keys = lane_keys(nf, n, fuel)
+        walked.append((path.stem, n, len(split) == before, keys))
+        return keys
 
     for path in sorted((FIXTURES / "higher_order").glob("*.lam")):
         source = path.read_text(encoding="utf-8")
         encoded = CP.run_pipeline(source, cfg, path.stem).plan.encoded
         for p, s, tuples in MD.item_checks(L.parse_program(source), encoded, cfg):
             for side in (p, s):
-                with mock.patch.object(SK, "_lanes", recorded):
+                with mock.patch.object(SK, "_lanes", recorded), mock.patch.object(SK, "_lane_keys", keyed):
                     keys = dict(zip(tuples, SK.comparison_forms(side, tuples, cfg.fuel)))
                 for tup in tuples:
                     expected = _key_outcome(ref_probe_key, side, tup, cfg.fuel)
@@ -98,7 +106,10 @@ def test_higher_order_probes_match_the_reference_key():
     # a result that held lane values comes back as distinct terms, one per lane
     assert any(terms[0] is not terms[1] and type(terms[0]) not in (L.IntLit, L.BoolLit)
                for terms in split if len(terms) > 1)
-
+    # and a stuck literal application's lanes are keyed in the walk, unsplit
+    stuck = {stem for stem, n, unsplit, keys in walked
+             if n > 1 and unsplit and type(keys[0]) is tuple and keys[0] != keys[1]}
+    assert stuck == {"03_church_mul", "04_twice_lambda"}
 
 if __name__ == "__main__":
     GOLDEN.write_text(_dump(golden_document()), encoding="utf-8")

@@ -394,6 +394,64 @@ def test_a_stuck_literal_application_keys_without_the_canonical_passes(monkeypat
             SK.comparison_form(L.Lam("f", L.App(L.Var("f"), leaf)), (1,), L.DEFAULT_FUEL)
 
 
+def _split_then_finish(nf, n, fuel):
+    """Each lane's key as `comparison_forms` built it before `_lane_keys`:
+    split the normal form per lane, then finish each lane, where a literal
+    was its own key and a stuck application of literals its de Bruijn form."""
+    def finish(lane):
+        if type(lane) in (L.IntLit, L.BoolLit):
+            return lane
+        if not SK.contains(lane, (L.Var, L.Lam, L.Prim, L.Comb)):
+            return L._debruijn(lane, ())
+        return SK._finish(lane, fuel)
+
+    return [finish(lane) for lane in SK._lanes(nf, n)]
+
+
+@st.composite
+def lane_normal_forms(draw):
+    """(result, lanes): a lane-valued term of the shapes a group's
+    reduction leaves, built from applications over literals that are
+    lane-free or hold one value per lane, and now and then a leaf or
+    binder that keeps it from being a stuck application of literals."""
+    n = draw(st.integers(1, 4))
+    ints = st.sampled_from([-2, -1, 0, 1, 3, 6, L.INT64_MIN, L.INT64_MAX])
+    leaves = [ints.map(L.IntLit), st.booleans().map(L.BoolLit)]
+    if n > 1:
+        leaves += [st.lists(ints, min_size=n, max_size=n).map(lambda v: L.IntLit(tuple(v))),
+                   st.lists(st.booleans(), min_size=n, max_size=n).map(lambda v: L.BoolLit(tuple(v)))]
+    others = [st.sampled_from(_KEY_NAMES).map(L.Var), st.sampled_from(L.PRIM_OPS).map(L.Prim),
+              st.sampled_from((SK.S, SK.K, SK.I))]
+    leaf = st.one_of(*leaves, *(others if draw(st.booleans()) else ()))
+    binders = draw(st.booleans())
+    nf = draw(st.recursive(leaf, lambda sub: st.one_of(
+        st.builds(L.App, sub, sub),
+        *([st.builds(L.Lam, st.sampled_from(_KEY_NAMES), sub)] if binders else []),
+    ), max_leaves=12))
+    return nf, n
+
+
+def _outcomes(keys):
+    return [("overflow", k.value) if isinstance(k, L.EvalOverflowError) else k for k in keys]
+
+
+@settings(max_examples=400, deadline=None)
+@given(lane_normal_forms(), st.one_of(st.integers(0, 20), st.just(L.DEFAULT_FUEL)))
+@example((L.apply_spine(L.IntLit((-2, 1)), L.App(L.IntLit(3), L.IntLit((-1, 0)))), 2), L.DEFAULT_FUEL)
+@example((L.IntLit((0, 1, 1)), 3), 0)
+@example((L.BoolLit((True, False)), 2), 0)
+@example((L.App(L.IntLit(3), L.BoolLit(True)), 3), 0)
+@example((L.App(L.IntLit((1, 2)), L.Lam("x", L.Var("x"))), 2), L.DEFAULT_FUEL)
+@example((L.apply_spine(SK.K, L.IntLit((1, 2)), L.IntLit(3)), 2), L.DEFAULT_FUEL)
+def test_lane_keys_match_split_then_finish(case, fuel):
+    nf, n = case
+    keys = SK._lane_keys(nf, n, fuel)
+    assert _outcomes(keys) == _outcomes(_split_then_finish(nf, n, fuel))
+    # a walked result's integer keys are the shared literals of their values
+    if not SK.contains(nf, (L.Var, L.Lam, L.Prim, L.Comb)):
+        assert all(SK._literal(k.value) is k for k in keys if type(k) is L.IntLit)
+
+
 def _chain_item(seed: int, index: int, big: bool, rules) -> L.Term:
     """A closed item of a generated definition chain, encoded under `rules`
     unless None; a `big` chain's literals are 1 and INT64_MAX, so some
