@@ -129,6 +129,27 @@ def _verify_equivalence(original: Program, encoded: Program, cfg: MdlConfig) -> 
 # primitives pseudocode renames; every other primitive keeps its name
 _PSEUDO_NAMES = {"if": "if_then_else", "addZ": "int_add", "addR": "real_add"}
 
+# the lambda and pseudocode targets print an encoded term as its decoded
+# form (`ski_core.ski_decode`) would print, without building it: a
+# combinator prints as its lambda's text and counts as a lambda
+_LAMBDAS = (lambda_ir.Lam, lambda_ir.Comb)
+
+
+def _lambda_expr(t: Term) -> str:
+    if isinstance(t, lambda_ir.App):
+        fun_text, arg_text = _lambda_expr(t.fun), _lambda_expr(t.arg)
+        if isinstance(t.fun, _LAMBDAS):
+            fun_text = f"({fun_text})"
+        if isinstance(t.arg, (lambda_ir.App, *_LAMBDAS)):
+            arg_text = f"({arg_text})"
+        return f"{fun_text} {arg_text}"
+    if isinstance(t, lambda_ir.Lam):
+        sep = "" if isinstance(t.body, _LAMBDAS) else " "
+        return f"\\{t.param}.{sep}{_lambda_expr(t.body)}"
+    if isinstance(t, lambda_ir.Comb):
+        return _LAMBDA_TEXT[t.name]
+    return lambda_ir.pretty_print(t)
+
 
 def _pseudo_expr(t: Term) -> str:
     match t:
@@ -140,20 +161,28 @@ def _pseudo_expr(t: Term) -> str:
             return "true" if v else "false"
         case lambda_ir.Prim(op):
             return _PSEUDO_NAMES.get(op, op)
+        case lambda_ir.Comb(name):
+            return _PSEUDO_TEXT[name]
         case lambda_ir.Lam(param, body):
             return f"lambda {param}: {_pseudo_expr(body)}"
         case lambda_ir.App():
             head, args = lambda_ir.spine(t)
             head_text = _pseudo_expr(head)
-            if isinstance(head, lambda_ir.Lam):
+            if isinstance(head, _LAMBDAS):
                 head_text = f"({head_text})"
             return f"{head_text}({', '.join(_pseudo_expr(a) for a in args)})"
     raise TypeError(f"not a Term: {t!r}")
 
 
+_LAMBDA_TEXT = {name: _lambda_expr(lam) for name, lam in ski_core._COMB_LAMBDAS.items()}
+_PSEUDO_TEXT = {name: _pseudo_expr(lam) for name, lam in ski_core._COMB_LAMBDAS.items()}
+
+
 def _pseudo_procedure(name: str, t: Term) -> str:
     params = []
-    while isinstance(t, lambda_ir.Lam):
+    while isinstance(t, _LAMBDAS):
+        if isinstance(t, lambda_ir.Comb):
+            t = ski_core._COMB_LAMBDAS[t.name]
         params.append(t.param)
         t = t.body
     header = f"procedure {name}({', '.join(params)}):"
@@ -171,11 +200,11 @@ def _emit_program(encoded: Program, target: str) -> str:
     """Render a program as `gael`, `lambda`, or `pseudocode` text."""
     if target == "gael":
         return ski_core.gael_print_program(encoded)
-    decoded = [(name, ski_core.ski_decode(body)) for name, body in encoded.items()]
     if target == "lambda":
-        return lambda_ir.pretty_print_program(Program.of_items(decoded))
+        return "\n".join(_lambda_expr(body) if name is None else f"{name} := {_lambda_expr(body)};"
+                         for name, body in encoded.items())
     if target == "pseudocode":
-        return "\n\n".join(_pseudo_procedure(name or "main", body) for name, body in decoded)
+        return "\n\n".join(_pseudo_procedure(name or "main", body) for name, body in encoded.items())
     raise ValueError(f"unknown target {target!r}")
 
 

@@ -137,15 +137,15 @@ def program_distance(source: Program, encoded: Program, cfg: MdlConfig) -> float
 class _Candidate:
     rules: tuple[int, ...]  # indices into `cfg.rule_sets`, padded to every item
     tokens: int
-    text: str
     unprobed: list[tuple[int, ...]]  # its rule prefixes not probed yet, shortest first
     known_max: float = 0.0  # the largest distance among its probed prefixes
+    text: Optional[str] = None  # its program text, once read (`_Search.text`)
 
 
 class _Search:
     """What the candidates of one search share: each item's encoding per
-    rule set, its source side's probe keys, and each probed rule prefix's
-    closed item and distance.
+    rule set and its tokens, the GAEL lines read so far, its source side's
+    probe keys, and each probed rule prefix's closed item and distance.
 
     A candidate's distance is the max over its rule prefixes.  While some
     prefix is unprobed it lies in [largest known, 1], and since
@@ -155,12 +155,12 @@ class _Search:
 
     def __init__(self, items: list[_Item], cfg: MdlConfig):
         self.items, self.cfg = items, cfg
-        self.encodings: dict[tuple[int, int], tuple[Term, str, int]] = {}  # term, GAEL line, its tokens
+        self.encodings: dict[tuple[int, int], tuple[Term, int]] = {}  # term, its GAEL line's tokens
         for i, item in enumerate(items):
             for r, rule_set in enumerate(cfg.rule_sets):
                 term = ski_core.bracket_abstract(item.source, rule_set, constants=item.constants)
-                one = Program.of_items([(item.name, term)])
-                self.encodings[i, r] = term, gael_print_program(one), gael_program_tokens(one)
+                self.encodings[i, r] = term, gael_program_tokens(Program.of_items([(item.name, term)]))
+        self.lines: dict[tuple[int, int], str] = {}  # GAEL lines printed so far
         self.closings: dict[tuple[int, ...], Term] = {}
         self.distances: dict[tuple[int, ...], float] = {}  # rule prefix -> its last item's distance
         self.source_keys: dict[int, tuple[list, ski_core.ProbeKeys]] = {}  # item index -> its tuples, source keys
@@ -176,24 +176,39 @@ class _Search:
         sets also print one line, all candidates share one text, and the
         beam keeps the first."""
         every = range(len(self.cfg.rule_sets))
-        tokens = [[self.encodings[i, r][2] for r in every] for i in range(len(self.items))]
+        tokens = [[self.encodings[i, r][1] for r in every] for i in range(len(self.items))]
         padded = sum(row[0] for row in tokens)
         for row in tokens:
             padded += min(row) - row[0]
             if not objective(self.cfg, padded, 1.0) < objective(self.cfg, padded + 1, 0.0):
                 return [list(every) for _ in tokens]
         fewest = [[r for r in every if row[r] == min(row)] for row in tokens]
-        if all(len({self.encodings[i, r][1] for r in rules}) == 1 for i, rules in enumerate(fewest)):
+        # GAEL printing is injective: rule sets print one line where their terms are equal
+        first = [self.encodings[i, rules[0]][0] for i, rules in enumerate(fewest)]
+        if all(self.encodings[i, r][0] == first[i] for i, rules in enumerate(fewest) for r in rules[1:]):
             return [rules[:1] for rules in fewest]
         return fewest
 
+    def line(self, i: int, r: int) -> str:
+        """Item i's GAEL line under rule set r, printed when first read."""
+        if (i, r) not in self.lines:
+            item = Program.of_items([(self.items[i].name, self.encodings[i, r][0])])
+            self.lines[i, r] = gael_print_program(item)
+        return self.lines[i, r]
+
     def candidate(self, state: tuple[int, ...]) -> _Candidate:
-        """A state padded with the first rule set; the program text joins
-        the item lines, and no token spans a line."""
+        """A state padded with the first rule set."""
         rules = state + (0,) * (len(self.items) - len(state))
-        lines = [self.encodings[i, r] for i, r in enumerate(rules)]
         prefixes = [rules[: i + 1] for i in range(len(rules))]
-        return _Candidate(rules, sum(e[2] for e in lines), "\n".join(e[1] for e in lines), prefixes)
+        return _Candidate(rules, sum(self.encodings[i, r][1] for i, r in enumerate(rules)), prefixes)
+
+    def text(self, c: _Candidate) -> str:
+        """The candidate's program text, joined from its item lines when
+        first read (no token spans a line); only the beam's comparisons
+        read it."""
+        if c.text is None:
+            c.text = "\n".join(self.line(i, r) for i, r in enumerate(c.rules))
+        return c.text
 
     def closed(self, prefix: tuple[int, ...]) -> Term:
         """The prefix's last item, encoded under its rule set and closed
@@ -230,13 +245,13 @@ class _Search:
         return c.known_max, (1.0 if unprobed else c.known_max)
 
     def key(self, c: _Candidate, dist: float) -> tuple[float, int, str]:
-        return objective(self.cfg, c.tokens, dist), c.tokens, c.text
+        return objective(self.cfg, c.tokens, dist), c.tokens, self.text(c)
 
     def compare(self, a: _Candidate, b: _Candidate) -> int:
         """Order by (objective, tokens, text), probing while the two
         objective intervals leave the order open.  Equal texts are equal
         programs, whose distances are equal too."""
-        if a.text == b.text:
+        if self.text(a) == self.text(b):
             return 0
         while True:
             (a_lo, a_hi), (b_lo, b_hi) = self.distance_bounds(a), self.distance_bounds(b)

@@ -328,7 +328,10 @@ def compare_keys(keys: ProbeKeys, other: Term, fuel: int) -> EquivalenceResult:
         elif isinstance(ka, lambda_ir.EvalOverflowError) and isinstance(kb, lambda_ir.EvalOverflowError):
             agree = ka.value == kb.value or None
         else:
-            agree = ka == kb
+            try:
+                agree = ka == kb
+            except RecursionError:  # keys nested deeper than the recursion limit
+                agree = _keys_equal(ka, kb)
         penalty += PENALTY[agree]
         if agree is False and witness is None:
             witness = tup
@@ -338,6 +341,20 @@ def compare_keys(keys: ProbeKeys, other: Term, fuel: int) -> EquivalenceResult:
     else:
         verdict = Verdict.UNKNOWN if undecided else Verdict.EQUAL
     return EquivalenceResult(verdict, penalty / len(keys), witness)
+
+
+def _keys_equal(a: object, b: object) -> bool:
+    """`a == b` on two keys, whose nested tuples are walked with a stack."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is tuple and type(b) is tuple:
+            if len(a) != len(b):
+                return False
+            todo += zip(a, b)
+        elif a != b:  # a leaf, or a tuple against a leaf
+            return False
+    return True
 
 
 def behavioral_equal(

@@ -189,12 +189,11 @@ class _Extractor:
             self.factors.append(Factor(kind, clique, weight, fixed))
 
 
-def build_constraints(t: Term, env: Optional[Mapping[str, TypeTag]] = None) -> tuple[list[str], tuple[Factor, ...]]:
-    """Extract inference variables and factors from a term.
-
-    Variables are named `<display>@<leaf-index>` in left-to-right leaf
-    order.
-    """
+def _constraints(
+    t: Term, env: Optional[Mapping[str, TypeTag]]
+) -> tuple[list[_Slot], list[str], tuple[Factor, ...]]:
+    """One walk over `t`: every leaf's slot in leaf order, then
+    `build_constraints`' variables and factors."""
     ex = _Extractor(env)
     ex.walk(t, {})
     binding = [
@@ -202,7 +201,16 @@ def build_constraints(t: Term, env: Optional[Mapping[str, TypeTag]] = None) -> t
         for members in ex.groups.values()
         for pair in zip(members, members[1:])
     ]
-    return [s for s in ex.slots if isinstance(s, str)], tuple(ex.factors + binding)
+    return ex.slots, [s for s in ex.slots if isinstance(s, str)], tuple(ex.factors + binding)
+
+
+def build_constraints(t: Term, env: Optional[Mapping[str, TypeTag]] = None) -> tuple[list[str], tuple[Factor, ...]]:
+    """Extract inference variables and factors from a term.
+
+    Variables are named `<display>@<leaf-index>` in left-to-right leaf
+    order.
+    """
+    return _constraints(t, env)[1:]
 
 
 # --- energy and posterior -------------------------------------------------
@@ -346,9 +354,13 @@ def specialize_operators(
     (arithmetic results, #eq results, same-tag conditional branches).
     Anything unresolved leaves the operator unchanged.
     """
-    ex = _Extractor(env)
-    ex.walk(t, {})
-    slots = iter(ex.slots)  # `go` reaches the leaves in the walk's order
+    return _rewrite(t, _constraints(t, env)[0], assignment)
+
+
+def _rewrite(t: Term, leaf_slots: list[_Slot], assignment: dict[str, TypeTag]) -> Term:
+    """`specialize_operators` of `t`, given its leaves' slots from its
+    constraint walk."""
+    slots = iter(leaf_slots)  # `go` reaches the leaves in the walk's order
 
     def go(node: Term) -> tuple[Term, Optional[TypeTag]]:
         if isinstance(node, Lam):
@@ -390,7 +402,7 @@ def specialize_program(prog: Program) -> tuple[Program, dict[str, dict[str, str]
     for i, (name, body) in enumerate(prog.items()):
         label = name or "main"
         env = {dep: TypeTag.FUNC for dep, _ in prog.defs[:i]}
-        variables, factors = build_constraints(body, env)
+        slots, variables, factors = _constraints(body, env)  # the item's one walk
         assignment = map_by_elimination(factors, variables)
         if assignment is None:
             summary[label] = {
@@ -398,6 +410,6 @@ def specialize_program(prog: Program) -> tuple[Program, dict[str, dict[str, str]
             }
         else:
             summary[label] = {v: assignment[v].name for v in variables}
-            body = specialize_operators(body, assignment, env)
+            body = _rewrite(body, slots, assignment)
         items.append((name, body))
     return Program.of_items(items), summary

@@ -77,6 +77,24 @@ def gen_closed_term(rng: random.Random, max_depth: int = 6) -> L.Term:
     return body
 
 
+def gen_mixed_term(rng: random.Random, max_depth: int = 6) -> L.Term:
+    """`gen_closed_term` with some of its subterms and about a third of
+    its leaves replaced by S, K or I: lambdas and combinators mixed, a
+    combinator heading or filling an application, ending a lambda body
+    or standing alone."""
+
+    def mix(t: L.Term) -> L.Term:
+        if rng.random() < 0.1:
+            return rng.choice((SK.S, SK.K, SK.I))
+        if isinstance(t, L.App):
+            return L.App(mix(t.fun), mix(t.arg))
+        if isinstance(t, L.Lam):
+            return L.Lam(t.param, mix(t.body))
+        return rng.choice((SK.S, SK.K, SK.I)) if rng.random() < 0.3 else t
+
+    return mix(gen_closed_term(rng, max_depth))
+
+
 def gen_normalizing_term(rng: random.Random, max_depth: int = 6, fuel: int = 5000) -> L.Term:
     """Closed term whose full normal form exists within `fuel` steps."""
     while True:

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +22,10 @@ from skic import mdl_opt as MD
 from skic import metrics as M
 from skic import ski_core as SK
 from skic.mdl_opt import MdlConfig
+
+from conftest import CORPUS_DIR, gen_mixed_term
+
+HIGHER_ORDER_DIR = Path(__file__).resolve().parent / "fixtures" / "higher_order"
 
 
 # --- run_pipeline ------------------------------------------------------------------
@@ -115,6 +120,46 @@ def test_emit_pseudocode():
 def test_emit_unknown_target():
     with pytest.raises(ValueError):
         CP.emit_target(SK.I, "brainfuck")
+
+
+def _decoding_path(prog: L.Program, target: str) -> str:
+    """The `lambda` or `pseudocode` text of `prog` by the path the
+    printers replace: decode every body, then print the lambda terms."""
+    decoded = L.Program.of_items([(name, SK.ski_decode(body)) for name, body in prog.items()])
+    return L.pretty_print_program(decoded) if target == "lambda" else CP._emit_program(decoded, target)
+
+
+@pytest.mark.parametrize("term, lambda_text, pseudocode", [
+    (L.Lam("x", L.App(SK.S, L.Var("x"))), r"\x. (\x.\y.\z. x z (y z)) x",
+     "procedure main(x):\n    return (lambda x: lambda y: lambda z: x(z, y(z)))(x)"),
+    (L.Lam("x", SK.K), r"\x.\x.\y. x", "procedure main(x, x, y):\n    return x"),
+    (L.App(L.Lam("x", L.Var("x")), SK.I), r"(\x. x) (\x. x)", "procedure main():\n    return (lambda x: x)(lambda x: x)"),
+], ids=["combinator applied under a binder", "combinator as a lambda body", "combinator as an argument"])
+def test_emit_prints_a_combinator_as_its_lambda(term, lambda_text, pseudocode):
+    # a combinator is parenthesised as a lambda is, continues the binders
+    # of the body it ends, and leads the procedure's parameters
+    assert CP.emit_target(term, "lambda") == lambda_text == _decoding_path(L.Program((), term), "lambda")
+    assert CP.emit_target(term, "pseudocode") == pseudocode == _decoding_path(L.Program((), term), "pseudocode")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_emit_matches_the_decoding_path(seed, with_def):
+    # terms mixing lambdas and combinators in every position
+    rng = random.Random(seed)
+    prog = L.Program.of_items([("f", gen_mixed_term(rng))] * with_def + [(None, gen_mixed_term(rng))])
+    for target in ("lambda", "pseudocode"):
+        assert CP._emit_program(prog, target) == _decoding_path(prog, target)
+    assert CP.emit_target(prog.main, "lambda") == L.pretty_print(SK.ski_decode(prog.main))
+
+
+def test_emitted_programs_match_the_decoding_path():
+    # what the pipeline emits: every compiled corpus and higher-order program
+    paths = [*sorted(CORPUS_DIR.glob("*.lam")), *sorted(HIGHER_ORDER_DIR.glob("*.lam"))]
+    for path in paths:
+        result = CP.run_pipeline(path.read_text(encoding="utf-8"))
+        assert result.lambda_text == _decoding_path(result.plan.encoded, "lambda"), path.name
+        assert result.pseudocode_text == _decoding_path(result.plan.encoded, "pseudocode"), path.name
 
 
 # --- corpus -------------------------------------------------------------------------
@@ -251,12 +296,18 @@ def test_run_corpus_propagates_a_pass_bug(tmp_path, monkeypatch):
         CP.run_corpus(tmp_path)
 
 
+DEEP_NUMERAL = "f := \\g. (\\n. n n) (\\h.\\x. h (h (h (h (h x))))) g 1;\nf"
+# the options a case adds to `skic compress`, by (source, verdict)
+_EDGE_CASE_OPTIONS = {(DEEP_NUMERAL, "equal"): ["--fuel", "1000000"]}
+
+
 @pytest.mark.parametrize("source, verdict", [
     ("#add 9223372036854775807 1", "equal"),
     ("(\\x. #add x 1) (\\z. z)", "equal"),
     ("(\\z. \\y. #add (y (#add 9223372036854775807 2)) (#add 9223372036854775807 1)) 0", "unknown"),
     ("(\\x. x x) (\\x. x x)", "unknown"),
-    ("f := \\g. (\\n. n n) (\\h.\\x. h (h (h (h (h x))))) g 1;\nf", "unknown"),
+    (DEEP_NUMERAL, "unknown"),
+    (DEEP_NUMERAL, "equal"),
 ])
 def test_cli_compress_probe_edge_cases(tmp_path, capsys, source, verdict):
     # a probe that overflows on both sides with one value, and a stuck #add
@@ -264,11 +315,13 @@ def test_cli_compress_probe_edge_cases(tmp_path, capsys, source, verdict):
     # source overflows on MAX+1 first and its encoding on MAX+2, undecided;
     # omega runs out of fuel on both sides; the Church numeral 5^5 applied to an
     # integer g keys the source's 3,125-deep stuck `g (g (... 1))` without
-    # recursion, and its encoding runs out of fuel.  `unknown` exits 0 with
-    # a warning
+    # recursion, and its encoding runs out of fuel.  At --fuel 1000000 both
+    # sides key it, and the two 3,125-deep keys compare equal without
+    # recursion.  `unknown` exits 0 with a warning
     (tmp_path / "prog.lam").write_text(source)
     report_file = tmp_path / "report.json"
-    assert CP.main(["compress", str(tmp_path / "prog.lam"), "--report", str(report_file)]) == 0
+    options = _EDGE_CASE_OPTIONS.get((source, verdict), [])
+    assert CP.main(["compress", str(tmp_path / "prog.lam"), "--report", str(report_file), *options]) == 0
     assert json.loads(report_file.read_text())["equivalence"] == verdict
     warnings = ["skic: warning: equivalence unknown for prog: "
                 "some probe ran out of fuel or was undecided"]

@@ -263,6 +263,22 @@ def test_specialised_adds_compare_as_add():
     assert res.witness == ()  # the arity-0 tuple, falsy but present
 
 
+def test_keys_deeper_than_the_recursion_limit_compare():
+    # stuck literal applications deeper than the recursion limit key
+    # without recursion, and `compare_keys` compares two such keys as
+    # `==` would, equal or differing only at the bottom
+    def stuck(leaf: int, depth: int = 2 * sys.getrecursionlimit()) -> L.Term:
+        t = L.IntLit(leaf)
+        for _ in range(depth):
+            t = L.App(L.IntLit(2), t)
+        return t
+
+    keys = SK.probe_keys(stuck(1), [()], 100)
+    assert SK.compare_keys(keys, stuck(1), 100).verdict is Verdict.EQUAL
+    assert SK.compare_keys(keys, stuck(3), 100).verdict is Verdict.DIFFERENT
+    assert SK.compare_keys(keys, L.App(L.IntLit(2), stuck(1)), 100).verdict is Verdict.DIFFERENT
+
+
 _KEY_NAMES = ("x", "y", "sat_b")
 lambda_sides = st.recursive(
     st.one_of(
