@@ -157,9 +157,10 @@ class _Search:
         self.items, self.cfg = items, cfg
         self.encodings: dict[tuple[int, int], tuple[Term, int]] = {}  # term, its GAEL line's tokens
         for i, item in enumerate(items):
+            ski_core.check_closed(item.source, item.constants)  # once, not per rule set
             for r, rule_set in enumerate(cfg.rule_sets):
-                term = ski_core.bracket_abstract(item.source, rule_set, constants=item.constants)
-                self.encodings[i, r] = term, gael_program_tokens(Program.of_items([(item.name, term)]))
+                term = ski_core.bracket_abstract(item.source, rule_set, constants=None)
+                self.encodings[i, r] = term, ski_core.gael_tokens(term) + 3 * (item.name is not None)
         self.lines: dict[tuple[int, int], str] = {}  # GAEL lines printed so far
         self.closings: dict[tuple[int, ...], Term] = {}
         self.distances: dict[tuple[int, ...], float] = {}  # rule prefix -> its last item's distance
@@ -297,27 +298,39 @@ def compress_program(prog: Program, cfg: MdlConfig = MdlConfig()) -> Compression
 # --- common-subterm extraction ---------------------------------------------
 
 
-def _census(prog: Program) -> tuple[dict[Term, list[int]], str]:
+def _census(prog: Program) -> tuple[list[list], str]:
     """One walk over a GAEL program, whose terms are applications and
-    leaves: each application with its [count, node count], in pre-order
-    of first visit, and the first `qN` that names no definition and no
-    free variable."""
-    census: dict[Term, list[int]] = {}
+    leaves, interning each node by its children's ids rather than hashing
+    the term: a row [term, count, node count, GAEL tokens, occurrences in
+    argument position] per distinct node, an application's at the end of
+    its first occurrence's walk (a leaf's count stays 0), and the first
+    `qN` that names no definition and no free variable."""
+    ids: dict[object, int] = {}  # a leaf, or an application's (fun id, arg id)
+    rows: list[list] = []
     used = {name for name, _ in prog.defs}
 
     def visit(t: Term) -> int:
-        if isinstance(t, App):
-            entry = census.setdefault(t, [0, 0])
-            entry[0] += 1
-            entry[1] = 1 + visit(t.fun) + visit(t.arg)
-            return entry[1]
-        if isinstance(t, Var):
-            used.add(t.name)
-        return 1
+        if type(t) is not App:
+            i = ids.get(t)
+            if i is None:
+                i = ids[t] = len(rows)
+                rows.append([t, 0, 1, 1, 0])
+                if type(t) is Var:
+                    used.add(t.name)
+            return i
+        arg = type(t.arg) is App
+        key = f, a = visit(t.fun), visit(t.arg)
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(rows)
+            rows.append([t, 0, 1 + rows[f][2] + rows[a][2], rows[f][3] + rows[a][3] + 2 * arg, 0])
+        rows[i][1] += 1
+        rows[a][4] += arg
+        return i
 
     for _, body in prog.items():
         visit(body)
-    return census, next(f"q{i}" for i in itertools.count() if f"q{i}" not in used)
+    return rows, next(f"q{i}" for i in itertools.count() if f"q{i}" not in used)
 
 
 def _replace_subterm(t: Term, target: Term, name: str) -> Term:
@@ -344,21 +357,30 @@ def _apply_extraction(prog: Program, target: Term, name: str) -> Program:
 
 def _extract_with_trace(prog: Program, tokens: int) -> tuple[Program, list[str], int]:
     """Extraction moves from `prog`, whose GAEL token count is `tokens`:
-    the extracted program, its new names and its token count."""
+    the extracted program, its new names and its token count.
+
+    Each round prices every move from one census.  Extracting a subterm
+    of `tok` tokens that occurs `count` times, `args` of them in argument
+    position, takes its tokens and those parentheses from each occurrence,
+    leaves one name there, and adds a definition of `tok + 3` tokens; a
+    single occurrence never shrinks the program.  The move taken is the
+    least by (-count, -size, text) among those that shrink it, and only
+    its program is built."""
     moves: list[str] = []
     while True:
-        census, name = _census(prog)
-        candidates = [(term, count, size) for term, (count, size) in census.items() if count >= 2]
-        candidates.sort(key=lambda c: (-c[1], -c[2], pretty_print(c[0])))
-        for term, _, _ in candidates:
-            replaced = _apply_extraction(prog, term, name)
-            replaced_tokens = gael_program_tokens(replaced)
-            if replaced_tokens < tokens:
-                prog, tokens = replaced, replaced_tokens
-                moves.append(name)
-                break
-        else:
+        rows, name = _census(prog)
+        shrinking = [
+            (-count, -size, term, after)
+            for term, count, size, tok, args in rows
+            if (after := tokens - count * tok - 2 * args + count + tok + 3) < tokens
+        ]
+        if not shrinking:
             return prog, moves, tokens
+        first = min(m[:2] for m in shrinking)
+        tied = [m for m in shrinking if m[:2] == first]
+        _, _, term, tokens = tied[0] if len(tied) == 1 else min(tied, key=lambda m: pretty_print(m[2]))
+        prog = _apply_extraction(prog, term, name)
+        moves.append(name)
 
 
 def extract_common_subterms(prog: Program, cfg: MdlConfig = MdlConfig()) -> Program:

@@ -46,8 +46,9 @@ def approx_kolmogorov(data: bytes) -> int:
     """Output length of raw DEFLATE at maximum effort, in bytes."""
     if not data:
         raise ValueError("empty input")
-    compressor = zlib.compressobj(level=9, method=zlib.DEFLATED, wbits=-15)
-    return len(compressor.compress(data) + compressor.flush())
+    # a zlib stream (RFC 1950) is the raw one between a 2-byte header and a
+    # 4-byte Adler-32; `zlib.compress` takes no `wbits` before Python 3.11
+    return len(zlib.compress(data, 9)) - 6
 
 
 @dataclass(frozen=True)

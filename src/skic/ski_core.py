@@ -88,8 +88,10 @@ def _abstract(name: str, t: Term, rules: RuleSet) -> Optional[Term]:
 
 
 def _to_ski(t: Term, rules: RuleSet) -> Term:
+    """t without lambdas; a lambda-free subterm comes back as itself."""
     if isinstance(t, App):
-        return App(_to_ski(t.fun, rules), _to_ski(t.arg, rules))
+        fun, arg = _to_ski(t.fun, rules), _to_ski(t.arg, rules)
+        return t if fun is t.fun and arg is t.arg else App(fun, arg)
     if isinstance(t, Lam):
         body = _to_ski(t.body, rules)
         abstracted = _abstract(t.param, body, rules)
@@ -97,18 +99,25 @@ def _to_ski(t: Term, rules: RuleSet) -> Term:
     return t
 
 
+def check_closed(t: Term, constants: frozenset[str]) -> None:
+    """Raise OpenTermError naming t's free variables outside `constants`."""
+    stray = lambda_ir.free_vars(t) - constants
+    if stray:
+        raise OpenTermError(stray)
+
+
 def bracket_abstract(
-    t: Term, rules: RuleSet = RuleSet.ETA_OPTIMIZED, constants: frozenset[str] = frozenset()
+    t: Term, rules: RuleSet = RuleSet.ETA_OPTIMIZED, constants: Optional[frozenset[str]] = frozenset()
 ) -> Term:
     """Encode a lambda term as a lambda-free combinator term.
 
     `constants` names stay as free references (definition names the
     surrounding program will resolve).  Any other free variable is an
-    error.
+    error; `None` skips that check, for a caller that has made it
+    (`check_closed`) once for every rule set.
     """
-    stray = lambda_ir.free_vars(t) - constants
-    if stray:
-        raise OpenTermError(stray)
+    if constants is not None:
+        check_closed(t, constants)
     return _to_ski(t, rules)
 
 

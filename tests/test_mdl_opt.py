@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,45 @@ FIVE_DEF_CHAIN = (
     "e := \\x. d (a x) x;\n"
     "e 3"
 )
+
+
+HIGHER_ORDER_SOURCES = [
+    path.read_text(encoding="utf-8")
+    for path in sorted((Path(__file__).resolve().parent / "fixtures" / "higher_order").glob("*.lam"))
+]
+
+
+def _assert_encodings_match_bracket_abstraction(source: str) -> None:
+    """Each (item, rule set) encoding of the search is the item's bracket
+    abstraction, counted as its printed GAEL line, and bracket abstraction
+    hands that lambda-free term back as itself."""
+    items = MD._items_of(L.parse_program(source))
+    search = MD._Search(items, MdlConfig())
+    for i, item in enumerate(items):
+        for r, rule_set in enumerate(MD.ALL_RULE_SETS):
+            term, tokens = search.encodings[i, r]
+            assert term == SK.bracket_abstract(item.source, rule_set, item.constants), (source, i, rule_set)
+            line = SK.gael_print_program(L.Program.of_items([(item.name, term)]))
+            assert tokens == M.token_count(line, "gael"), (source, i, rule_set)
+            assert SK.bracket_abstract(term, rule_set, item.constants) is term
+
+
+def test_search_encodings_match_bracket_abstraction():
+    for source in [src for _, src in corpus_sources()] + HIGHER_ORDER_SOURCES:
+        _assert_encodings_match_bracket_abstraction(source)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 8))
+def test_search_encodings_match_bracket_abstraction_on_chains(seed, n):
+    _assert_encodings_match_bracket_abstraction(gen_chain(random.Random(seed), n))
+
+
+def test_search_names_every_stray_variable():
+    prog = L.Program((("f", L.parse_term(r"\x. x")),), L.apply_spine(L.Prim("add"), L.Var("zz"), L.Var("yy")))
+    with pytest.raises(SK.OpenTermError, match=r"^term has free variables: yy, zz$") as raised:
+        MD.compress_program(prog)
+    assert raised.value.names == frozenset({"yy", "zz"})
 
 
 def test_search_closing_matches_whole_program_inlining():
@@ -665,22 +705,60 @@ def ski_programs(draw) -> L.Program:
 
 
 def _separate_census(prog: L.Program) -> tuple[dict, str]:
-    """The extraction census as separate walks: each application counted
-    in pre-order, sized by `term_size`, and the first qN naming no
-    definition and no free variable."""
+    """The extraction census as separate walks: each application with its
+    count, `term_size`, the GAEL tokens of its printed text and its count
+    in argument position, in the order its first occurrence's walk ends;
+    and the first qN naming no definition and no free variable."""
     counts: dict = {}
+    args: dict = {}
 
     def visit(t: L.Term) -> None:
         if isinstance(t, L.App):
-            counts[t] = counts.get(t, 0) + 1
             visit(t.fun)
             visit(t.arg)
+            counts[t] = counts.get(t, 0) + 1
+            if isinstance(t.arg, L.App):
+                args[t.arg] = args.get(t.arg, 0) + 1
 
     for _, body in prog.items():
         visit(body)
     used = {name for name, _ in prog.defs}.union(*(L.free_vars(body) for _, body in prog.items()))
     name = next(f"q{i}" for i in itertools.count() if f"q{i}" not in used)
-    return {t: [count, term_size(t)] for t, count in counts.items()}, name
+    census = {
+        t: [count, term_size(t), M.token_count(L.pretty_print(t), "gael"), args.get(t, 0)]
+        for t, count in counts.items()
+    }
+    return census, name
+
+
+def _reference_extraction(prog: L.Program, tokens: int) -> tuple[L.Program, list[str], int]:
+    """Extraction by building and counting each candidate's program: the
+    separate-walk census sorted by (-count, -size, text), each candidate
+    applied and counted by `gael_program_tokens` until one shrinks the
+    program."""
+    moves: list[str] = []
+    while True:
+        census, name = _separate_census(prog)
+        candidates = [(term, count, size) for term, (count, size, _, _) in census.items() if count >= 2]
+        candidates.sort(key=lambda c: (-c[1], -c[2], L.pretty_print(c[0])))
+        for term, _, _ in candidates:
+            replaced = MD._apply_extraction(prog, term, name)
+            replaced_tokens = SK.gael_program_tokens(replaced)
+            if replaced_tokens < tokens:
+                prog, tokens = replaced, replaced_tokens
+                moves.append(name)
+                break
+        else:
+            return prog, moves, tokens
+
+
+@st.composite
+def abstracted_chains(draw) -> L.Program:
+    """A `gen_chain` program of 1-6 definitions, each item bracket-abstracted
+    under a drawn rule set."""
+    source = gen_chain(random.Random(draw(st.integers(0, 2**16))), draw(st.integers(1, 6)))
+    items = MD._items_of(L.parse_program(source))
+    return _encode(items, [draw(st.sampled_from(MD.ALL_RULE_SETS)) for _ in items])
 
 
 _LAM_PROGRAM = L.Program(
@@ -693,9 +771,20 @@ _LAM_PROGRAM = L.Program(
 @given(st.one_of(ski_programs(), st.builds(lambda p, n: L.Program(p.defs, L.App(L.Var(n), p.main or SK.I)),
                                            ski_programs(), st.sampled_from(("q0", "q1", "x")))))
 def test_census_matches_separate_walks(prog):
-    census, name = MD._census(prog)
-    assert list(census.items()) == list(_separate_census(prog)[0].items())
-    assert name == _separate_census(prog)[1]
+    rows, name = MD._census(prog)
+    census, expected_name = _separate_census(prog)
+    applications = [row for row in rows if isinstance(row[0], L.App)]
+    assert [(row[0], row[1:]) for row in applications] == list(census.items())
+    assert all(row[1:] == [0, 1, 1, 0] for row in rows if not isinstance(row[0], L.App))
+    assert len({row[0] for row in rows}) == len(rows)
+    assert name == expected_name
+
+
+@settings(deadline=None)
+@given(st.one_of(ski_programs(), abstracted_chains()))
+def test_extraction_matches_the_reference_loop(prog):
+    tokens = SK.gael_program_tokens(prog)
+    assert MD._extract_with_trace(prog, tokens) == _reference_extraction(prog, tokens)
 
 
 @settings(deadline=None)

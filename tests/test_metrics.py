@@ -1,3 +1,4 @@
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from skic import lambda_ir as L
 from skic import metrics as M
+
+from conftest import corpus_sources
 
 # Golden values from the pinned reference compressor (raw DEFLATE,
 # level 9) and the pinned SplitMix64 fixture stream.
@@ -128,6 +131,19 @@ def test_prng_fixture_golden():
 
 def test_one_byte_golden():
     assert M.approx_kolmogorov(b"a") == GOLDEN_ONE_BYTE
+
+
+def _raw_deflate_length(data: bytes) -> int:
+    compressor = zlib.compressobj(level=9, method=zlib.DEFLATED, wbits=-15)
+    return len(compressor.compress(data) + compressor.flush())
+
+
+def test_density_proxy_is_raw_deflate_length():
+    inputs = [source.encode() for _, source in corpus_sources()]
+    for n in (1, 2, 255, 65535, 65536, 65537, 300_000):  # across zlib's 64 KiB window and buffers
+        inputs += [M.prng_bytes(n, n), b"ab" * (n // 2) + b"a" * (n % 2), bytes(range(256)) * (n // 256)]
+    for data in filter(None, inputs):
+        assert M.approx_kolmogorov(data) == _raw_deflate_length(data), len(data)
 
 
 def test_empty_input_error():
