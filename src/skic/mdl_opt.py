@@ -164,7 +164,7 @@ class _Search:
         self.lines: dict[tuple[int, int], str] = {}  # GAEL lines printed so far
         self.closings: dict[tuple[int, ...], Term] = {}
         self.distances: dict[tuple[int, ...], float] = {}  # rule prefix -> its last item's distance
-        self.source_keys: dict[int, tuple[list, ski_core.ProbeKeys]] = {}  # item index -> its tuples, source keys
+        self.source_keys: dict[int, ski_core.ProbeKeys] = {}  # item index -> its source side's probe keys
 
     def choices(self) -> list[list[int]]:
         """The rule sets the beam may give each item: its fewest-token
@@ -229,10 +229,9 @@ class _Search:
         i = len(prefix) - 1
         item, fuel = self.items[i], self.cfg.fuel
         if i not in self.source_keys:
-            tuples = self.cfg.probe_tuples(item.arity)
-            self.source_keys[i] = tuples, ski_core.probe_keys(item.inlined, tuples, fuel)
-        tuples, keys = self.source_keys[i]
-        self.distances[prefix] = semantic_distance(item.inlined, self.closed(prefix), tuples, fuel, keys)
+            self.source_keys[i] = ski_core.probe_keys(item.inlined, self.cfg.probe_tuples(item.arity), fuel)
+        keys = self.source_keys[i]
+        self.distances[prefix] = semantic_distance(item.inlined, self.closed(prefix), keys[0], fuel, keys)
 
     def distance_bounds(self, c: _Candidate) -> tuple[float, float]:
         """[lo, hi] holding the candidate's distance."""

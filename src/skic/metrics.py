@@ -7,8 +7,7 @@ whitespace and comments never count.
 
 The information-content proxy is raw DEFLATE (RFC 1951) at maximum
 effort with no container framing, measured in output bytes.  The
-pinned pseudo-random fixture generator is SplitMix64: each output is
-the low 8 bits of successive draws.
+pinned pseudo-random generator is SplitMix64.
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ def tokenize(source: str, dialect: str = "source") -> list[lambda_ir.Token]:
     """The lexer's tokens of `source` in the named dialect ("source" or "gael");
     a character outside the dialect raises the lexer's `ParseError` (line:col)."""
     return lambda_ir._lex(source, dialect)
-
-
-def token_count(source: str, dialect: str = "source") -> int:
-    return len(tokenize(source, dialect))
 
 
 def compression_rate(s_tokens: int, p_tokens: int) -> Fraction:
@@ -106,9 +101,3 @@ def splitmix64_stream(seed: int):
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         yield z ^ (z >> 31)
-
-
-def prng_bytes(seed: int, count: int) -> bytes:
-    """`count` bytes: the low 8 bits of successive SplitMix64 outputs."""
-    gen = splitmix64_stream(seed)
-    return bytes(next(gen) & 0xFF for _ in range(count))

@@ -18,7 +18,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from . import lambda_ir
 from .lambda_ir import (
@@ -159,6 +159,10 @@ def ski_reduce(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
 
 PROBE_VALUES = (-2, -1, 0, 1, 2, 3)
 
+# (arity, tuple count) -> the probe set and its argument literals
+# (`_arguments`), built once
+_PROBE_SETS: dict[tuple[int, int], tuple[list[tuple[int, ...]], list[Term]]] = {}
+
 
 def probe_tuples(arity: int, limit: int) -> list[tuple[int, ...]]:
     """The probe set: the first `limit` arity-fold tuples over
@@ -167,7 +171,11 @@ def probe_tuples(arity: int, limit: int) -> list[tuple[int, ...]]:
         raise ValueError("probe arity must be nonnegative")
     if limit < 1:
         raise ValueError("probe tuple count must be positive")
-    return list(itertools.islice(itertools.product(PROBE_VALUES, repeat=arity), limit))
+    key = arity, min(limit, len(PROBE_VALUES) ** arity)
+    if key not in _PROBE_SETS:
+        tuples = list(itertools.islice(itertools.product(PROBE_VALUES, repeat=arity), limit))
+        _PROBE_SETS[key] = tuples, _arguments(tuples)
+    return _PROBE_SETS[key][0].copy()
 
 
 class Verdict(Enum):
@@ -188,8 +196,17 @@ class EquivalenceResult:
 
 
 # one literal per integer, shared by the probe arguments and the keys of
-# `_lane_keys`' walk, so equal integer keys are one object (`compare_keys`)
+# `_group_key`' and `_lane_keys`' walks, so equal integer keys are one
+# object (`compare_keys`)
 _literal = functools.cache(IntLit)
+
+
+def _arguments(tuples: list[tuple[int, ...]]) -> list[Term]:
+    """The argument literals that run `tuples` as lanes: per position, one
+    literal of the value every tuple shares, else one holding each
+    tuple's value.  Agreeing lanes are always one scalar, here and in
+    `lambda_ir._lanewise`, so a lane literal's values never all agree."""
+    return [_literal(c[0]) if c.count(c[0]) == len(c) else IntLit(c) for c in zip(*tuples)]
 
 
 def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> object:
@@ -197,24 +214,30 @@ def comparison_form(side: Term, args: tuple[int, ...], fuel: int) -> object:
     applied side's canonical normal form, so results compare up to alpha,
     the EvalOverflowError its reduction raises, or None if the side runs
     out of fuel first.  `comparison_forms` of the one tuple."""
-    return comparison_forms(side, [args], fuel)[0]
+    return _tuple_keys(comparison_forms(side, [args], fuel), 1, range(1))[0]
 
 
 def comparison_forms(side: Term, tuples: list[tuple[int, ...]], fuel: int) -> list:
-    """`comparison_form` of `side` on each of `tuples`, reducing it once
-    per group of tuples run as lanes: each argument literal holds every
-    lane's value (`lambda_ir._normalize`).  Where an `#if` or an overflow
-    tells lanes apart, the run stops; overflowing lanes settle as their
-    own EvalOverflowError, and the rest regroup and run again from the
-    start.  Groups only shrink, so n tuples take at most 2n - 1 runs, and
-    a group of one is a plain reduction.  Each normal form gives every
-    lane's key at once (`_lane_keys`)."""
-    keys: list = [None] * len(tuples)
-    groups = [range(len(tuples))] if tuples else []
+    """`side` probed on `tuples`, as (group, key) per group of tuples run as
+    lanes, the groups partitioning the indices of `tuples`.  Each group
+    reduces once, its argument literals holding every lane's value
+    (`lambda_ir._normalize`).  Where an `#if` or an overflow tells lanes
+    apart, the run stops; overflowing lanes settle as their own
+    EvalOverflowError, and the rest regroup and run again from the start.
+    Groups only shrink, so n tuples take at most 2n - 1 runs, and a group
+    of one is a plain reduction.
+
+    A group whose result is built only from applications and literals
+    keeps one group key (`_group_key`), which `_lane_keys` splits into its
+    lanes' `comparison_form` keys; any other group holds the list of its
+    lanes' keys."""
+    out: list = []
+    whole = range(len(tuples))
+    groups = [whole] if tuples else []
     while groups:
         group = groups.pop()
-        columns = zip(*(tuples[i] for i in group))
-        args = (_literal(c[0]) if c.count(c[0]) == len(c) else IntLit(c) for c in columns)
+        probe_set = group is whole and _PROBE_SETS.get((len(tuples[0]), len(tuples)))
+        args = probe_set[1] if probe_set and probe_set[0] == tuples else _arguments([tuples[i] for i in group])
         try:
             nf = ski_reduce(apply_spine(side, *args), fuel)
         except lambda_ir.LanesDiverge as split:
@@ -222,49 +245,71 @@ def comparison_forms(side: Term, tuples: list[tuple[int, ...]], fuel: int) -> li
             parts: dict[bool, list[int]] = {}
             for i, v in zip(group, values):
                 if op != "if" and not lambda_ir.INT64_MIN <= v <= lambda_ir.INT64_MAX:
-                    keys[i] = lambda_ir.EvalOverflowError(op, v)
+                    out.append(([i], [lambda_ir.EvalOverflowError(op, v)]))
                 else:
                     parts.setdefault(op == "if" and v, []).append(i)
             groups += parts.values()
             continue
         except lambda_ir.EvalOverflowError as exc:  # at a value every lane shares
-            for i in group:
-                keys[i] = exc
+            out.append((group, [exc] * len(group)))
             continue
         except FuelExhausted:
+            out.append((group, [None] * len(group)))
             continue
-        for i, k in zip(group, _lane_keys(nf, len(group), fuel)):
-            keys[i] = k
-    return keys
+        key = _group_key(nf)
+        out.append((group, [_finish(lane, fuel) for lane in _lanes(nf, len(group))] if key is None else key))
+    return out
 
 
-def _lane_keys(nf: Term, n: int, fuel: int) -> list:
-    """The keys of a normal form's `n` lanes.  A result built only from
-    applications and literals is closed, binder-free and normal, so the
-    passes of `_finish` would leave each lane as it is: one iterative
-    post-order walk keys all lanes at once, as the de Bruijn form
-    `("app", f, a)` with its literals as leaves, each `IntLit` the shared
-    `_literal` of its lane's value, and a subkey holding no lane value
-    shared by every lane.  A result holding a `Var`, `Lam`, `Prim` or
-    `Comb` is split (`_lanes`) and each lane finished (`_finish`)."""
-    todo, built = [nf], []  # built: a subterm's key, or the list of its n lanes' keys
+def _group_key(nf: Term) -> object:
+    """The key of a lane group's result built only from applications and
+    literals, or None for one holding a `Var`, `Lam`, `Prim` or `Comb`.
+    Such a result is closed, binder-free and normal, so the passes of
+    `_finish` would leave each lane as it is: one iterative post-order
+    walk keys it as the de Bruijn form `("app", f, a)` with its literals
+    as leaves, a scalar `IntLit` the shared `_literal` of its value and a
+    lane literal itself.  Since lane literals never hold agreeing values
+    (`_arguments`), two group keys over the same tuples are equal exactly
+    when every lane's keys are."""
+    todo, built = [nf], []
     while todo:
         t = todo.pop()
         if type(t) is App:
             todo += None, t.arg, t.fun  # None: both parts are keyed
         elif t is None:
-            (f, a), built[-2:] = built[-2:], []
+            a = built.pop()
+            built[-1] = ("app", built[-1], a)
+        elif type(t) is IntLit:
+            built.append(t if type(t.value) is tuple else _literal(t.value))
+        elif type(t) is BoolLit:
+            built.append(t)
+        else:
+            return None
+    return built[0]
+
+
+def _lane_keys(key: object, n: int) -> list:
+    """The `comparison_form` keys of a group key's `n` lanes: one iterative
+    post-order walk, where a lane literal gives each lane's value, an
+    `IntLit` as its shared `_literal`, and a subkey holding none is
+    shared by every lane."""
+    todo, built = [key], []  # built: a subkey, or the list of its n lanes' subkeys
+    while todo:
+        k = todo.pop()
+        if type(k) is tuple:
+            todo += [k], k[2], k[1]  # [k]: both parts are split
+        elif type(k) is list:
+            a = built.pop()
+            f = built[-1]
             if type(f) is list or type(a) is list:
                 cols = zip(f if type(f) is list else [f] * n, a if type(a) is list else [a] * n)
-                built.append([("app", *fa) for fa in cols])
+                built[-1] = [("app", *fa) for fa in cols]
             else:
-                built.append(("app", f, a))
-        elif type(t) is IntLit:
-            built.append([*map(_literal, t.value)] if type(t.value) is tuple else _literal(t.value))
-        elif type(t) is BoolLit:
-            built.append([*map(BoolLit, t.value)] if type(t.value) is tuple else t)
+                built[-1] = k[0]
+        elif type(k.value) is tuple:
+            built.append([*map(_literal if type(k) is IntLit else BoolLit, k.value)])
         else:
-            return [_finish(lane, fuel) for lane in _lanes(nf, n)]
+            built.append(k)
     return built[0] if type(built[0]) is list else [built[0]] * n
 
 
@@ -272,7 +317,7 @@ def _lanes(t: Term, n: int) -> list[Term]:
     """`t` in each of its `n` lanes, `t` itself n times if it holds no lane
     value: one iterative post-order walk, where a lane literal reads its
     lane's value and a subterm holding none stays itself.  Only results
-    that `_lane_keys` cannot key in its walk are split."""
+    that `_group_key` cannot key are split."""
     todo, built = [t], []  # built: a subterm, or the list of its n lanes
     while todo:
         t = todo.pop()
@@ -292,7 +337,7 @@ def _lanes(t: Term, n: int) -> list[Term]:
 
 def _finish(nf: Term, fuel: int) -> object:
     """`comparison_form`'s key for one lane of a reduced result holding a
-    `Var`, `Lam`, `Prim` or `Comb` (`_lane_keys` keys the rest).  A
+    `Var`, `Lam`, `Prim` or `Comb` (`_group_key` keys the rest).  A
     result still holding a combinator is decoded and reduced again, so
     every result reaches `lambda_ir.canonical_closure` in beta-delta
     normal form."""
@@ -307,12 +352,24 @@ def _finish(nf: Term, fuel: int) -> object:
     return lambda_ir._debruijn(nf, ())
 
 
-ProbeKeys = list[tuple[tuple[int, ...], object]]
+def _tuple_keys(groups: list, n: int, slots: Sequence[int]) -> list:
+    """Each tuple's key from `comparison_forms`' groups, splitting group
+    keys into lanes: group member j is tuple `slots[j]` of n, and a tuple
+    no group holds keeps None."""
+    keys: list = [None] * n
+    for group, key in groups:
+        for j, k in zip(group, key if type(key) is list else _lane_keys(key, len(group))):
+            keys[slots[j]] = k
+    return keys
+
+
+# a probed side's tuples and `comparison_forms`
+ProbeKeys = tuple[list[tuple[int, ...]], list]
 
 
 def probe_keys(side: Term, tuples: list[tuple[int, ...]], fuel: int) -> ProbeKeys:
-    """(tuple, `comparison_form` key) per probe tuple."""
-    return list(zip(tuples, comparison_forms(side, tuples, fuel)))
+    """`side`'s tuples and its `comparison_forms` on them."""
+    return tuples, comparison_forms(side, tuples, fuel)
 
 
 def compare_keys(keys: ProbeKeys, other: Term, fuel: int) -> EquivalenceResult:
@@ -325,35 +382,55 @@ def compare_keys(keys: ProbeKeys, other: Term, fuel: int) -> EquivalenceResult:
     order.  The distance is the mean `PENALTY` over the tuples;
     `different` carries the first disagreeing tuple; `unknown` means some
     tuple was undecided and none disagreed.
+
+    A group both sides ran alike, each to a group key, agrees on every
+    tuple where the two keys are equal; only the other groups are split
+    into their tuples' keys.
     """
+    tuples, groups = keys
+    n = len(tuples)
+    fueled = all(type(key) is not list or None not in key for _, key in groups)
+    slots = range(n) if fueled else [i for i, k in enumerate(_tuple_keys(groups, n, range(n))) if k is not None]
+    theirs = comparison_forms(other, tuples if fueled else [tuples[i] for i in slots], fuel)
+    agreed = set()  # the first tuple of each such group
+    if fueled:  # `other`'s groups index `tuples` too
+        mine = {group[0]: (group, key) for group, key in groups if type(key) is not list}
+        for group, kb in theirs:
+            group_a, ka = mine.get(group[0], (None, None))
+            if type(kb) is not list and group_a == group and _keys_equal(ka, kb):
+                agreed.add(group[0])
+        if groups and len(agreed) == len(groups):  # no tuples divides by zero below, not a vacuous equal
+            return EquivalenceResult(Verdict.EQUAL, 0.0, None)
+    split = [(group, key) for group, key in groups if group[0] not in agreed]
+    a_keys = _tuple_keys(split, n, range(n))
+    b_keys = _tuple_keys([(group, key) for group, key in theirs if group[0] not in agreed], n, slots)
     penalty, witness, undecided = 0.0, None, False
-    other_keys = iter(comparison_forms(other, [tup for tup, ka in keys if ka is not None], fuel))
-    for tup, ka in keys:
-        kb = None if ka is None else next(other_keys)
+    for i in sorted(i for group, _ in split for i in group):
+        ka, kb = a_keys[i], b_keys[i]
         if ka is None or kb is None:
             agree = None
-        elif ka is kb:
-            agree = True
         elif isinstance(ka, lambda_ir.EvalOverflowError) and isinstance(kb, lambda_ir.EvalOverflowError):
             agree = ka.value == kb.value or None
         else:
-            try:
-                agree = ka == kb
-            except RecursionError:  # keys nested deeper than the recursion limit
-                agree = _keys_equal(ka, kb)
+            agree = _keys_equal(ka, kb)
         penalty += PENALTY[agree]
         if agree is False and witness is None:
-            witness = tup
+            witness = tuples[i]
         undecided = undecided or agree is None
     if witness is not None:
         verdict = Verdict.DIFFERENT
     else:
         verdict = Verdict.UNKNOWN if undecided else Verdict.EQUAL
-    return EquivalenceResult(verdict, penalty / len(keys), witness)
+    return EquivalenceResult(verdict, penalty / n, witness)
 
 
 def _keys_equal(a: object, b: object) -> bool:
-    """`a == b` on two keys, whose nested tuples are walked with a stack."""
+    """`a == b` on two keys; keys nested deeper than the recursion limit
+    are walked with a stack."""
+    try:
+        return a is b or a == b
+    except RecursionError:
+        pass
     todo = [(a, b)]
     while todo:
         a, b = todo.pop()

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from skic import lambda_ir as L
+from skic import metrics as M
 from skic import ski_core as SK
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -24,6 +25,18 @@ def corpus_sources() -> list[tuple[str, str]]:
         (p.stem, p.read_text(encoding="utf-8"))
         for p in sorted(CORPUS_DIR.glob("*.lam"), key=lambda p: p.name)
     ]
+
+
+def token_count(source: str, dialect: str = "source") -> int:
+    """The number of the lexer's tokens of `source` (`metrics.tokenize`)."""
+    return len(M.tokenize(source, dialect))
+
+
+def prng_bytes(seed: int, count: int) -> bytes:
+    """`count` bytes: the low 8 bits of successive SplitMix64 outputs, the
+    pinned pseudo-random fixture."""
+    gen = M.splitmix64_stream(seed)
+    return bytes(next(gen) & 0xFF for _ in range(count))
 
 
 def term_size(t: L.Term) -> int:
@@ -288,3 +301,35 @@ def ref_probe_key(side: L.Term, args: tuple[int, ...], fuel: int) -> object:
         return L._debruijn(ref_read_adds(nf), ())
     except L.EvalOverflowError as exc:
         return exc
+
+
+def tuple_keys(probed: SK.ProbeKeys) -> list:
+    """Each tuple's `ski_core.comparison_form` key, in tuple order, from a
+    side's `ski_core.probe_keys`, whose `comparison_forms` holds one key
+    per group of tuples run as lanes."""
+    tuples, groups = probed
+    return SK._tuple_keys(groups, len(tuples), range(len(tuples)))
+
+
+# the primitives a mutant swaps a primitive for
+MUTANT_PRIMS = ("add", "sub", "mul", "eq")
+
+
+def leaf_mutants(t: L.Term) -> list[L.Term]:
+    """Every single-leaf mutant of t, in pre-order: a combinator swapped
+    for each other one, an integer plus 1, a boolean flipped, and a
+    primitive swapped for each of `MUTANT_PRIMS` but itself.  A variable
+    is left as it is."""
+    if type(t) is L.App:
+        return [L.App(f, t.arg) for f in leaf_mutants(t.fun)] + [L.App(t.fun, a) for a in leaf_mutants(t.arg)]
+    if type(t) is L.Lam:
+        return [L.Lam(t.param, body) for body in leaf_mutants(t.body)]
+    if type(t) is L.Comb:
+        return [c for c in (SK.S, SK.K, SK.I) if c != t]
+    if type(t) is L.IntLit:
+        return [L.IntLit(t.value + 1)]
+    if type(t) is L.BoolLit:
+        return [L.BoolLit(not t.value)]
+    if type(t) is L.Prim:
+        return [L.Prim(op) for op in MUTANT_PRIMS if op != t.op]
+    return []

@@ -20,7 +20,7 @@ from skic.explainer import explain_term, parse_explanation
 from skic.mdl_opt import MdlConfig
 from skic.ski_core import RuleSet, Verdict
 
-from conftest import CORPUS_DIR, gen_normalizing_term, gen_ski_term
+from conftest import CORPUS_DIR, gen_normalizing_term, gen_ski_term, prng_bytes
 from test_mdl_opt import THREE_DEF_FIXTURES, exhaustive_best_objective, plan_objective
 from test_type_infer import oracle_posterior
 
@@ -174,7 +174,7 @@ def test_c05_posterior_contract():
 
 
 def test_c06_density_bound_diagnostics():
-    rnd = M.symbolic_density(M.prng_bytes(42, 4096))  # default c = 16
+    rnd = M.symbolic_density(prng_bytes(42, 4096))  # default c = 16
     assert rnd.rho >= Fraction(9, 10)
     assert rnd.bound_slack >= 0.0
     assert rnd.k_approx == 4101  # golden, recorded at first run

@@ -63,16 +63,18 @@ def test_every_tracer_hook_target_exists():
 
 def test_tiny_runs_verify_the_pinned_probe_tuples(monkeypatch):
     # the tuples verification probes in one tiny pass of each workload at
-    # seed 7: exact counts, free of timing noise, so a change that probes
-    # more moves them
+    # seed 7, and the reductions it runs on them: exact counts, free of
+    # timing noise, so a change that probes more, or reduces a probe
+    # again, moves them
     from skic import cli_pipeline, ski_core
 
     spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
-    behavioral_equal, comparison_forms = ski_core.behavioral_equal, ski_core.comparison_forms
-    verifying, counts = [False], []
+    behavioral_equal, comparison_forms, ski_reduce = (
+        ski_core.behavioral_equal, ski_core.comparison_forms, ski_core.ski_reduce)
+    verifying, counts, reductions = [False], [], []
 
     def verified(*args):
         verifying[0] = True
@@ -85,13 +87,20 @@ def test_tiny_runs_verify_the_pinned_probe_tuples(monkeypatch):
         counts[-1] += len(tuples) * verifying[0]
         return comparison_forms(side, tuples, fuel)
 
+    def reduced(*args):
+        reductions[-1] += verifying[0]
+        return ski_reduce(*args)
+
     monkeypatch.setattr(ski_core, "behavioral_equal", verified)
     monkeypatch.setattr(ski_core, "comparison_forms", counted)
+    monkeypatch.setattr(ski_core, "ski_reduce", reduced)
     for name in ("corpus_mix", "def_chain", "infer_wide"):
         workload = workloads.WORKLOADS[name]
         stream = workloads.ProgramStream(workload, 7, ROOT, tiny=True)
         counts.append(0)
+        reductions.append(0)
         for _ in range(workload.rounds):
             for program in stream.next_round():
                 cli_pipeline.run_pipeline(program.source, program_id=program.pid)
     assert counts == [560, 132, 6]
+    assert reductions == [40, 22, 6]

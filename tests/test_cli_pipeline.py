@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import inspect
 import io
+import itertools
 import json
 import os
 import random
@@ -23,7 +24,7 @@ from skic import metrics as M
 from skic import ski_core as SK
 from skic.mdl_opt import MdlConfig
 
-from conftest import CORPUS_DIR, gen_mixed_term
+from conftest import CORPUS_DIR, gen_mixed_term, leaf_mutants, token_count
 
 HIGHER_ORDER_DIR = Path(__file__).resolve().parent / "fixtures" / "higher_order"
 
@@ -61,8 +62,8 @@ def test_report_fields_recomputable():
     res = CP.run_pipeline("sq := \\x. #mul x x;\nsq 4")
     r = res.report
     assert r.cr == 1 - Fraction(r.s_tokens, r.p_tokens)
-    assert r.p_tokens == M.token_count("sq := \\x. #mul x x;\nsq 4", "source")
-    assert r.s_tokens == M.token_count(res.gael_text, "gael")
+    assert r.p_tokens == token_count("sq := \\x. #mul x x;\nsq 4", "source")
+    assert r.s_tokens == token_count(res.gael_text, "gael")
     d = r.to_dict()
     assert d["cr_exact"] == [r.cr.numerator, r.cr.denominator]
     assert d["density_source"]["rho"] == float(r.density_source.rho)
@@ -510,6 +511,32 @@ def test_cli_exit_3_on_a_corrupted_extraction(tmp_path, monkeypatch, capsys):
     assert CP.main(["compress", str(src_file), "--report", str(report_file)]) == 3
     assert "differs from source for prog" in capsys.readouterr().err
     assert json.loads(report_file.read_text())["equivalence"] == "different"
+
+
+def test_mutation_score_of_the_corpus_and_higher_order_programs():
+    # every single-leaf mutant of every item of each compiled corpus and
+    # higher-order program, verified against its source: the caught ones
+    # read `different`.  A survivor also reads `equal` on every tuple over
+    # -5..8 at fuel 50,000, so it is likely an equivalent mutant.  Branches
+    # on values outside the probe set, which the probes miss, are not in
+    # these programs
+    cfg, wide = MdlConfig(), MdlConfig(fuel=50_000)
+    caught, survivors = 0, []
+    for path in sorted(CORPUS_DIR.glob("*.lam")) + sorted(HIGHER_ORDER_DIR.glob("*.lam")):
+        text = path.read_text(encoding="utf-8")
+        source, items = L.parse_program(text), list(CP.run_pipeline(text, cfg, path.stem).plan.encoded.items())
+        for k, (name, body) in enumerate(items):
+            for mutant in leaf_mutants(body):
+                encoded = L.Program.of_items([*items[:k], (name, mutant), *items[k + 1:]])
+                if CP._verify_equivalence(source, encoded, cfg)[0] == "different":
+                    caught += 1
+                else:
+                    survivors.append((source, encoded))
+    assert (caught, len(survivors)) == (425, 11)
+    for source, encoded in survivors:
+        for p, s, _ in MD.item_checks(source, encoded, wide):
+            probes = list(itertools.product(range(-5, 9), repeat=L.leading_lambda_count(p)))
+            assert SK.behavioral_equal(p, s, probes, wide.fuel).verdict is SK.Verdict.EQUAL
 
 
 def test_corpus_probes_each_emitted_program_once(corpus_dir, monkeypatch):

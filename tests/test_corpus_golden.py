@@ -23,7 +23,7 @@ from skic import lambda_ir as L
 from skic import mdl_opt as MD
 from skic import ski_core as SK
 
-from conftest import CORPUS_DIR, corpus_sources, ref_probe_key
+from conftest import CORPUS_DIR, corpus_sources, ref_probe_key, tuple_keys
 from test_ski_core import _key_outcome
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -77,9 +77,9 @@ def test_higher_order_programs_reproduce_golden_report():
 def test_higher_order_probes_match_the_reference_key():
     # a second opinion from the test-side passes, on every tuple of every
     # item and both sides: these programs are where lane results that are
-    # not literals are keyed, stuck literal applications in `_lane_keys`'
-    # walk (03_church_mul, 04_twice_lambda) and the rest split per lane
-    # and finished
+    # not literals are keyed, stuck literal applications as a group key
+    # split by `_lane_keys` (03_church_mul, 04_twice_lambda) and the rest
+    # split per lane and finished
     cfg, split, walked = MD.MdlConfig(), [], []
     lanes, lane_keys = SK._lanes, SK._lane_keys
 
@@ -87,11 +87,9 @@ def test_higher_order_probes_match_the_reference_key():
         split.append(lanes(t, n))
         return split[-1]
 
-    def keyed(nf, n, fuel):
-        before = len(split)
-        keys = lane_keys(nf, n, fuel)
-        walked.append((path.stem, n, len(split) == before, keys))
-        return keys
+    def keyed(key, n):
+        walked.append((path.stem, n, lane_keys(key, n)))
+        return walked[-1][2]
 
     for path in sorted((FIXTURES / "higher_order").glob("*.lam")):
         source = path.read_text(encoding="utf-8")
@@ -99,16 +97,15 @@ def test_higher_order_probes_match_the_reference_key():
         for p, s, tuples in MD.item_checks(L.parse_program(source), encoded, cfg):
             for side in (p, s):
                 with mock.patch.object(SK, "_lanes", recorded), mock.patch.object(SK, "_lane_keys", keyed):
-                    keys = dict(zip(tuples, SK.comparison_forms(side, tuples, cfg.fuel)))
+                    keys = dict(zip(tuples, tuple_keys(SK.probe_keys(side, tuples, cfg.fuel))))
                 for tup in tuples:
                     expected = _key_outcome(ref_probe_key, side, tup, cfg.fuel)
                     assert _key_outcome(lambda *_: keys[tup], side, tup, cfg.fuel) == expected, (path.name, tup)
     # a result that held lane values comes back as distinct terms, one per lane
     assert any(terms[0] is not terms[1] and type(terms[0]) not in (L.IntLit, L.BoolLit)
                for terms in split if len(terms) > 1)
-    # and a stuck literal application's lanes are keyed in the walk, unsplit
-    stuck = {stem for stem, n, unsplit, keys in walked
-             if n > 1 and unsplit and type(keys[0]) is tuple and keys[0] != keys[1]}
+    # and a stuck literal application's lanes are keyed from its group key
+    stuck = {stem for stem, n, keys in walked if n > 1 and type(keys[0]) is tuple and keys[0] != keys[1]}
     assert stuck == {"03_church_mul", "04_twice_lambda"}
 
 if __name__ == "__main__":

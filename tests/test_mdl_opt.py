@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from skic import cli_pipeline as CP
 from skic import lambda_ir as L
 from skic import mdl_opt as MD
-from skic import metrics as M
 from skic import ski_core as SK
 from skic.mdl_opt import MdlConfig
 from skic.ski_core import RuleSet
 
-from conftest import corpus_sources, gen_chain, gen_normalizing_term, gen_ski_term, term_size
+from conftest import (corpus_sources, gen_chain, gen_normalizing_term, gen_ski_term, term_size, token_count,
+                      tuple_keys)
 from test_type_infer import arithmetic_programs
 
 THREE_DEF_FIXTURES = [
@@ -71,11 +71,11 @@ def test_objective_lambda_one_is_token_count():
     t = L.parse_term(r"\x.\y. #add x y")
     s = SK.bracket_abstract(t, RuleSet.NAIVE)
     cfg = MdlConfig(lambda_weight=1.0)
-    assert MD.mdl_objective(s, t, cfg) == M.token_count(L.pretty_print(s), "gael")
+    assert MD.mdl_objective(s, t, cfg) == token_count(L.pretty_print(s), "gael")
     rng = random.Random(29)
     for _ in range(40):
         s = gen_ski_term(rng)
-        assert MD.mdl_objective(s, s, cfg) == M.token_count(L.pretty_print(s), "gael"), s
+        assert MD.mdl_objective(s, s, cfg) == token_count(L.pretty_print(s), "gael"), s
 
 
 def test_objective_refuses_an_encoding_holding_a_lambda():
@@ -120,7 +120,7 @@ def test_compress_plan_objective_decomposes():
     source = "add2 := \\x. #add x 2;\nadd2 5"
     cfg = MdlConfig()
     result = CP.run_pipeline(source, cfg)
-    assert result.report.s_tokens == result.plan.token_length == M.token_count(result.gael_text, "gael")
+    assert result.report.s_tokens == result.plan.token_length == token_count(result.gael_text, "gael")
     dist = MD.program_distance(L.parse_program(source), result.plan.encoded, cfg)
     recomputed = cfg.lambda_weight * result.plan.token_length + (1 - cfg.lambda_weight) * dist
     assert abs(result.report.objective - recomputed) < 1e-12
@@ -181,7 +181,7 @@ def exhaustive_best_objective(prog: L.Program, cfg: MdlConfig) -> float:
         encoded = _encode(items, combo)
         if cfg.extraction_enabled:
             encoded = MD.extract_common_subterms(encoded, cfg)
-        tokens = M.token_count(SK.gael_print_program(encoded), "gael")
+        tokens = token_count(SK.gael_print_program(encoded), "gael")
         dist = MD.program_distance(prog, encoded, cfg)
         objective = cfg.lambda_weight * tokens + (1 - cfg.lambda_weight) * dist
         if best is None or objective < best:
@@ -233,7 +233,7 @@ def _assert_encodings_match_bracket_abstraction(source: str) -> None:
             term, tokens = search.encodings[i, r]
             assert term == SK.bracket_abstract(item.source, rule_set, item.constants), (source, i, rule_set)
             line = SK.gael_print_program(L.Program.of_items([(item.name, term)]))
-            assert tokens == M.token_count(line, "gael"), (source, i, rule_set)
+            assert tokens == token_count(line, "gael"), (source, i, rule_set)
             assert SK.bracket_abstract(term, rule_set, item.constants) is term
 
 
@@ -293,7 +293,7 @@ def eager_compress(prog: L.Program, cfg: MdlConfig) -> tuple[MD.CompressionPlan,
                 distances[full[: i + 1]] = MD.semantic_distance(item.inlined, closed[item.name], probes, cfg.fuel)
         dist = max(distances[full[: i + 1]] for i in range(n))
         text = SK.gael_print_program(encoded)
-        tokens = M.token_count(text, "gael")
+        tokens = token_count(text, "gael")
         scores[state] = (MD.objective(cfg, tokens, dist), tokens, dist)
         return scores[state][0], tokens, text
 
@@ -494,7 +494,7 @@ class _SeededSearch(MD._Search):
     def __init__(self, items, cfg):
         super().__init__(items, cfg)
         line = SK.gael_print_program(L.Program.of_items([(items[0].name, self.seed)]))
-        self.encodings[0, 0] = self.seed, M.token_count(line, "gael")
+        self.encodings[0, 0] = self.seed, token_count(line, "gael")
 
 
 def test_token_tie_with_different_text_falls_back_to_the_beam(monkeypatch, comparison_calls):
@@ -535,7 +535,7 @@ class _TiedSearch(MD._Search):
         for i, r in self.tied:
             term = _bump_literals(self.encodings[i, r][0])
             line = SK.gael_print_program(L.Program.of_items([(items[i].name, term)]))
-            self.encodings[i, r] = term, M.token_count(line, "gael")
+            self.encodings[i, r] = term, token_count(line, "gael")
 
 
 class _UnprunedTiedSearch(_TiedSearch):
@@ -639,9 +639,9 @@ def test_search_store_holds_fuel_outs_and_overflows():
     seen = set()
     for source, fuel in cases.values():
         search = _assert_store_matches_fresh(L.parse_program(source), MdlConfig(lambda_weight=0.0, fuel=fuel))
-        for _, keys in search.source_keys.values():
-            seen |= {"fuel" for _, k in keys if k is None}
-            seen |= {"overflow" for _, k in keys if isinstance(k, L.EvalOverflowError)}
+        for probed in search.source_keys.values():
+            seen |= {"fuel" for k in tuple_keys(probed) if k is None}
+            seen |= {"overflow" for k in tuple_keys(probed) if isinstance(k, L.EvalOverflowError)}
     assert seen == set(cases)
 
 
@@ -669,9 +669,9 @@ def test_extraction_three_occurrences_arithmetic():
         defs=(("a", L.App(x, L.IntLit(1))), ("b", L.App(x, L.IntLit(2)))),
         main=L.App(x, L.IntLit(3)),
     )
-    before = M.token_count(SK.gael_print_program(prog), "gael")
+    before = token_count(SK.gael_print_program(prog), "gael")
     out = MD.extract_common_subterms(prog, MdlConfig())
-    after = M.token_count(SK.gael_print_program(out), "gael")
+    after = token_count(SK.gael_print_program(out), "gael")
     assert len(out.defs) == len(prog.defs) + 1
     assert after < before
     # replacement preserved every item's behavior
@@ -725,7 +725,7 @@ def _separate_census(prog: L.Program) -> tuple[dict, str]:
     used = {name for name, _ in prog.defs}.union(*(L.free_vars(body) for _, body in prog.items()))
     name = next(f"q{i}" for i in itertools.count() if f"q{i}" not in used)
     census = {
-        t: [count, term_size(t), M.token_count(L.pretty_print(t), "gael"), args.get(t, 0)]
+        t: [count, term_size(t), token_count(L.pretty_print(t), "gael"), args.get(t, 0)]
         for t, count in counts.items()
     }
     return census, name
@@ -817,7 +817,7 @@ def test_extraction_never_increases_tokens():
         encoded = SK.bracket_abstract(t, RuleSet.NAIVE)
         prog = L.Program(defs=(), main=encoded)
         out = MD.extract_common_subterms(prog, MdlConfig())
-        assert M.token_count(SK.gael_print_program(out), "gael") <= M.token_count(
+        assert token_count(SK.gael_print_program(out), "gael") <= token_count(
             SK.gael_print_program(prog), "gael"
         )
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from skic import lambda_ir as L
 from skic import metrics as M
 
-from conftest import corpus_sources
+from conftest import corpus_sources, prng_bytes, token_count
 
 # Golden values from the pinned reference compressor (raw DEFLATE,
 # level 9) and the pinned SplitMix64 fixture stream.
@@ -25,11 +25,11 @@ GOLDEN_SPLITMIX_FIRST = 6750856300299513006
 def test_tokenize_source_example():
     toks = M.tokenize(r"\x. #add x 1")
     assert [t.text for t in toks] == ["\\", "x", ".", "#add", "x", "1"]
-    assert len(toks) == M.token_count(r"\x. #add x 1") == 6
+    assert len(toks) == token_count(r"\x. #add x 1") == 6
 
 
 def test_tokenize_gael_example():
-    assert M.token_count("S (K I)", "gael") == 5
+    assert token_count("S (K I)", "gael") == 5
 
 
 def test_tokenize_empty():
@@ -124,7 +124,7 @@ def test_repeated_fixture_golden():
 
 
 def test_prng_fixture_golden():
-    k = M.approx_kolmogorov(M.prng_bytes(42, 4096))
+    k = M.approx_kolmogorov(prng_bytes(42, 4096))
     assert k == GOLDEN_PRNG_4096
     assert k >= 3700
 
@@ -141,7 +141,7 @@ def _raw_deflate_length(data: bytes) -> int:
 def test_density_proxy_is_raw_deflate_length():
     inputs = [source.encode() for _, source in corpus_sources()]
     for n in (1, 2, 255, 65535, 65536, 65537, 300_000):  # across zlib's 64 KiB window and buffers
-        inputs += [M.prng_bytes(n, n), b"ab" * (n // 2) + b"a" * (n % 2), bytes(range(256)) * (n // 256)]
+        inputs += [prng_bytes(n, n), b"ab" * (n // 2) + b"a" * (n % 2), bytes(range(256)) * (n // 256)]
     for data in filter(None, inputs):
         assert M.approx_kolmogorov(data) == _raw_deflate_length(data), len(data)
 
@@ -158,7 +158,7 @@ def test_empty_input_error():
 def test_splitmix_stream_pinned():
     gen = M.splitmix64_stream(42)
     assert next(gen) == GOLDEN_SPLITMIX_FIRST
-    assert list(M.prng_bytes(42, 8)) == GOLDEN_PRNG_FIRST_8
+    assert list(prng_bytes(42, 8)) == GOLDEN_PRNG_FIRST_8
 
 
 # --- density -------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_density_repeated():
 
 
 def test_density_prng_bound():
-    rep = M.symbolic_density(M.prng_bytes(42, 4096))
+    rep = M.symbolic_density(prng_bytes(42, 4096))
     assert rep.rho >= Fraction(9, 10)
     assert rep.bound_slack >= 0.0
     assert rep.c_constant == 16.0
@@ -181,7 +181,7 @@ def test_density_prng_bound():
 def test_density_slack_formula():
     import math
 
-    data = M.prng_bytes(7, 1024)
+    data = prng_bytes(7, 1024)
     rep = M.symbolic_density(data, c=4.0)
     expected = rep.k_approx - (1024 - 4.0 * math.log2(1024))
     assert rep.bound_slack == expected
@@ -195,7 +195,7 @@ def test_density_monotone_under_self_concat():
 
 
 def test_density_allows_rho_above_one():
-    rep = M.symbolic_density(M.prng_bytes(42, 4096))
+    rep = M.symbolic_density(prng_bytes(42, 4096))
     assert rep.rho > 1  # header overhead on incompressible input; not clamped
 
 

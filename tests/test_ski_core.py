@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from skic import lambda_ir as L
 from skic import mdl_opt as MD
-from skic import metrics as M
 from skic import ski_core as SK
 from skic.ski_core import RuleSet, Verdict
 
 from conftest import (gen_chain, gen_closed_term, gen_normalizing_ski, gen_normalizing_term, gen_ski_term,
-                      ref_probe_key, term_size)
+                      leaf_mutants, ref_probe_key, term_size, token_count, tuple_keys)
 
 ALL_RULES = (RuleSet.NAIVE, RuleSet.WITH_I, RuleSet.ETA_OPTIMIZED)
 
@@ -228,7 +227,7 @@ def test_probe_outcomes_fold_into_both_checks():
     loops_on_0 = L.parse_term(r"\x. #if (#eq x 0) ((\y. y y) (\y. y y)) x")
     assert SK.behavioral_equal(loops_on_0, L.parse_term(r"\x. #add x 1"), probes, fuel=50) == (
         SK.EquivalenceResult(Verdict.DIFFERENT, 0.75, (1,)))
-    assert SK.probe_keys(L.App(SK.K, omega), probes, fuel=50) == [((0,), None), ((1,), None)]
+    assert tuple_keys(SK.probe_keys(L.App(SK.K, omega), probes, fuel=50)) == [None, None]
     assert MD.semantic_distance(SK.I, L.App(SK.K, L.IntLit(1)), probes) == 0.5
 
 
@@ -461,10 +460,15 @@ def _outcomes(keys):
 @example((L.apply_spine(SK.K, L.IntLit((1, 2)), L.IntLit(3)), 2), L.DEFAULT_FUEL)
 def test_lane_keys_match_split_then_finish(case, fuel):
     nf, n = case
-    keys = SK._lane_keys(nf, n, fuel)
+    # the lanes' keys as `comparison_forms` gives them: split from the
+    # group key, or split and finished where there is none
+    key = SK._group_key(nf)
+    keys = [SK._finish(lane, fuel) for lane in SK._lanes(nf, n)] if key is None else SK._lane_keys(key, n)
     assert _outcomes(keys) == _outcomes(_split_then_finish(nf, n, fuel))
+    # only a result holding a variable, lambda, primitive or combinator has no group key
+    assert (key is None) == SK.contains(nf, (L.Var, L.Lam, L.Prim, L.Comb))
     # a walked result's integer keys are the shared literals of their values
-    if not SK.contains(nf, (L.Var, L.Lam, L.Prim, L.Comb)):
+    if key is not None:
         assert all(SK._literal(k.value) is k for k in keys if type(k) is L.IntLit)
 
 
@@ -518,10 +522,115 @@ def test_comparison_forms_match_the_reference_tuple_by_tuple(side, arity, values
         return reduce(t, budget)
 
     with mock.patch.object(SK, "ski_reduce", counted):
-        keys = dict(zip(tuples, SK.comparison_forms(side, tuples, fuel)))
+        groups = SK.comparison_forms(side, tuples, fuel)
+    # the groups partition the tuples
+    assert sorted(i for group, _ in groups for i in group) == list(range(len(tuples)))
+    keys = dict(zip(tuples, tuple_keys((tuples, groups))))
     assert [_key_outcome(lambda _, tup, __: keys[tup], side, tup, fuel) for tup in tuples] == expected
     # a run that splits its group leaves smaller groups
     assert 1 <= runs[0] <= 2 * len(tuples) - 1
+
+
+def _reference_keys_equal(a: object, b: object) -> bool:
+    """`a == b` on two keys, whose nested tuples are walked with a stack."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is tuple and type(b) is tuple:
+            if len(a) != len(b):
+                return False
+            todo += zip(a, b)
+        elif a != b:
+            return False
+    return True
+
+
+def reference_equivalence(a: L.Term, b: L.Term, tuples, fuel: int) -> SK.EquivalenceResult:
+    """`behavioral_equal` tuple by tuple, as it was built before group keys:
+    each tuple's key from a reduction of its own (`comparison_form`, which
+    `test_comparison_form_matches_separate_passes` pins to the reference
+    passes), `b` probed only where `a`'s key is not None, and the
+    per-tuple rule of `compare_keys` folding the outcomes."""
+    penalty, witness, undecided = 0.0, None, False
+    for tup in tuples:
+        ka = SK.comparison_form(a, tup, fuel)
+        kb = None if ka is None else SK.comparison_form(b, tup, fuel)
+        if ka is None or kb is None:
+            agree = None
+        elif ka is kb:
+            agree = True
+        elif isinstance(ka, L.EvalOverflowError) and isinstance(kb, L.EvalOverflowError):
+            agree = ka.value == kb.value or None
+        else:
+            try:
+                agree = ka == kb
+            except RecursionError:
+                agree = _reference_keys_equal(ka, kb)
+        penalty += SK.PENALTY[agree]
+        if agree is False and witness is None:
+            witness = tup
+        undecided = undecided or agree is None
+    if witness is not None:
+        verdict = Verdict.DIFFERENT
+    else:
+        verdict = Verdict.UNKNOWN if undecided else Verdict.EQUAL
+    return SK.EquivalenceResult(verdict, penalty / len(tuples), witness)
+
+
+_SIDES = st.one_of(lambda_sides, ski_sides, st.randoms(use_true_random=False).map(gen_closed_term))
+
+
+@st.composite
+def side_pairs(draw) -> tuple[L.Term, L.Term]:
+    """Two sides: one drawn, and the other another draw, a one-leaf
+    mutant of it, or itself."""
+    a = draw(_SIDES)
+    kind = draw(st.sampled_from(("other", "mutant", "same")))
+    if kind == "mutant" and leaf_mutants(a):
+        return a, draw(st.sampled_from(leaf_mutants(a)))
+    return a, (a if kind == "same" else draw(_SIDES))
+
+
+@st.composite
+def probe_sets(draw) -> list[tuple[int, ...]]:
+    """A probe set of `probe_tuples`, or every tuple over a few values,
+    the 64-bit bounds among them."""
+    arity = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        return SK.probe_tuples(arity, draw(st.integers(1, 40)))
+    values = draw(st.lists(st.sampled_from((-2, -1, 0, 1, 3, L.INT64_MAX, L.INT64_MIN)),
+                           min_size=1, max_size=4, unique=True))
+    return list(itertools.product(values, repeat=arity))
+
+
+_DEEP_NUMERAL = p(r"\g. (\n. n n) (\h.\x. h (h (h (h (h x))))) g 1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(side_pairs(), probe_sets(), st.one_of(st.integers(0, 400), st.just(L.DEFAULT_FUEL)))
+# a lane that collapses to one scalar against a scalar
+@example((p(r"\a. #mul a 0"), p(r"\a. 0")), SK.probe_tuples(1, 216), L.DEFAULT_FUEL)
+# an #if that splits the first side's lanes only, agreeing, then differing on x = 0
+@example((p(r"\x. #if (#eq x 0) 0 x"), p(r"\x. x")), SK.probe_tuples(1, 216), L.DEFAULT_FUEL)
+@example((p(r"\x. #if (#eq x 0) 1 x"), p(r"\x. x")), SK.probe_tuples(1, 216), L.DEFAULT_FUEL)
+# and the other side's only
+@example((p(r"\x. x"), p(r"\x. #if (#eq x 3) 4 x")), SK.probe_tuples(1, 216), L.DEFAULT_FUEL)
+# overflows on some lanes: the same values, then different ones
+@example((p(rf"\x. #mul x {L.INT64_MAX}"), p(rf"\x. #mul {L.INT64_MAX} x")), SK.probe_tuples(1, 216), L.DEFAULT_FUEL)
+@example((p(rf"\x. #mul x {L.INT64_MAX}"), p(rf"\x. #add x {L.INT64_MAX}")), SK.probe_tuples(1, 216), L.DEFAULT_FUEL)
+# results that are functions
+@example((p(r"\x y. x"), SK.K), SK.probe_tuples(1, 216), L.DEFAULT_FUEL)
+@example((p(r"\x y. x"), p(r"\x y. y")), SK.probe_tuples(1, 216), L.DEFAULT_FUEL)
+# a side that runs out of fuel on some lanes only
+@example((p(r"\x. #if (#eq x 0) ((\y. y y) (\y. y y)) x"), p(r"\x. #add x 0")), SK.probe_tuples(1, 216), 50)
+# the 3,125-deep stuck `g (g (... 1))` on both sides, whose group keys and
+# lane keys compare only through the stack walk: equal, then differing at
+# the bottom
+@example((_DEEP_NUMERAL, SK.bracket_abstract(_DEEP_NUMERAL)), [(2,), (3,)], 1_000_000)
+@example((_DEEP_NUMERAL, p(r"\g. (\n. n n) (\h.\x. h (h (h (h (h x))))) g 2")), [(2,), (3,)], L.DEFAULT_FUEL)
+def test_group_comparison_matches_the_per_tuple_reference(pair, tuples, fuel):
+    a, b = pair
+    assert SK.behavioral_equal(a, b, tuples, fuel) == reference_equivalence(a, b, tuples, fuel)
 
 
 def test_encode_equal_for_all_rule_sets_random():
@@ -632,7 +741,7 @@ def gael_programs(draw) -> L.Program:
 @example(L.Program((), None))
 @example(L.Program((("d0", SK.I),), L.App(L.Var("d0"), L.App(L.IntLit(L.INT64_MIN), L.App(SK.K, L.BoolLit(True))))))
 def test_gael_program_tokens_match_the_lexer(prog):
-    assert SK.gael_program_tokens(prog) == M.token_count(SK.gael_print_program(prog), "gael")
+    assert SK.gael_program_tokens(prog) == token_count(SK.gael_print_program(prog), "gael")
 
 
 def test_gael_parse_round_trip_random():

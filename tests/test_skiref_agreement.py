@@ -20,7 +20,7 @@ from skic import ski_core as SK
 from skic.mdl_opt import MdlConfig
 from skic.ski_core import RuleSet
 
-from conftest import corpus_sources, gen_chain, gen_normalizing_term
+from conftest import corpus_sources, gen_chain, gen_normalizing_term, tuple_keys
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("perfbench_skiref", ROOT / "perfbench" / "skiref.py")
@@ -66,7 +66,7 @@ def disagreements(source: str, definitions: bool = False) -> tuple[list[str], in
             continue
         texts = {side: gael_naming(encoded, name) for side, encoded in sides.items()}
         probes = cfg.probe_tuples(L.leading_lambda_count(item))
-        for args, key in SK.probe_keys(item, probes, cfg.fuel):
+        for args, key in zip(probes, tuple_keys(SK.probe_keys(item, probes, cfg.fuel))):
             overflow = isinstance(key, L.EvalOverflowError)
             if not (overflow or isinstance(key, (L.IntLit, L.BoolLit))):
                 continue
